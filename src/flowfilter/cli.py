@@ -138,7 +138,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_fr_curve(args) -> int:
     g = _load_graph(args)
     algos = [a for a in args.algos.split(",") if a]
-    curve = fr_curve(g, algos, args.kmax, args.runs, args.seed, args.jobs)
+    curve = fr_curve(g, algos, args.kmax, args.runs, args.seed)
     _write_with_manifest(args.csv, curve_to_csv(curve), args)
     if args.json:
         _json_out(curve_to_json_obj(curve), args, args.json)
@@ -229,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--runs", type=int, default=25)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--csv", required=True, help="output CSV path")
     p.add_argument("--json", help="also write full per-cell results")
     p.set_defaults(func=_cmd_fr_curve)

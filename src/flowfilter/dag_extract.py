@@ -1,27 +1,28 @@
 """Maximal connected acyclic subgraph extraction from a directed graph.
 
 The extractor DFS-walks the graph from a root (children in ascending index
-order, so discovery times are deterministic), keeps every tree edge, and
-then re-admits each remaining edge (u, v) between visited nodes when it
-cannot close a cycle:
+order, so discovery times are deterministic) and classifies every edge
+(u, v) between visited nodes by the DFS entry/exit intervals (Tarjan
+1972):
 
-  * v inside u's DFS subtree ("forward" edges), or
-  * u and v in different branches of the DFS tree with v's branch explored
-    first, decided by scanning the two nodes' junction signatures for the
-    deepest junction common to both paths.
+  * tree and forward edges: v inside u's subtree, so v's interval is
+    nested in u's;
+  * cross edges: v's subtree was finished before u was entered, so
+    exit(v) < enter(u);
+  * back edges: v is a DFS ancestor of u (or u itself), so u's interval is
+    nested in v's.
+
+It keeps every edge except the back edges.
 
 Why the result is acyclic regardless of the order edges are considered:
-give every node its DFS entry/exit interval.  A kept tree or forward edge
-(u, v) has v's interval nested inside u's, so exit(v) < exit(u).  A kept
-cross-branch edge requires v's branch to be fully explored before u's
-branch was entered, so exit(v) < enter(u) < exit(u).  Either way exit
-strictly decreases along every kept edge, and no directed cycle can
-decrease forever.  The test never consults previously-admitted edges, only
-the DFS tree, which is why admission order cannot matter.
+a kept tree or forward edge has exit(v) < exit(u), and a kept cross edge
+has exit(v) < enter(u) < exit(u).  Either way exit strictly decreases
+along every kept edge, and no directed cycle can decrease forever.  The
+test never consults previously-admitted edges, only the DFS intervals,
+which is why admission order cannot matter.
 
-Every omitted candidate (u, v) has v as a DFS-tree ancestor of u, and the
-tree path v -> u is in the output, so re-adding the edge closes a cycle:
-the output is maximal.
+Every omitted edge (u, v) is a back edge, and the tree path v -> u is in
+the output, so re-adding the edge closes a cycle: the output is maximal.
 """
 
 from dataclasses import dataclass
@@ -37,19 +38,14 @@ class RootNotFoundError(GraphError):
 class DfsAnnotation:
     """Deterministic DFS bookkeeping for one root.
 
-    order[v] is the discovery time (0-based, -1 if unreached), enter/exit
-    the subtree interval, tree_parent the DFS tree, and signature[v] the
-    root-to-leaf list of (junction, branch entry) pairs above v.  A
-    junction is a tree node with two or more tree children.
+    order[v] is the discovery time (0-based, -1 if unreached) and enter/exit
+    the subtree interval.
     """
 
     root: int
     order: tuple[int, ...]
     enter: tuple[int, ...]
     exit: tuple[int, ...]
-    tree_parent: tuple
-    tree_children: tuple
-    signature: tuple
 
 
 def dfs_annotate(g: CGraph, root: int) -> DfsAnnotation:
@@ -58,8 +54,6 @@ def dfs_annotate(g: CGraph, root: int) -> DfsAnnotation:
     order = [-1] * g.n
     enter = [-1] * g.n
     exit_ = [-1] * g.n
-    parent: list = [None] * g.n
-    children: list[list[int]] = [[] for _ in range(g.n)]
 
     clock = 0
     # iterative DFS; stack holds (node, iterator position over sorted children)
@@ -71,8 +65,6 @@ def dfs_annotate(g: CGraph, root: int) -> DfsAnnotation:
         advanced = False
         for w in it:
             if order[w] == -1:
-                parent[w] = v
-                children[v].append(w)
                 order[w] = enter[w] = clock
                 clock += 1
                 stack.append((w, iter(sorted(g.out_adj[w]))))
@@ -83,44 +75,12 @@ def dfs_annotate(g: CGraph, root: int) -> DfsAnnotation:
             clock += 1
             stack.pop()
 
-    signature: list = [None] * g.n
-    signature[root] = ()
-    # children[] is in visit order = ascending index; walk the tree top-down
-    todo = [root]
-    while todo:
-        v = todo.pop()
-        is_junction = len(children[v]) > 1
-        for w in children[v]:
-            sig = signature[v] + ((v, w),) if is_junction else signature[v]
-            signature[w] = sig
-            todo.append(w)
-
-    return DfsAnnotation(
-        root,
-        tuple(order),
-        tuple(enter),
-        tuple(exit_),
-        tuple(parent),
-        tuple(tuple(c) for c in children),
-        tuple(signature),
-    )
+    return DfsAnnotation(root, tuple(order), tuple(enter), tuple(exit_))
 
 
 def _admits(ann: DfsAnnotation, u: int, v: int) -> bool:
-    """Does non-tree edge (u, v) stay acyclic against the DFS tree?"""
-    if ann.enter[u] < ann.enter[v] and ann.exit[v] < ann.exit[u]:
-        return True  # v in u's subtree: forward edge, cycle-safe
-    # deepest junction common to both root paths (signatures are
-    # root-to-leaf, so scan the shared prefix by junction)
-    sig_v = {w: wu for w, wu in ann.signature[v]}
-    deepest = None
-    for w, wu in ann.signature[u]:
-        if w in sig_v:
-            deepest = (w, wu, sig_v[w])
-    if deepest is None:
-        return False  # v is an ancestor of u (or u == root): back edge
-    _, toward_u, _ = deepest
-    return ann.order[v] < ann.order[toward_u] <= ann.order[u]
+    """Keep edge (u, v) unless it is a back edge: v a DFS ancestor of u."""
+    return not (ann.enter[v] <= ann.enter[u] and ann.exit[u] <= ann.exit[v])
 
 
 def extract_dag(g: CGraph, root: int) -> CGraph:
@@ -134,16 +94,7 @@ def extract_dag(g: CGraph, root: int) -> CGraph:
         raise RootNotFoundError(f"root index {root} is not a node")
     ann = dfs_annotate(g, root)
     keep = reachable_from(g, root)
-
-    tree_edges = {
-        (ann.tree_parent[v], v) for v in keep if ann.tree_parent[v] is not None
-    }
-    edges = []
-    for u, v in g.edges:
-        if u not in keep:
-            continue
-        if (u, v) in tree_edges or _admits(ann, u, v):
-            edges.append((u, v))
+    edges = [(u, v) for u, v in g.edges if u in keep and _admits(ann, u, v)]
 
     labels = [g.labels[v] for v in sorted(keep)]
     remap = {v: i for i, v in enumerate(sorted(keep))}

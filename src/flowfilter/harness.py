@@ -9,7 +9,6 @@ machine words.
 import hashlib
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -35,35 +34,29 @@ class BudgetExceededError(Exception):
     """Exhaustive search would evaluate more subsets than the budget allows."""
 
 
-DETERMINISTIC_ALGORITHMS = (
-    "greedy-1",
-    "greedy-all",
-    "greedy-max",
-    "greedy-l",
-    "tree-dp",
-    "optimal-unbounded",
-)
 RANDOMIZED_ALGORITHMS = ("rand-k", "rand-i", "rand-w")
-ALGORITHMS = DETERMINISTIC_ALGORITHMS + RANDOMIZED_ALGORITHMS
+
+# name -> run(g, k, seed); the order is the CLI's `choices` order
+_RUNNERS = {
+    "greedy-1": lambda g, k, seed: greedy_1(g, k),
+    "greedy-all": lambda g, k, seed: greedy_all(g, k),
+    "greedy-max": lambda g, k, seed: greedy_max(g, k),
+    "greedy-l": lambda g, k, seed: greedy_l(g, k),
+    "tree-dp": lambda g, k, seed: tree_dp(as_ctree(g), k),
+    "optimal-unbounded": lambda g, k, seed: optimal_unbounded(g),
+    "rand-k": lambda g, k, seed: randomized_baseline(g, k, "rand_k", seed),
+    "rand-i": lambda g, k, seed: randomized_baseline(g, k, "rand_i", seed),
+    "rand-w": lambda g, k, seed: randomized_baseline(g, k, "rand_w", seed),
+}
+ALGORITHMS = tuple(_RUNNERS)
 
 
 def run_algorithm(g: CGraph, name: str, k: int, seed: int = 0) -> FilterSet:
     """Run one placement algorithm by CLI name."""
-    if name == "greedy-1":
-        return greedy_1(g, k)
-    if name == "greedy-all":
-        return greedy_all(g, k)
-    if name == "greedy-max":
-        return greedy_max(g, k)
-    if name == "greedy-l":
-        return greedy_l(g, k)
-    if name == "tree-dp":
-        return tree_dp(as_ctree(g), k)
-    if name == "optimal-unbounded":
-        return optimal_unbounded(g)
-    if name in RANDOMIZED_ALGORITHMS:
-        return randomized_baseline(g, k, name.replace("-", "_"), seed)
-    raise ValueError(f"unknown algorithm {name!r}")
+    run = _RUNNERS.get(name)
+    if run is None:
+        raise ValueError(f"unknown algorithm {name!r}")
+    return run(g, k, seed)
 
 
 def max_objective(g: CGraph) -> int:
@@ -180,30 +173,25 @@ def fr_curve(
     k_max: int,
     runs: int = 25,
     seed: int = 0,
-    jobs: int = 1,
 ) -> FRCurve:
     """FR per (algorithm, k) for k = 1..k_max.
 
     Randomized algorithms are averaged over ``runs`` seeded trials (the F
     values are averaged first, then divided by F(V)); deterministic ones
-    run once, timed as the median of three repetitions.  Cells are
-    independent; with jobs > 1 they are computed by a worker pool and
-    merged back in deterministic order.
+    run once, timed as the median of three repetitions.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     for name in algorithms:
         if name not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {name!r}")
-    cells = [(name, k) for name in algorithms for k in range(1, k_max + 1)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(
-                pool.map(lambda c: _run_cell(g, c[0], c[1], runs, seed), cells)
-            )
-    else:
-        rows = [_run_cell(g, name, k, runs, seed) for name, k in cells]
-    return FRCurve(tuple(rows))
+    return FRCurve(
+        tuple(
+            _run_cell(g, name, k, runs, seed)
+            for name in algorithms
+            for k in range(1, k_max + 1)
+        )
+    )
 
 
 def format_fraction(x: Fraction, digits: int = 6) -> str:

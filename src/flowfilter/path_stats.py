@@ -1,17 +1,17 @@
-"""Path statistics under a filter set: prefix, suffix, and per-ancestor counts.
+"""Path statistics under a filter set: prefix, suffix and impact.
 
 prefix(v)    -- copies of the item reaching v (= source->v paths, with every
                 filter collapsed to a single forwarded copy).
-plist_v[x]   -- copies reaching v that were last forwarded fresh at ancestor
-                x; with no filters this is exactly the number of distinct
-                x->v paths.
-suffix(v)    -- receipt events caused downstream per copy v forwards.
+suffix(v)    -- receipt events caused downstream per copy v forwards: the
+                nonempty paths from v that enter no source and pass no
+                filter before their last node.
 impact(v)    -- redundancy eliminated by turning v into a filter, i.e.
                 (prefix(v) - 1) * suffix(v).
 
-Everything is computed in one pass over a topological order.  The master
-property (enforced by the test suite) is that impact equals the exact
-objective difference measured by the propagation simulator.
+Two O(edges) passes over one topological order: prefix forward, suffix
+backward.  The master property (enforced by the test suite) is that impact
+equals the exact objective difference measured by the propagation
+simulator.
 """
 
 from dataclasses import dataclass
@@ -28,19 +28,13 @@ class AlreadyFilterError(ValueError):
 class PathStats:
     prefix: tuple[int, ...]
     suffix: tuple[int, ...]
-    plist: tuple[dict, ...]
     filters: frozenset[int]
 
 
-def compute_prefix(g: CGraph, filters) -> list[int]:
-    """Just the prefix table: copies received per node under ``filters``.
-
-    One O(edges) pass; used where the full suffix/plist bookkeeping would
-    be wasted.
-    """
-    members = filter_members(filters)
+def _prefix_pass(g: CGraph, members: frozenset[int], order: list[int]) -> list[int]:
+    # a filter forwards min(prefix, 1) copies; a source emits exactly one
     prefix = [0] * g.n
-    for v in topological_order(g):
+    for v in order:
         if v in g.sources:
             prefix[v] = 1
         else:
@@ -51,47 +45,31 @@ def compute_prefix(g: CGraph, filters) -> list[int]:
     return prefix
 
 
-def compute_stats(g: CGraph, filters) -> PathStats:
-    """Prefix/suffix/plist tables for ``g`` under ``filters``.
+def compute_prefix(g: CGraph, filters) -> list[int]:
+    """Just the prefix table: copies received per node under ``filters``."""
+    return _prefix_pass(g, filter_members(filters), topological_order(g))
 
-    Filters reset the bookkeeping: a filter forwards min(prefix, 1) copies,
-    and the ancestor list it hands downstream is collapsed to itself.
+
+def compute_stats(g: CGraph, filters) -> PathStats:
+    """Prefix and suffix tables for ``g`` under ``filters``.
+
+    suffix(v) = sum over children w that are not sources of
+    1 + (0 if w is a filter else suffix(w)).  Receipts at a source are not
+    counted and it emits one copy whatever it receives, so no path into a
+    source counts toward an upstream node.  A filter's own receipt counts,
+    but what it forwards does not depend on how many copies arrived.
     """
     members = filter_members(filters)
     order = topological_order(g)
-
-    prefix = [0] * g.n
+    prefix = _prefix_pass(g, members, order)
     suffix = [0] * g.n
-    own: list[dict] = [{} for _ in range(g.n)]  # counts as received at v
-    passed: list[dict] = [{} for _ in range(g.n)]  # what v hands downstream
-
-    for v in order:
-        if v in g.sources:
-            prefix[v] = 1
-            plist = {v: 1}
-        else:
-            total = 0
-            plist = {}
-            for p in g.in_adj[v]:
-                total += min(prefix[p], 1) if p in members else prefix[p]
-                contrib = passed[p]
-                if not plist:
-                    plist = dict(contrib)
-                else:
-                    for x, c in contrib.items():
-                        plist[x] = plist.get(x, 0) + c
-            plist[v] = plist.get(v, 0) + 1
-            prefix[v] = total
-        own[v] = plist
-        for x, c in plist.items():
-            if x != v:
-                suffix[x] += c
-        if v in members:
-            passed[v] = {v: 1}
-        else:
-            passed[v] = plist
-
-    return PathStats(tuple(prefix), tuple(suffix), tuple(own), members)
+    for v in reversed(order):
+        suffix[v] = sum(
+            1 if w in members else 1 + suffix[w]
+            for w in g.out_adj[v]
+            if w not in g.sources
+        )
+    return PathStats(tuple(prefix), tuple(suffix), members)
 
 
 def impact_from_stats(g: CGraph, stats: PathStats, v: int) -> int:

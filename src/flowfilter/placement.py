@@ -93,18 +93,18 @@ def greedy_l(g: CGraph, k: int) -> FilterSet:
     """
     _check_k(k)
     members: set[int] = set()
-    eligible = set(eligible_nodes(g))
     for _ in range(k):
-        if not eligible:
-            break
         prefix = compute_prefix(g, members)
         best, best_score = None, -1
-        for v in sorted(eligible):
+        for v in range(g.n):
+            if v in g.sources or v in members:
+                continue
             score = prefix[v] * g.out_degree(v)
             if score > best_score:
                 best, best_score = v, score
+        if best is None:
+            break
         members.add(best)
-        eligible.discard(best)
     return FilterSet(frozenset(members), "greedy-l", k)
 
 

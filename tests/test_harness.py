@@ -106,14 +106,13 @@ def test_fr_curve_rows_carry_runs_and_results():
     assert rnd.fr == mean_f / max_objective(g)
 
 
-def test_fr_curve_reproducible_and_jobs_equivalent():
+def test_fr_curve_reproducible():
     g = random_dag(12, 0.4, 2)
     kwargs = dict(algorithms=["greedy-max", "rand-i"], k_max=2, runs=5, seed=11)
     a = fr_curve(g, **kwargs)
     b = fr_curve(g, **kwargs)
-    c = fr_curve(g, jobs=3, **kwargs)
     key = lambda curve: [(r.algorithm, r.k, r.fr, r.runs) for r in curve.rows]
-    assert key(a) == key(b) == key(c)
+    assert key(a) == key(b)
 
 
 def test_fr_curve_rejects_unknown_algorithm():

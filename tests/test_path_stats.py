@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from _oracles import count_nonempty_paths_from, count_paths
+from _oracles import count_nonempty_paths_from, enumerate_paths
 from flowfilter.fixtures import g_diamond, g_fanin, g_degree_trap
-from flowfilter.graph import build_graph
+from flowfilter.graph import CGraph, build_graph
 from flowfilter.path_stats import (
     AlreadyFilterError,
     compute_prefix,
@@ -50,13 +50,23 @@ def test_compute_prefix_agrees_with_full_stats():
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_plist_counts_distinct_paths(seed):
+def test_suffix_counts_paths_stopped_by_filters_and_sources(seed):
+    # suffix(v): nonempty paths from v that enter no source and pass no
+    # filter before their last node; extra sources may have in-edges
     rng = random.Random(seed)
     g = random_dag(rng.randint(2, 10), rng.uniform(0.2, 0.9), seed + 300)
-    stats = compute_stats(g, ())
+    sources = set(g.sources) | set(rng.sample(range(g.n), rng.randint(0, 2)))
+    g = CGraph(g.labels, g.edges, sources)
+    filters = set(rng.sample(range(g.n), rng.randint(0, g.n)))
+    stats = compute_stats(g, filters)
     for v in range(g.n):
-        for x, c in stats.plist[v].items():
-            assert c == count_paths(g, x, v)
+        expected = sum(
+            1
+            for path in enumerate_paths(g, v)
+            if not sources & set(path[1:])
+            and not filters & set(path[1:-1])
+        )
+        assert stats.suffix[v] == expected, (v, filters, sources)
 
 
 def test_impact_examples():

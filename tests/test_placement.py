@@ -135,6 +135,33 @@ def test_greedy_all_optimal_at_k1(seed):
     assert objective_f(g, greedy_all(g, 1)) == best
 
 
+def _simulator_greedy(g, k):
+    # gains measured by the simulator; ties go to the smallest index, and
+    # the greedy stops once no gain is positive
+    members = set()
+    for _ in range(k):
+        base = objective_f(g, members)
+        best, best_gain = None, 0
+        for v in eligible_nodes(g):
+            if v in members:
+                continue
+            gain = objective_f(g, members | {v}) - base
+            if gain > best_gain:
+                best, best_gain = v, gain
+        if best is None:
+            break
+        members.add(best)
+    return frozenset(members)
+
+
+def test_greedy_all_matches_simulator_greedy():
+    for seed in range(200):
+        rng = random.Random(seed)
+        g = random_dag(rng.randint(2, 12), rng.uniform(0.1, 0.9), seed + 900)
+        k = rng.randint(0, 4)
+        assert greedy_all(g, k).members == _simulator_greedy(g, k), seed
+
+
 def test_greedy_all_suboptimal_witness():
     # frozen witness found by randomized search: at k=2 greedy_all can miss
     # the optimum
