@@ -134,9 +134,9 @@ def _cell_seed(master: int, algorithm: str, k: int, trial: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _run_cell(g: CGraph, name: str, k: int, runs: int, master_seed: int) -> FRRow:
-    fv = max_objective(g)
-
+def _run_cell(
+    g: CGraph, name: str, k: int, runs: int, master_seed: int, fv: int
+) -> FRRow:
     def fr_of(f: int) -> Fraction:
         return Fraction(1) if fv == 0 else Fraction(f, fv)
 
@@ -185,9 +185,10 @@ def fr_curve(
     for name in algorithms:
         if name not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {name!r}")
+    fv = max_objective(g)
     return FRCurve(
         tuple(
-            _run_cell(g, name, k, runs, seed)
+            _run_cell(g, name, k, runs, seed, fv)
             for name in algorithms
             for k in range(1, k_max + 1)
         )

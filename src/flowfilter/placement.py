@@ -8,7 +8,6 @@ deterministic selector is reproducible bit for bit.
 """
 
 import random
-import sys
 from dataclasses import dataclass
 
 from .graph import CGraph, GraphError, topological_order
@@ -226,130 +225,94 @@ def as_ctree(g: CGraph) -> CTree:
     )
 
 
-@dataclass
-class _BinNode:
-    """Node of the binarized tree; orig is None for dummy join nodes."""
+def _join(tables: list, rows: int, k: int) -> tuple[list, list]:
+    """Min-plus join of the children's tables, taken right to left.
 
-    orig: int | None
-    left: int | None = None  # indices into the _BinNode list
-    right: int | None = None
-    source_edge: bool = False
-
-
-def _binarize(t: CTree) -> tuple[list[_BinNode], int]:
-    """Binary version of the tree; returns (nodes, virtual root index).
-
-    A node with more than two children keeps its first child on the left
-    and pushes the rest under a chain of dummy nodes.  Dummies are virtual:
-    they receive nothing and just relay their parent's outflow, and they
-    are never eligible as filters.  The virtual root joins the forest roots
-    the same way with zero inflow.
+    Returns the joined table [outflow][budget] for outflows 0..rows-1 and,
+    per folded child, the budget it gets at each (outflow, budget): the
+    smallest one that reaches the minimum.  With two or more children the
+    last one takes what is left, as in the chain (c1, (c2, (... c_m))); a
+    single child is joined with an all-zero table.
     """
-    nodes: list[_BinNode] = []
+    if len(tables) >= 2:
+        acc, fold = tables[-1], tables[-2::-1]
+    else:
+        acc, fold = [[0] * (k + 1) for _ in range(rows)], tables
+    picks = []
+    for table in fold:
+        new_acc, pick = [], []
+        for row, acc_row in zip(table, acc):
+            vals, js = [], []
+            for b in range(k + 1):
+                sums = [row[j] + acc_row[b - j] for j in range(b + 1)]
+                vals.append(min(sums))
+                js.append(sums.index(vals[-1]))
+            new_acc.append(vals)
+            pick.append(js)
+        acc = new_acc
+        picks.append(pick)
+    picks.reverse()
+    return acc, picks
 
-    def new_node(orig: int | None, source_edge: bool) -> int:
-        nodes.append(_BinNode(orig, source_edge=source_edge))
-        return len(nodes) - 1
 
-    def attach(idx: int, child_ids: list[int]) -> None:
-        # Hang child_ids (already _BinNode indices) under nodes[idx].
-        cur = idx
-        remaining = list(child_ids)
-        while remaining:
-            if len(remaining) == 1:
-                nodes[cur].left = remaining[0]
-                remaining = []
-            elif len(remaining) == 2:
-                nodes[cur].left = remaining[0]
-                nodes[cur].right = remaining[1]
-                remaining = []
-            else:
-                nodes[cur].left = remaining[0]
-                dummy = new_node(None, False)
-                nodes[cur].right = dummy
-                cur = dummy
-                remaining = remaining[1:]
-
-    def build(v: int) -> int:
-        idx = new_node(v, t.has_source_edge[v])
-        attach(idx, [build(c) for c in t.children[v]])
-        return idx
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 2 * t.graph.n + 100))
-    try:
-        root = new_node(None, False)
-        attach(root, [build(r) for r in t.roots])
-    finally:
-        sys.setrecursionlimit(old_limit)
-    return nodes, root
+def _split(children: tuple, picks: list, out: int, budget: int):
+    """Yield (child, budget) pairs as ``_join`` chose them."""
+    for c, pick in zip(children, picks):
+        j = pick[out][budget]
+        budget -= j
+        yield c, j
+    if len(children) >= 2:
+        yield children[-1], budget
 
 
 def tree_dp(t: CTree, k: int) -> FilterSet:
     """Exact optimal filter set of size <= k on a communication tree.
 
-    Dynamic program over the binarized tree with state (node, budget,
-    inflow), where inflow is the copy count arriving from the tree parent.
-    Inflow grows at most by one per level (each child sees its parent's
-    outflow plus an optional direct source copy), so the state space stays
-    small.  Minimizing total receipts is equivalent to maximizing the
-    objective.
+    One bottom-up pass over the tree.  Node v gets a table [inflow][budget]
+    of the fewest receipts in v's subtree, where inflow is the copy count
+    its tree parent forwards.  Inflow can reach the number of source-edge
+    nodes above v, so tables grow with depth on deep chains.  A node
+    becomes a filter only when that is strictly better, and ties between
+    children go as in ``_join``.  Minimizing total receipts is equivalent
+    to maximizing the objective.
     """
     _check_k(k)
-    nodes, root = _binarize(t)
+    n, se = t.graph.n, t.has_source_edge
+    top = [0] * n  # source-edge nodes above v: v's largest inflow
+    order = []  # pre-order: parents before children
+    stack = list(t.roots)
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for c in t.children[v]:
+            top[c] = top[v] + se[v]
+        stack.extend(t.children[v])
 
-    # memo[(idx, budget, inflow)] = (min total received in subtree, choice)
-    # choice = (filter_here, budget_left_child, left_inflow_out, right_inflow_out)
-    memo: dict = {}
+    best: list = [None] * n  # v's [inflow][budget] table, until v's parent joins it
+    joined: list = [None] * n  # v's children joined over v's outflow, and the picks
+    for v in reversed(order):
+        kids = t.children[v]
+        joined[v] = _join([best[c] for c in kids], top[v] + se[v] + 1, k)
+        for c in kids:
+            best[c] = None
+        table = joined[v][0]
+        best[v] = []
+        for recv in range(se[v], top[v] + se[v] + 1):
+            keep, cut = table[recv], table[min(recv, 1)]
+            best[v].append(
+                [recv + keep[0]]
+                + [recv + min(keep[b], cut[b - 1]) for b in range(1, k + 1)]
+            )
 
-    def solve(idx: int | None, budget: int, inflow: int) -> int:
-        if idx is None:
-            return 0
-        key = (idx, budget, inflow)
-        if key in memo:
-            return memo[key][0]
-        node = nodes[idx]
-        if node.orig is None:
-            recv = 0
-            opts = [(False, inflow)]  # dummies relay, never filter
-        else:
-            recv = inflow + (1 if node.source_edge else 0)
-            opts = [(False, recv)]
-            if budget > 0:
-                opts.append((True, min(recv, 1)))
-        best = None
-        best_choice = None
-        for filter_here, out in opts:
-            sub_budget = budget - (1 if filter_here else 0)
-            for j in range(sub_budget + 1):
-                total = (
-                    recv
-                    + solve(node.left, j, out)
-                    + solve(node.right, sub_budget - j, out)
-                )
-                if best is None or total < best:
-                    best = total
-                    best_choice = (filter_here, j, out)
-        memo[key] = (best, best_choice)
-        return best
-
-    def collect(idx: int | None, budget: int, inflow: int, chosen: set[int]) -> None:
-        if idx is None:
-            return
-        node = nodes[idx]
-        _, (filter_here, j, out) = memo[(idx, budget, inflow)]
-        if filter_here:
-            chosen.add(node.orig)
-        sub_budget = budget - (1 if filter_here else 0)
-        collect(node.left, j, out, chosen)
-        collect(node.right, sub_budget - j, out, chosen)
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * len(nodes) + 100))
-    try:
-        solve(root, k, 0)
-        chosen: set[int] = set()
-        collect(root, k, 0, chosen)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    _, root_picks = _join([best[r] for r in t.roots], 1, k)
+    chosen: set[int] = set()
+    stack = [(r, 0, j) for r, j in _split(t.roots, root_picks, 0, k)]
+    while stack:
+        v, inflow, budget = stack.pop()
+        table, picks = joined[v]
+        out = inflow + se[v]  # copies v forwards unless it filters
+        if budget and table[min(out, 1)][budget - 1] < table[out][budget]:
+            chosen.add(v)
+            out, budget = min(out, 1), budget - 1
+        stack.extend((c, out, j) for c, j in _split(t.children[v], picks, out, budget))
     return FilterSet(frozenset(chosen), "tree-dp", k)

@@ -6,7 +6,6 @@ many paths the graph has.
 """
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .graph import CGraph, GraphError, topological_order
 

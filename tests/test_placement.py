@@ -1,9 +1,11 @@
+import hashlib
 import random
+import sys
 
 import pytest
 
 from flowfilter.fixtures import g_diamond, g_fanin, g_degree_trap, g_mergers, g_tree1
-from flowfilter.graph import build_graph
+from flowfilter.graph import CGraph, build_graph
 from flowfilter.harness import oracle
 from flowfilter.placement import (
     NotACTreeError,
@@ -210,8 +212,8 @@ def test_tree_dp_matches_oracle(seed):
         assert got == best
 
 
-def test_tree_dp_wide_node_exercises_binarization():
-    # out-degree 5 node gets chained dummies; values must still be exact
+def test_tree_dp_wide_node():
+    # the five children of r are joined one by one; values must stay exact
     edges = [("s", "r")] + [("r", f"c{i}") for i in range(5)]
     edges += [("s", "c0"), ("s", "c3"), ("c1", "g1"), ("s", "g1")]
     g = build_graph(edges)
@@ -221,6 +223,39 @@ def test_tree_dp_wide_node_exercises_binarization():
         fs = tree_dp(t, k)
         assert objective_f(g, fs) == best
         assert all(0 <= v < g.n for v in fs.members)
+
+
+def test_tree_dp_tie_breaks_pinned():
+    # Which of several optimal sets tree_dp returns reaches the CLI output,
+    # so the choice itself is pinned: no filter unless strictly better, and
+    # each earlier child gets the smallest budget that reaches the minimum.
+    h = hashlib.sha256()
+    for seed in range(300):
+        rng = random.Random(seed)
+        t = random_ctree(rng.randint(1, 40), rng.uniform(0.0, 0.9), seed + 4000)
+        for k in (0, 1, 2, 3, 5):
+            h.update(" ".join(tree_dp(t, k).labels(t.graph)).encode() + b"\n")
+    assert h.hexdigest() == (
+        "5d14e5293ba595ea73551c24fef96eaf2c8b4b26a0b8283204afb30a3ba2cc7a"
+    )
+
+
+def test_tree_dp_deep_chain_without_recursion(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("tree_dp must not touch the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    n = 10_000
+    edges = [("s", "t0")] + [(f"t{i}", f"t{i + 1}") for i in range(n - 1)]
+    edges += [("s", f"t{i}") for i in (10, 2_000, 5_000, 7_500, 9_990)]
+    g = build_graph(edges, sources=["s"])
+    fs = tree_dp(as_ctree(g), 3)
+    assert len(fs.members) <= 3
+    assert objective_f(g, fs) >= objective_f(g, greedy_all(g, 3))
+
+
+def test_tree_dp_source_only_graph():
+    assert tree_dp(as_ctree(CGraph(["s"], [], [0])), 3).members == frozenset()
 
 
 def test_as_ctree_rejects_non_trees():
