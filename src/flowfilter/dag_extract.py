@@ -27,7 +27,7 @@ the output, so re-adding the edge closes a cycle: the output is maximal.
 
 from dataclasses import dataclass
 
-from .graph import CGraph, GraphError, reachable_from, topological_order
+from .graph import CGraph, GraphError, topological_order
 
 
 class RootNotFoundError(GraphError):
@@ -38,12 +38,11 @@ class RootNotFoundError(GraphError):
 class DfsAnnotation:
     """Deterministic DFS bookkeeping for one root.
 
-    order[v] is the discovery time (0-based, -1 if unreached) and enter/exit
-    the subtree interval.
+    enter[v] is the discovery time (-1 if unreached) and [enter, exit] the
+    subtree interval; entries and exits share one clock.
     """
 
     root: int
-    order: tuple[int, ...]
     enter: tuple[int, ...]
     exit: tuple[int, ...]
 
@@ -51,21 +50,20 @@ class DfsAnnotation:
 def dfs_annotate(g: CGraph, root: int) -> DfsAnnotation:
     if not (0 <= root < g.n):
         raise RootNotFoundError(f"root index {root} is not a node")
-    order = [-1] * g.n
     enter = [-1] * g.n
     exit_ = [-1] * g.n
 
     clock = 0
     # iterative DFS; stack holds (node, iterator position over sorted children)
-    order[root] = enter[root] = clock
+    enter[root] = clock
     clock += 1
     stack = [(root, iter(sorted(g.out_adj[root])))]
     while stack:
         v, it = stack[-1]
         advanced = False
         for w in it:
-            if order[w] == -1:
-                order[w] = enter[w] = clock
+            if enter[w] == -1:
+                enter[w] = clock
                 clock += 1
                 stack.append((w, iter(sorted(g.out_adj[w]))))
                 advanced = True
@@ -75,7 +73,7 @@ def dfs_annotate(g: CGraph, root: int) -> DfsAnnotation:
             clock += 1
             stack.pop()
 
-    return DfsAnnotation(root, tuple(order), tuple(enter), tuple(exit_))
+    return DfsAnnotation(root, tuple(enter), tuple(exit_))
 
 
 def _admits(ann: DfsAnnotation, u: int, v: int) -> bool:
@@ -93,11 +91,11 @@ def extract_dag(g: CGraph, root: int) -> CGraph:
     if not (0 <= root < g.n):
         raise RootNotFoundError(f"root index {root} is not a node")
     ann = dfs_annotate(g, root)
-    keep = reachable_from(g, root)
-    edges = [(u, v) for u, v in g.edges if u in keep and _admits(ann, u, v)]
+    keep = [v for v in range(g.n) if ann.enter[v] != -1]  # reached by the DFS
+    remap = {v: i for i, v in enumerate(keep)}
+    edges = [(u, v) for u, v in g.edges if u in remap and _admits(ann, u, v)]
 
-    labels = [g.labels[v] for v in sorted(keep)]
-    remap = {v: i for i, v in enumerate(sorted(keep))}
+    labels = [g.labels[v] for v in keep]
     out = CGraph(labels, [(remap[u], remap[v]) for u, v in edges], [remap[root]])
     topological_order(out)  # independent acyclicity assertion
     return out

@@ -1,6 +1,6 @@
 """Small hand-built graphs used throughout the test suite and docs."""
 
-from .graph import CGraph, build_graph
+from .graph import CGraph, build_graph, parse_edge_list
 
 FANIN_TSV = """\
 s\tx
@@ -32,19 +32,7 @@ B\tb4
 
 def g_fanin() -> CGraph:
     """Fan-out/fan-in graph: the sink w collects 1 + 2 + 1 copies."""
-    return build_graph(
-        [
-            ("s", "x"),
-            ("s", "y"),
-            ("x", "z1"),
-            ("x", "z2"),
-            ("y", "z2"),
-            ("y", "z3"),
-            ("z1", "w"),
-            ("z2", "w"),
-            ("z3", "w"),
-        ]
-    )
+    return parse_edge_list(FANIN_TSV)
 
 
 def g_degree_trap() -> CGraph:
@@ -53,22 +41,7 @@ def g_degree_trap() -> CGraph:
     A has in-degree 3 and a single out-edge (removing 2 redundant copies);
     B has in-degree 1 and four out-edges (removing nothing).
     """
-    return build_graph(
-        [
-            ("s", "u1"),
-            ("s", "u2"),
-            ("s", "u3"),
-            ("u1", "A"),
-            ("u2", "A"),
-            ("u3", "A"),
-            ("A", "t"),
-            ("s", "B"),
-            ("B", "b1"),
-            ("B", "b2"),
-            ("B", "b3"),
-            ("B", "b4"),
-        ]
-    )
+    return parse_edge_list(DEGREE_TRAP_TSV)
 
 
 def g_diamond() -> CGraph:

@@ -43,10 +43,13 @@ class CGraph:
     Node labels are interned to dense indices 0..n-1 in first-seen order;
     all other modules work on the dense indices.  Self-loops and duplicate
     edges are rejected, and the adjacency lists are recounted against the
-    edge list at construction time.
+    edge list at construction time.  The topological order is computed once
+    here; read it through ``topological_order``.
     """
 
-    __slots__ = ("labels", "edges", "out_adj", "in_adj", "sources", "_index")
+    __slots__ = (
+        "labels", "edges", "out_adj", "in_adj", "sources", "_index", "_order"
+    )
 
     def __init__(
         self,
@@ -93,6 +96,20 @@ class CGraph:
         # recount check: adjacency must agree with the edge list
         assert sum(len(a) for a in self.out_adj) == len(self.edges)
         assert sum(len(a) for a in self.in_adj) == len(self.edges)
+
+        # Kahn's algorithm, smallest ready index first; on a cyclic graph it
+        # stops short of every node on or downstream of a cycle
+        indeg = [len(l) for l in in_lists]
+        ready = [v for v in range(n) if indeg[v] == 0]  # ascending: a heap
+        order: list[int] = []
+        while ready:
+            v = heapq.heappop(ready)
+            order.append(v)
+            for w in out_lists[v]:
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    heapq.heappush(ready, w)
+        self._order: tuple[int, ...] = tuple(order)
 
     @property
     def n(self) -> int:
@@ -188,26 +205,17 @@ def serialize_edge_list(g: CGraph) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def topological_order(g: CGraph) -> list[int]:
+def topological_order(g: CGraph) -> tuple[int, ...]:
     """Topological order of the node indices, or CycleError.
 
     Deterministic: among simultaneously-ready nodes the smallest dense
-    index goes first.
+    index goes first.  The order is computed once when the graph is built,
+    so every call returns the same tuple.
     """
-    indeg = [g.in_degree(v) for v in range(g.n)]
-    ready = [v for v in range(g.n) if indeg[v] == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for w in g.out_adj[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(ready, w)
-    if len(order) < g.n:
-        raise CycleError(_find_cycle(g, {v for v in range(g.n) if indeg[v] > 0}))
-    return order
+    if len(g._order) < g.n:
+        done = set(g._order)
+        raise CycleError(_find_cycle(g, {v for v in range(g.n) if v not in done}))
+    return g._order
 
 
 def _find_cycle(g: CGraph, remaining: set[int]) -> list[str]:

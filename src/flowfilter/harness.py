@@ -51,7 +51,7 @@ _RUNNERS = {
 ALGORITHMS = tuple(_RUNNERS)
 
 
-def run_algorithm(g: CGraph, name: str, k: int, seed: int = 0) -> FilterSet:
+def run_algorithm(g: CGraph, name: str, k: int, seed: int | None = 0) -> FilterSet:
     """Run one placement algorithm by CLI name."""
     run = _RUNNERS.get(name)
     if run is None:
@@ -137,34 +137,25 @@ def _cell_seed(master: int, algorithm: str, k: int, trial: int) -> int:
 def _run_cell(
     g: CGraph, name: str, k: int, runs: int, master_seed: int, fv: int
 ) -> FRRow:
-    def fr_of(f: int) -> Fraction:
+    def fr_of(f) -> Fraction:
         return Fraction(1) if fv == 0 else Fraction(f, fv)
 
-    results = []
     if name in RANDOMIZED_ALGORITHMS:
-        for trial in range(runs):
-            seed = _cell_seed(master_seed, name, k, trial)
-            t0 = time.perf_counter()
-            fs = run_algorithm(g, name, k, seed)
-            ms = (time.perf_counter() - t0) * 1000.0
-            f = objective_f(g, fs)
-            results.append(
-                PlacementResult(name, k, seed, tuple(fs.labels(g)), f, fr_of(f), ms)
-            )
-        mean_f = Fraction(sum(r.f for r in results), len(results))
-        fr = Fraction(1) if fv == 0 else mean_f / fv
-        wall = statistics.fmean(r.wall_ms for r in results)
-        return FRRow(name, k, fr, runs, wall, tuple(results))
-
-    times = []
-    for _ in range(3):  # deterministic: report the median of 3 timings
+        seeds = [_cell_seed(master_seed, name, k, trial) for trial in range(runs)]
+    else:
+        seeds = [None]
+    results = []
+    for seed in seeds:
         t0 = time.perf_counter()
-        fs = run_algorithm(g, name, k)
-        times.append((time.perf_counter() - t0) * 1000.0)
-    f = objective_f(g, fs)
-    wall = statistics.median(times)
-    result = PlacementResult(name, k, None, tuple(fs.labels(g)), f, fr_of(f), wall)
-    return FRRow(name, k, fr_of(f), 1, wall, (result,))
+        fs = run_algorithm(g, name, k, seed)
+        ms = (time.perf_counter() - t0) * 1000.0
+        f = objective_f(g, fs)
+        results.append(
+            PlacementResult(name, k, seed, tuple(fs.labels(g)), f, fr_of(f), ms)
+        )
+    mean_f = Fraction(sum(r.f for r in results), len(results))
+    wall = statistics.fmean(r.wall_ms for r in results)
+    return FRRow(name, k, fr_of(mean_f), len(results), wall, tuple(results))
 
 
 def fr_curve(
@@ -178,7 +169,8 @@ def fr_curve(
 
     Randomized algorithms are averaged over ``runs`` seeded trials (the F
     values are averaged first, then divided by F(V)); deterministic ones
-    run once, timed as the median of three repetitions.
+    run one trial with seed None.  Each trial is timed once, and a cell's
+    ``wall_ms`` is the mean over its trials.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")

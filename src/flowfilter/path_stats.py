@@ -31,10 +31,10 @@ class PathStats:
     filters: frozenset[int]
 
 
-def _prefix_pass(g: CGraph, members: frozenset[int], order: list[int]) -> list[int]:
+def _prefix_pass(g: CGraph, members: frozenset[int]) -> list[int]:
     # a filter forwards min(prefix, 1) copies; a source emits exactly one
     prefix = [0] * g.n
-    for v in order:
+    for v in topological_order(g):
         if v in g.sources:
             prefix[v] = 1
         else:
@@ -47,7 +47,7 @@ def _prefix_pass(g: CGraph, members: frozenset[int], order: list[int]) -> list[i
 
 def compute_prefix(g: CGraph, filters) -> list[int]:
     """Just the prefix table: copies received per node under ``filters``."""
-    return _prefix_pass(g, filter_members(filters), topological_order(g))
+    return _prefix_pass(g, filter_members(filters))
 
 
 def compute_stats(g: CGraph, filters) -> PathStats:
@@ -60,10 +60,9 @@ def compute_stats(g: CGraph, filters) -> PathStats:
     but what it forwards does not depend on how many copies arrived.
     """
     members = filter_members(filters)
-    order = topological_order(g)
-    prefix = _prefix_pass(g, members, order)
+    prefix = _prefix_pass(g, members)
     suffix = [0] * g.n
-    for v in reversed(order):
+    for v in reversed(topological_order(g)):
         suffix[v] = sum(
             1 if w in members else 1 + suffix[w]
             for w in g.out_adj[v]

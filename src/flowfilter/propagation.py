@@ -45,11 +45,9 @@ def simulate(g: CGraph, filters) -> CountTable:
     """
     source = _single_source(g)
     members = filter_members(filters)
-    order = topological_order(g)
-
     received = [0] * g.n
     forwarded = [0] * g.n
-    for v in order:
+    for v in topological_order(g):
         received[v] = sum(forwarded[p] for p in g.in_adj[v])
         if v == source:
             forwarded[v] = 1

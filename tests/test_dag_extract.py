@@ -46,7 +46,7 @@ def test_discovery_times_deterministic_ascending_index():
     ann = dfs_annotate(g, g.index("s"))
     # children visited in index order: s, x, z1, w, z2, y, z3
     expected = ["s", "x", "z1", "w", "z2", "y", "z3"]
-    assert sorted(range(g.n), key=lambda v: ann.order[v]) == [
+    assert sorted(range(g.n), key=lambda v: ann.enter[v]) == [
         g.index(lab) for lab in expected
     ]
 

@@ -1,6 +1,9 @@
+import hashlib
 import random
 
 import pytest
+
+from _oracles import random_digraph
 
 from flowfilter.fixtures import FANIN_TSV, DEGREE_TRAP_TSV, g_fanin, g_degree_trap
 from flowfilter.graph import (
@@ -104,6 +107,30 @@ def test_cycle_detected_with_cycle_report():
     # consecutive entries really are edges
     for u, v in zip(cycle, cycle[1:]):
         assert (g.index(u), g.index(v)) in set(g.edges)
+
+
+def test_topological_order_is_stored_on_the_graph():
+    g = g_fanin()
+    order = topological_order(g)
+    assert isinstance(order, tuple)
+    assert topological_order(g) is order
+
+
+def test_cycle_reports_pinned():
+    # validate prints CycleError.cycle, so which cycle is reported is pinned
+    h = hashlib.sha256()
+    for seed in range(30):
+        rng = random.Random(seed)
+        g = random_digraph(rng.randint(2, 30), rng.uniform(0.02, 0.3), seed + 7000)
+        try:
+            topological_order(g)
+            line = "acyclic"
+        except CycleError as exc:
+            line = " ".join(exc.cycle)
+        h.update(line.encode() + b"\n")
+    assert h.hexdigest() == (
+        "7b09a90f71117cecce7ff88186f2dfb48aa56e04520d2afa799ccf8646e7793b"
+    )
 
 
 def test_add_super_source_two_roots():

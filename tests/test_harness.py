@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from flowfilter import harness
 from flowfilter.fixtures import g_diamond, g_fanin, g_degree_trap, g_tree1
 from flowfilter.graph import build_graph
 from flowfilter.harness import (
@@ -104,6 +105,22 @@ def test_fr_curve_rows_carry_runs_and_results():
     # averaged F first, then divided
     mean_f = Fraction(sum(r.f for r in rnd.results), 4)
     assert rnd.fr == mean_f / max_objective(g)
+
+
+def test_fr_curve_runs_each_trial_once(monkeypatch):
+    calls = {}
+
+    def counting(name, run):
+        def wrapped(g, k, seed):
+            calls[name] = calls.get(name, 0) + 1
+            return run(g, k, seed)
+
+        return wrapped
+
+    runners = {name: counting(name, run) for name, run in harness._RUNNERS.items()}
+    monkeypatch.setattr(harness, "_RUNNERS", runners)
+    fr_curve(g_fanin(), ["greedy-all", "rand-k"], k_max=3, runs=4)
+    assert calls == {"greedy-all": 3, "rand-k": 12}
 
 
 def test_fr_curve_reproducible():
