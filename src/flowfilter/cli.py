@@ -26,15 +26,17 @@ from .graph import (
 )
 from .harness import (
     ALGORITHMS,
+    RANDOMIZED_ALGORITHMS,
     BudgetExceededError,
     curve_to_csv,
     curve_to_json_obj,
-    filter_ratio,
     fr_curve,
     oracle,
+    ratio,
     run_algorithm,
+    scoring_constants,
 )
-from .propagation import objective_f, phi_total
+from .propagation import phi_total
 
 DAG_HINT = "input graph is cyclic; run `flowfilter extract-dag` on it first"
 
@@ -94,14 +96,15 @@ def _cmd_extract_dag(args) -> int:
 def _cmd_place(args) -> int:
     g = _load_graph(args)
     fs = run_algorithm(g, args.algo, args.k, args.seed)
-    f = objective_f(g, fs)
+    phi_empty, fv = scoring_constants(g)
+    f = phi_empty - phi_total(g, fs)
     obj = {
         "algorithm": args.algo,
         "k": args.k,
-        "seed": args.seed if args.algo.startswith("rand-") else None,
+        "seed": args.seed if args.algo in RANDOMIZED_ALGORITHMS else None,
         "filters": fs.labels(g),
         "f": f,
-        "fr": round(float(filter_ratio(g, fs)), 6),
+        "fr": round(float(ratio(f, fv)), 6),
     }
     _json_out(obj, args, args.json)
     return 0
@@ -109,14 +112,16 @@ def _cmd_place(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     g = _load_graph(args)
-    labels = [s for s in args.filters.split(",") if s] if args.filters else []
+    labels = sorted({s for s in args.filters.split(",") if s})
     members = frozenset(g.index(lab) for lab in labels)
+    phi_empty, fv = scoring_constants(g)
+    f = phi_empty - phi_total(g, members)
     obj = {
-        "filters": sorted(labels),
-        "phi_no_filters": phi_total(g, ()),
-        "phi": phi_total(g, members),
-        "f": objective_f(g, members),
-        "fr": round(float(filter_ratio(g, members)), 6),
+        "filters": labels,
+        "phi_no_filters": phi_empty,
+        "phi": phi_empty - f,
+        "f": f,
+        "fr": round(float(ratio(f, fv)), 6),
     }
     _json_out(obj, args, args.json)
     return 0
@@ -125,11 +130,12 @@ def _cmd_evaluate(args) -> int:
 def _cmd_oracle(args) -> int:
     g = _load_graph(args)
     fs, f = oracle(g, args.k, args.budget)
+    _, fv = scoring_constants(g)
     obj = {
         "k": args.k,
         "filters": fs.labels(g),
         "f": f,
-        "fr": round(float(filter_ratio(g, fs)), 6),
+        "fr": round(float(ratio(f, fv)), 6),
     }
     _json_out(obj, args, args.json)
     return 0
@@ -137,8 +143,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_fr_curve(args) -> int:
     g = _load_graph(args)
-    algos = [a for a in args.algos.split(",") if a]
-    curve = fr_curve(g, algos, args.kmax, args.runs, args.seed)
+    curve = fr_curve(g, args.algos, args.kmax, args.runs, args.seed)
     _write_with_manifest(args.csv, curve_to_csv(curve), args)
     if args.json:
         _json_out(curve_to_json_obj(curve), args, args.json)
@@ -162,6 +167,29 @@ def _cmd_validate(args) -> int:
     }
     _json_out(obj, args, None)
     return 0
+
+
+def _int_at_least(low: int):
+    """argparse type: an int >= ``low``; a smaller one is a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a non-number as "invalid int value"
+    return parse
+
+
+def _algorithm_names(text: str) -> list[str]:
+    """argparse type: one or more comma-separated names from ALGORITHMS."""
+    names = [a for a in text.split(",") if a]
+    if not names or any(a not in ALGORITHMS for a in names):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated names from {', '.join(ALGORITHMS)}; got {text!r}"
+        )
+    return names
 
 
 def _add_input_opts(p: argparse.ArgumentParser) -> None:
@@ -205,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("place", help="choose filter nodes")
     _add_input_opts(p)
     p.add_argument("--algo", required=True, choices=ALGORITHMS)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_at_least(0), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", help="output path (default: stdout)")
     p.set_defaults(func=_cmd_place)
@@ -218,16 +246,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exhaustive best filter set of size <= k")
     _add_input_opts(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--k", type=_int_at_least(0), required=True)
+    p.add_argument("--budget", type=_int_at_least(0), default=10**6)
     p.add_argument("--json", help="output path (default: stdout)")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("fr-curve", help="filter ratio per algorithm and k")
     _add_input_opts(p)
-    p.add_argument("--algos", required=True, help="comma-separated algorithm names")
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--runs", type=int, default=25)
+    p.add_argument(
+        "--algos",
+        type=_algorithm_names,
+        required=True,
+        help="comma-separated algorithm names",
+    )
+    p.add_argument("--kmax", type=_int_at_least(1), required=True)
+    p.add_argument("--runs", type=_int_at_least(1), default=25)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", required=True, help="output CSV path")
     p.add_argument("--json", help="also write full per-cell results")

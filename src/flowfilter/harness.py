@@ -1,9 +1,8 @@
 """Evaluation harness: filter ratio, brute-force oracle, and FR curves.
 
-The filter ratio FR(A) = F(A) / F(V) measures how much of the removable
-redundancy a filter set removes; 1 means all of it.  Ratios are kept as
-exact fractions until formatting, since the underlying counts can exceed
-machine words.
+F(A) = φ(∅) − φ(A) scores a filter set A, and FR(A) = F(A) / F(V), an exact
+fraction that is 1 when F(V) = 0, is the share of removable redundancy it
+removes.  Callers take φ(∅), F(V) from ``scoring_constants`` once per call.
 """
 
 import hashlib
@@ -27,7 +26,7 @@ from .placement import (
     randomized_baseline,
     tree_dp,
 )
-from .propagation import objective_f
+from .propagation import objective_f, phi_total
 
 
 class BudgetExceededError(Exception):
@@ -59,17 +58,25 @@ def run_algorithm(g: CGraph, name: str, k: int, seed: int | None = 0) -> FilterS
     return run(g, k, seed)
 
 
+def scoring_constants(g: CGraph) -> tuple[int, int]:
+    """(φ(∅), F(V)): the two constants of ``g`` that every F and FR rests on."""
+    phi_empty = phi_total(g, ())
+    return phi_empty, phi_empty - phi_total(g, eligible_nodes(g))
+
+
+def ratio(f, fv: int) -> Fraction:
+    """F / F(V) as an exact fraction; 1 when the graph has no redundancy."""
+    return Fraction(1) if fv == 0 else Fraction(f, fv)
+
+
 def max_objective(g: CGraph) -> int:
     """F(V): the objective with filters everywhere, i.e. all removable redundancy."""
-    return objective_f(g, eligible_nodes(g))
+    return scoring_constants(g)[1]
 
 
 def filter_ratio(g: CGraph, filters) -> Fraction:
     """F(A) / F(V) as an exact fraction; 1 when the graph has no redundancy."""
-    fv = max_objective(g)
-    if fv == 0:
-        return Fraction(1)
-    return Fraction(objective_f(g, filters), fv)
+    return ratio(objective_f(g, filters), max_objective(g))
 
 
 def oracle(g: CGraph, k: int, budget: int = 10**6) -> tuple[FilterSet, int]:
@@ -89,14 +96,14 @@ def oracle(g: CGraph, k: int, budget: int = 10**6) -> tuple[FilterSet, int]:
             f"{total} candidate subsets exceed the budget of {budget}"
         )
     best_members: tuple[int, ...] = ()
-    best_f = 0  # F(empty set) = 0
+    phi_empty = best_phi = phi_total(g, ())
     for size in range(1, k_eff + 1):
         for candidate in combinations(eligible, size):
-            f = objective_f(g, candidate)
-            if f > best_f:
-                best_f = f
+            phi = phi_total(g, candidate)
+            if phi < best_phi:  # minimizing phi maximizes F; strict keeps the first
+                best_phi = phi
                 best_members = candidate
-    return FilterSet(frozenset(best_members), "oracle", k), best_f
+    return FilterSet(frozenset(best_members), "oracle", k), phi_empty - best_phi
 
 
 @dataclass(frozen=True)
@@ -135,11 +142,8 @@ def _cell_seed(master: int, algorithm: str, k: int, trial: int) -> int:
 
 
 def _run_cell(
-    g: CGraph, name: str, k: int, runs: int, master_seed: int, fv: int
+    g: CGraph, name: str, k: int, runs: int, master_seed: int, phi_empty: int, fv: int
 ) -> FRRow:
-    def fr_of(f) -> Fraction:
-        return Fraction(1) if fv == 0 else Fraction(f, fv)
-
     if name in RANDOMIZED_ALGORITHMS:
         seeds = [_cell_seed(master_seed, name, k, trial) for trial in range(runs)]
     else:
@@ -149,13 +153,13 @@ def _run_cell(
         t0 = time.perf_counter()
         fs = run_algorithm(g, name, k, seed)
         ms = (time.perf_counter() - t0) * 1000.0
-        f = objective_f(g, fs)
+        f = phi_empty - phi_total(g, fs)
         results.append(
-            PlacementResult(name, k, seed, tuple(fs.labels(g)), f, fr_of(f), ms)
+            PlacementResult(name, k, seed, tuple(fs.labels(g)), f, ratio(f, fv), ms)
         )
     mean_f = Fraction(sum(r.f for r in results), len(results))
     wall = statistics.fmean(r.wall_ms for r in results)
-    return FRRow(name, k, fr_of(mean_f), len(results), wall, tuple(results))
+    return FRRow(name, k, ratio(mean_f, fv), len(results), wall, tuple(results))
 
 
 def fr_curve(
@@ -177,10 +181,10 @@ def fr_curve(
     for name in algorithms:
         if name not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {name!r}")
-    fv = max_objective(g)
+    phi_empty, fv = scoring_constants(g)
     return FRCurve(
         tuple(
-            _run_cell(g, name, k, runs, seed, fv)
+            _run_cell(g, name, k, runs, seed, phi_empty, fv)
             for name in algorithms
             for k in range(1, k_max + 1)
         )

@@ -1,9 +1,15 @@
+import hashlib
 import json
+import random
 
 import pytest
 
+from flowfilter import propagation
 from flowfilter.cli import main
-from flowfilter.fixtures import FANIN_TSV, DEGREE_TRAP_TSV
+from flowfilter.fixtures import FANIN_TSV, DEGREE_TRAP_TSV, g_tree1
+from flowfilter.graph import serialize_edge_list
+from flowfilter.harness import ALGORITHMS, RANDOMIZED_ALGORITHMS
+from flowfilter.synth import random_dag
 
 
 @pytest.fixture
@@ -109,6 +115,25 @@ def test_evaluate_reports_phi_and_f(fanin_path, capsys):
         "f": 1,
         "fr": 1.0,
     }
+
+
+def test_evaluate_reports_each_label_once(fanin_path, capsys):
+    argv = ["evaluate", "--input", str(fanin_path), "--filters"]
+    assert main(argv + ["z2,z2"]) == 0
+    twice = json.loads(capsys.readouterr().out)
+    assert main(argv + ["z2"]) == 0
+    assert twice == json.loads(capsys.readouterr().out)
+    assert twice["filters"] == ["z2"]
+
+
+def test_place_seed_reported_only_for_randomized_algorithms(tmp_path, capsys):
+    path = tmp_path / "tree1.tsv"
+    path.write_text(serialize_edge_list(g_tree1()))
+    for algo in ALGORITHMS:
+        argv = ["place", "--input", str(path), "--algo", algo, "--k", "1", "--seed", "9"]
+        assert main(argv) == 0, algo
+        got = json.loads(capsys.readouterr().out)
+        assert got["seed"] == (9 if algo in RANDOMIZED_ALGORITHMS else None), algo
 
 
 def test_oracle_command(degree_trap_path, capsys):
@@ -257,7 +282,99 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["place", "--algo", "greedy-all", "--k", "-1"],
+        ["oracle", "--k", "-1"],
+        ["oracle", "--k", "1", "--budget", "-1"],
+        ["fr-curve", "--algos", "greedy-all", "--kmax", "-3"],
+        ["fr-curve", "--algos", "greedy-all", "--kmax", "0"],
+        ["fr-curve", "--algos", "rand-k", "--kmax", "1", "--runs", "0"],
+        ["fr-curve", "--algos", "greedy-all,greedy-42", "--kmax", "1"],
+        ["fr-curve", "--algos", ",", "--kmax", "1"],
+    ],
+)
+def test_out_of_range_arguments_exit_2(argv, degree_trap_path, tmp_path, capsys):
+    csv_path = tmp_path / "curve.csv"
+    extra = ["--csv", str(csv_path)] if argv[0] == "fr-curve" else []
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--input", str(degree_trap_path)] + extra)
+    assert exc.value.code == 2
+    assert f"flowfilter {argv[0]}: error: argument" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [degree_trap_path]  # nothing written
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def _strip_wall_ms(obj):
+    if isinstance(obj, dict):
+        return {k: _strip_wall_ms(v) for k, v in obj.items() if k != "wall_ms"}
+    if isinstance(obj, list):
+        return [_strip_wall_ms(v) for v in obj]
+    return obj
+
+
+def test_cli_outputs_pinned(tmp_path, capsys):
+    # sha256 over the exit code and output of place (every algorithm),
+    # evaluate and oracle, and over fr-curve's CSV and JSON without wall_ms,
+    # on 20 seeded random DAGs (9 of them c-trees, so tree-dp runs too).
+    h = hashlib.sha256()
+    for seed in range(20):
+        rng = random.Random(seed)
+        g = random_dag(rng.randint(4, 9), rng.uniform(0.1, 0.6), 500 + seed)
+        path = tmp_path / f"g{seed}.tsv"
+        path.write_text(serialize_edge_list(g))
+        inp = ["--input", str(path)]
+        runs = [
+            ["place", *inp, "--algo", algo, "--k", str(rng.randint(0, 3)),
+             "--seed", str(seed)]
+            for algo in ALGORITHMS
+        ]
+        picked = rng.sample(g.labels, rng.randint(0, 3))
+        runs.append(["evaluate", *inp, "--filters", ",".join(picked)])
+        runs.append(["oracle", *inp, "--k", str(rng.randint(0, 3))])
+        for argv in runs:
+            rc = main(argv)
+            out = capsys.readouterr()
+            h.update(f"{argv[0]} {rc}\n{out.out}{out.err}".encode())
+        for i, algos in enumerate([[a for a in ALGORITHMS if a != "tree-dp"], ["tree-dp"]]):
+            csv, js = tmp_path / f"c{seed}-{i}.csv", tmp_path / f"c{seed}-{i}.json"
+            rc = main(["fr-curve", *inp, "--algos", ",".join(algos), "--kmax", "3",
+                       "--runs", "3", "--seed", str(seed), "--csv", str(csv),
+                       "--json", str(js)])
+            err = capsys.readouterr().err
+            h.update(f"fr-curve {rc}\n{err}".encode())
+            if rc == 0:
+                lines = [l.rsplit(",", 1)[0] for l in csv.read_text().splitlines()]
+                h.update("\n".join(lines).encode())
+                h.update(json.dumps(_strip_wall_ms(json.loads(js.read_text())),
+                                    sort_keys=True).encode())
+    assert h.hexdigest() == "dd637dc2b0d0a916ed19511959de8255d3390ccdc97c9dfb1f9a090e966b39ea"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["place", "--algo", "greedy-all", "--k", "1"], 3),
+        (["evaluate", "--filters", "A,B"], 3),
+        # one per candidate set (10 eligible nodes), plus phi(empty) in
+        # oracle and phi(empty), phi(V) for the CLI's F(V)
+        (["oracle", "--k", "1"], 10 + 3),
+        (["oracle", "--k", "2"], 10 + 45 + 3),
+    ],
+)
+def test_cli_simulates_each_filter_set_once(
+    argv, expected, degree_trap_path, monkeypatch, capsys
+):
+    calls = []
+    real = propagation.simulate
+    monkeypatch.setattr(
+        propagation, "simulate", lambda g, filters: calls.append(1) or real(g, filters)
+    )
+    assert main(argv + ["--input", str(degree_trap_path)]) == 0
+    assert len(calls) == expected

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from flowfilter import harness
+from flowfilter import harness, propagation
 from flowfilter.fixtures import g_diamond, g_fanin, g_degree_trap, g_tree1
 from flowfilter.graph import build_graph
 from flowfilter.harness import (
@@ -121,6 +121,19 @@ def test_fr_curve_runs_each_trial_once(monkeypatch):
     monkeypatch.setattr(harness, "_RUNNERS", runners)
     fr_curve(g_fanin(), ["greedy-all", "rand-k"], k_max=3, runs=4)
     assert calls == {"greedy-all": 3, "rand-k": 12}
+
+
+def test_scoring_simulates_each_filter_set_once(monkeypatch):
+    calls = []
+    real = propagation.simulate
+    monkeypatch.setattr(
+        propagation, "simulate", lambda g, filters: calls.append(1) or real(g, filters)
+    )
+    fr_curve(g_fanin(), ["greedy-all", "rand-k"], k_max=3, runs=4)
+    assert len(calls) == 2 + 3 + 12  # phi(empty), phi(V), then one per trial
+    calls.clear()
+    oracle(g_degree_trap(), 1)
+    assert len(calls) == 1 + 10  # phi(empty), then one per eligible singleton
 
 
 def test_fr_curve_reproducible():
