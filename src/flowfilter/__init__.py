@@ -11,7 +11,6 @@ from .graph import (
     add_super_source,
     build_graph,
     parse_edge_list,
-    reachable_from,
     serialize_edge_list,
     topological_order,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "parse_edge_list",
     "phi_total",
     "randomized_baseline",
-    "reachable_from",
     "serialize_edge_list",
     "simulate",
     "topological_order",

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 data/processing error, 2 usage error.
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -182,6 +183,17 @@ def _int_at_least(low: int):
     return parse
 
 
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float > 0; anything else is a usage error."""
+    value = float(text)
+    if not 0 < value < math.inf:  # also false for NaN
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
+_positive_float.__name__ = "float"  # a non-number reads "invalid float value"
+
+
 def _algorithm_names(text: str) -> list[str]:
     """argparse type: one or more comma-separated names from ALGORITHMS."""
     names = [a for a in text.split(",") if a]
@@ -212,10 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a layered benchmark graph")
-    p.add_argument("--levels", type=int, default=10)
-    p.add_argument("--width", type=int, default=100)
-    p.add_argument("--x", type=float, default=1.0)
-    p.add_argument("--y", type=float, default=4.0)
+    p.add_argument("--levels", type=_int_at_least(2), default=10)
+    p.add_argument("--width", type=_int_at_least(1), default=100)
+    p.add_argument("--x", type=_positive_float, default=1.0)
+    p.add_argument("--y", type=_positive_float, default=4.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output TSV path")
     p.set_defaults(func=_cmd_generate)

@@ -23,6 +23,10 @@ which is why admission order cannot matter.
 
 Every omitted edge (u, v) is a back edge, and the tree path v -> u is in
 the output, so re-adding the edge closes a cycle: the output is maximal.
+
+``best_dag`` ranks every root by what its DFS alone gives: the nodes it
+reaches, then the edges out of them that are not back edges, then the
+smallest index.  It builds a graph only for the winner.
 """
 
 from dataclasses import dataclass
@@ -42,43 +46,42 @@ class DfsAnnotation:
     subtree interval; entries and exits share one clock.
     """
 
-    root: int
     enter: tuple[int, ...]
     exit: tuple[int, ...]
 
 
 def dfs_annotate(g: CGraph, root: int) -> DfsAnnotation:
+    """Entry/exit times of a DFS from ``root``; RootNotFoundError if no node."""
     if not (0 <= root < g.n):
         raise RootNotFoundError(f"root index {root} is not a node")
     enter = [-1] * g.n
     exit_ = [-1] * g.n
 
-    clock = 0
     # iterative DFS; stack holds (node, iterator position over sorted children)
-    enter[root] = clock
-    clock += 1
+    enter[root] = 0
+    clock = 1
     stack = [(root, iter(sorted(g.out_adj[root])))]
     while stack:
         v, it = stack[-1]
-        advanced = False
         for w in it:
             if enter[w] == -1:
                 enter[w] = clock
                 clock += 1
                 stack.append((w, iter(sorted(g.out_adj[w]))))
-                advanced = True
                 break
-        if not advanced:
+        else:  # every child seen: v's subtree is finished
             exit_[v] = clock
             clock += 1
             stack.pop()
 
-    return DfsAnnotation(root, tuple(enter), tuple(exit_))
+    return DfsAnnotation(tuple(enter), tuple(exit_))
 
 
-def _admits(ann: DfsAnnotation, u: int, v: int) -> bool:
-    """Keep edge (u, v) unless it is a back edge: v a DFS ancestor of u."""
-    return not (ann.enter[v] <= ann.enter[u] and ann.exit[u] <= ann.exit[v])
+def _kept_edges(g: CGraph, ann: DfsAnnotation) -> list[tuple[int, int]]:
+    """Edges out of reached nodes, less the back edges (v an ancestor of u)."""
+    enter, exit_ = ann.enter, ann.exit
+    return [(u, v) for u, v in g.edges
+            if enter[u] != -1 and not (enter[v] <= enter[u] and exit_[u] <= exit_[v])]
 
 
 def extract_dag(g: CGraph, root: int) -> CGraph:
@@ -88,30 +91,24 @@ def extract_dag(g: CGraph, root: int) -> CGraph:
     cannot close a cycle; it is connected from the root and verified
     acyclic before being returned.
     """
-    if not (0 <= root < g.n):
-        raise RootNotFoundError(f"root index {root} is not a node")
     ann = dfs_annotate(g, root)
     keep = [v for v in range(g.n) if ann.enter[v] != -1]  # reached by the DFS
     remap = {v: i for i, v in enumerate(keep)}
-    edges = [(u, v) for u, v in g.edges if u in remap and _admits(ann, u, v)]
-
-    labels = [g.labels[v] for v in keep]
-    out = CGraph(labels, [(remap[u], remap[v]) for u, v in edges], [remap[root]])
+    edges = [(remap[u], remap[v]) for u, v in _kept_edges(g, ann)]
+    out = CGraph([g.labels[v] for v in keep], edges, [remap[root]])
     topological_order(out)  # independent acyclicity assertion
     return out
 
 
 def best_dag(g: CGraph) -> CGraph:
-    """Extract from every root and keep the largest DAG.
+    """The largest ``extract_dag`` over every root.
 
-    Ties break toward more edges, then the smallest root index.
+    Roots are ranked by (-reached nodes, -kept edges, root), read off one
+    DFS per root, and only the winner's DAG is built: ties break toward
+    more edges, then the smallest root index.
     """
-    best = None
-    best_key = None
-    for root in range(g.n):
-        candidate = extract_dag(g, root)
-        key = (-candidate.n, -candidate.m, root)
-        if best_key is None or key < best_key:
-            best, best_key = candidate, key
-    assert best is not None
-    return best
+    def rank(root: int) -> tuple[int, int, int]:
+        ann = dfs_annotate(g, root)
+        return (ann.enter.count(-1) - g.n, -len(_kept_edges(g, ann)), root)
+
+    return extract_dag(g, min(range(g.n), key=rank))

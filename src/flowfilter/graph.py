@@ -1,4 +1,4 @@
-"""Directed communication graphs: parsing, validation, ordering, reachability.
+"""Directed communication graphs: parsing, validation and ordering.
 
 A graph is a set of labelled nodes and directed edges (u, v), read as
 "u propagates items to v".  Designated source nodes originate items; every
@@ -7,7 +7,6 @@ safe to share across threads.
 """
 
 import heapq
-from collections import deque
 from typing import Iterable, Sequence
 
 SUPER_SOURCE_LABEL = "__super__"
@@ -196,7 +195,26 @@ def parse_edge_list(text: str, source_hint: str | None = None) -> CGraph:
     except ParseError:
         raise
     except GraphError as exc:
-        raise ParseError(str(exc)) from None
+        raise ParseError(_first_repeat_or_loop(text) or str(exc)) from None
+
+
+def _first_repeat_or_loop(text: str) -> str | None:
+    """The first self-loop or repeated edge of a parsed text, with its line.
+
+    Run only after building the graph failed, so valid input pays nothing.
+    """
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        edge = tuple(raw.split("#", 1)[0].split())
+        if not edge:
+            continue
+        u, v = edge
+        if u == v:
+            return f"line {lineno}: self-loop at node {u!r}"
+        if edge in seen:
+            return f"line {lineno}: duplicate edge {u!r} -> {v!r}"
+        seen.add(edge)
+    return None
 
 
 def serialize_edge_list(g: CGraph) -> str:
@@ -254,16 +272,3 @@ def add_super_source(g: CGraph) -> CGraph:
     super_idx = len(g.labels)
     edges = list(g.edges) + [(super_idx, s) for s in sorted(g.sources)]
     return CGraph(labels, edges, [super_idx])
-
-
-def reachable_from(g: CGraph, v: int) -> set[int]:
-    """All nodes reachable from v along directed paths, v included."""
-    seen = {v}
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        for w in g.out_adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen

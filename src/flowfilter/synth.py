@@ -3,6 +3,7 @@
 All generators are pure functions of their config and seed.
 """
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -31,8 +32,8 @@ class LayeredConfig:
             raise ValueError("levels must be >= 2")
         if self.expected_width < 1:
             raise ValueError("expected_width must be >= 1")
-        if self.x <= 0 or self.y <= 0:
-            raise ValueError("x and y must be positive")
+        if not (0 < self.x < math.inf and 0 < self.y < math.inf):
+            raise ValueError("x and y must be finite and positive")
 
 
 def layered_edge_probability(cfg: LayeredConfig, gap: int) -> float:

@@ -5,8 +5,29 @@ of the recursions it is used to check.
 """
 
 import random
+from collections import deque
 
+from flowfilter.dag_extract import extract_dag
 from flowfilter.graph import CGraph, build_graph
+
+
+def reachable_from(g: CGraph, v: int) -> set[int]:
+    """All nodes reachable from v along directed paths, v included (BFS)."""
+    seen = {v}
+    queue = deque([v])
+    while queue:
+        u = queue.popleft()
+        for w in g.out_adj[u]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
+def best_dag_all_roots(g: CGraph) -> CGraph:
+    """``extract_dag`` from every root, keeping the smallest (-n, -m, root)."""
+    dags = [(extract_dag(g, root), root) for root in range(g.n)]
+    return min(dags, key=lambda pair: (-pair[0].n, -pair[0].m, pair[1]))[0]
 
 
 def enumerate_paths(g: CGraph, start: int) -> list[tuple[int, ...]]:

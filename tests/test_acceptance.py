@@ -16,10 +16,11 @@ from _oracles import (
     layered_analytic_mean,
     layered_sigma,
     random_digraph,
+    reachable_from,
 )
 from flowfilter.dag_extract import extract_dag
 from flowfilter.fixtures import g_fanin, g_degree_trap
-from flowfilter.graph import reachable_from, topological_order
+from flowfilter.graph import topological_order
 from flowfilter.harness import filter_ratio, max_objective, oracle
 from flowfilter.path_stats import compute_stats, impact_from_stats
 from flowfilter.placement import (

@@ -293,13 +293,23 @@ def test_usage_error_exits_2():
         ["fr-curve", "--algos", "rand-k", "--kmax", "1", "--runs", "0"],
         ["fr-curve", "--algos", "greedy-all,greedy-42", "--kmax", "1"],
         ["fr-curve", "--algos", ",", "--kmax", "1"],
+        ["generate", "--levels", "1"],
+        ["generate", "--width", "0"],
+        ["generate", "--x", "0"],
+        ["generate", "--y", "-1"],
+        ["generate", "--x", "nan"],
+        ["generate", "--y", "inf"],
     ],
 )
 def test_out_of_range_arguments_exit_2(argv, degree_trap_path, tmp_path, capsys):
-    csv_path = tmp_path / "curve.csv"
-    extra = ["--csv", str(csv_path)] if argv[0] == "fr-curve" else []
+    if argv[0] == "generate":
+        extra = ["--out", str(tmp_path / "g.tsv")]
+    else:
+        extra = ["--input", str(degree_trap_path)]
+        if argv[0] == "fr-curve":
+            extra += ["--csv", str(tmp_path / "curve.csv")]
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--input", str(degree_trap_path)] + extra)
+        main(argv + extra)
     assert exc.value.code == 2
     assert f"flowfilter {argv[0]}: error: argument" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [degree_trap_path]  # nothing written

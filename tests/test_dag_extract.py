@@ -2,10 +2,16 @@ import random
 
 import pytest
 
-from _oracles import is_acyclic_edge_set, random_digraph
+from _oracles import (
+    best_dag_all_roots,
+    is_acyclic_edge_set,
+    random_digraph,
+    reachable_from,
+)
+from flowfilter import dag_extract
 from flowfilter.dag_extract import RootNotFoundError, best_dag, dfs_annotate, extract_dag
 from flowfilter.fixtures import g_fanin
-from flowfilter.graph import build_graph, reachable_from, topological_order
+from flowfilter.graph import build_graph, topological_order
 
 
 def edge_labels(g):
@@ -56,12 +62,16 @@ def test_root_not_found():
         extract_dag(g_fanin(), 99)
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_random_digraph_invariants(seed):
+def _seeded_digraph(seed):
     rng = random.Random(seed)
     n = rng.randint(2, 10)
-    g = random_digraph(n, rng.uniform(0.1, 0.6), seed + 900)
-    root = rng.randrange(n)
+    return random_digraph(n, rng.uniform(0.1, 0.6), seed + 900), rng
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_random_digraph_invariants(seed):
+    g, rng = _seeded_digraph(seed)
+    root = rng.randrange(g.n)
     dag = extract_dag(g, root)
 
     topological_order(dag)  # acyclic
@@ -109,3 +119,35 @@ def test_best_dag_spans_strongly_connected_graphs(seed):
     dag = best_dag(g)
     assert dag.n == n  # every node reachable from any root
     topological_order(dag)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [_seeded_digraph(seed)[0] for seed in range(30)]
+    + [
+        random_digraph(60, 0.03, 1),
+        random_digraph(80, 0.02, 2),
+        random_digraph(100, 0.015, 3),
+        random_digraph(120, 0.012, 4),
+        random_digraph(120, 0.05, 5),
+    ],
+)
+def test_best_dag_matches_all_roots_oracle(g):
+    dag, want = best_dag(g), best_dag_all_roots(g)
+    assert dag.labels == want.labels
+    assert dag.edges == want.edges
+    assert dag.sources == want.sources
+
+
+def test_best_dag_builds_one_graph(monkeypatch):
+    built = []
+
+    def counting_cgraph(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    real = dag_extract.CGraph
+    monkeypatch.setattr(dag_extract, "CGraph", counting_cgraph)
+    g = random_digraph(40, 0.08, 7)
+    best_dag(g)
+    assert len(built) == 1

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from _oracles import random_digraph
+from _oracles import random_digraph, reachable_from
 
 from flowfilter.fixtures import FANIN_TSV, DEGREE_TRAP_TSV, g_fanin, g_degree_trap
 from flowfilter.graph import (
@@ -14,7 +14,6 @@ from flowfilter.graph import (
     add_super_source,
     build_graph,
     parse_edge_list,
-    reachable_from,
     serialize_edge_list,
     topological_order,
 )
@@ -51,6 +50,9 @@ def test_parse_skips_comments_and_blanks():
         ("a\tb\na\tb", "duplicate"),
         ("# nothing\n", "empty"),
         ("a b c", "expected"),
+        ("s\ta\nb\tc\ns\ta\n", "^line 3: duplicate edge 's' -> 'a'$"),
+        ("# head\ns\ta\n\na\ta  # loop\n", "^line 4: self-loop at node 'a'$"),
+        ("a\tb # x\n# c\nb\tc\na\tb\nc\tc\n", "^line 4: duplicate"),
     ],
 )
 def test_parse_errors(text, fragment):

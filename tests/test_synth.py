@@ -51,6 +51,11 @@ def test_layered_config_validation():
         LayeredConfig(5, 0, 1.0, 4.0, 0)
     with pytest.raises(ValueError):
         LayeredConfig(5, 10, 0.0, 4.0, 0)
+    for bad in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError):
+            LayeredConfig(5, 10, bad, 4.0, 0)
+        with pytest.raises(ValueError):
+            LayeredConfig(5, 10, 1.0, bad, 0)
 
 
 def test_layered_small_config_calibration():
