@@ -54,20 +54,25 @@ def dfs_annotate(g: CGraph, root: int) -> DfsAnnotation:
     """Entry/exit times of a DFS from ``root``; RootNotFoundError if no node."""
     if not (0 <= root < g.n):
         raise RootNotFoundError(f"root index {root} is not a node")
-    enter = [-1] * g.n
-    exit_ = [-1] * g.n
+    return _dfs([sorted(a) for a in g.out_adj], root)
+
+
+def _dfs(children: list[list[int]], root: int) -> DfsAnnotation:
+    """``dfs_annotate`` over adjacency lists sorted once by the caller."""
+    enter = [-1] * len(children)
+    exit_ = [-1] * len(children)
 
     # iterative DFS; stack holds (node, iterator position over sorted children)
     enter[root] = 0
     clock = 1
-    stack = [(root, iter(sorted(g.out_adj[root])))]
+    stack = [(root, iter(children[root]))]
     while stack:
         v, it = stack[-1]
         for w in it:
             if enter[w] == -1:
                 enter[w] = clock
                 clock += 1
-                stack.append((w, iter(sorted(g.out_adj[w]))))
+                stack.append((w, iter(children[w])))
                 break
         else:  # every child seen: v's subtree is finished
             exit_[v] = clock
@@ -105,10 +110,13 @@ def best_dag(g: CGraph) -> CGraph:
 
     Roots are ranked by (-reached nodes, -kept edges, root), read off one
     DFS per root, and only the winner's DAG is built: ties break toward
-    more edges, then the smallest root index.
+    more edges, then the smallest root index.  The child lists are sorted
+    once for all roots.
     """
+    children = [sorted(a) for a in g.out_adj]
+
     def rank(root: int) -> tuple[int, int, int]:
-        ann = dfs_annotate(g, root)
+        ann = _dfs(children, root)
         return (ann.enter.count(-1) - g.n, -len(_kept_edges(g, ann)), root)
 
     return extract_dag(g, min(range(g.n), key=rank))

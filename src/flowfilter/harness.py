@@ -3,6 +3,10 @@
 F(A) = φ(∅) − φ(A) scores a filter set A, and FR(A) = F(A) / F(V), an exact
 fraction that is 1 when F(V) = 0, is the share of removable redundancy it
 removes.  Callers take φ(∅), F(V) from ``scoring_constants`` once per call.
+
+An FR cell is one (algorithm, k) pair.  ``fr_curve`` sets each cell up
+once (rand-w's weights, for instance), picks every trial, and scores all of
+the cell's filter sets in one packed pass (``propagation.phi_totals``).
 """
 
 import hashlib
@@ -10,7 +14,7 @@ import statistics
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 from .graph import CGraph
@@ -23,10 +27,10 @@ from .placement import (
     greedy_l,
     greedy_max,
     optimal_unbounded,
-    randomized_baseline,
+    random_picker,
     tree_dp,
 )
-from .propagation import objective_f, phi_total
+from .propagation import objective_f, phi_total, phi_totals
 
 
 class BudgetExceededError(Exception):
@@ -35,27 +39,28 @@ class BudgetExceededError(Exception):
 
 RANDOMIZED_ALGORITHMS = ("rand-k", "rand-i", "rand-w")
 
-# name -> run(g, k, seed); the order is the CLI's `choices` order
+# name -> prepare(g, k), which does the per-(g, k) setup once and returns
+# pick(seed); the order is the CLI's `choices` order
 _RUNNERS = {
-    "greedy-1": lambda g, k, seed: greedy_1(g, k),
-    "greedy-all": lambda g, k, seed: greedy_all(g, k),
-    "greedy-max": lambda g, k, seed: greedy_max(g, k),
-    "greedy-l": lambda g, k, seed: greedy_l(g, k),
-    "tree-dp": lambda g, k, seed: tree_dp(as_ctree(g), k),
-    "optimal-unbounded": lambda g, k, seed: optimal_unbounded(g),
-    "rand-k": lambda g, k, seed: randomized_baseline(g, k, "rand_k", seed),
-    "rand-i": lambda g, k, seed: randomized_baseline(g, k, "rand_i", seed),
-    "rand-w": lambda g, k, seed: randomized_baseline(g, k, "rand_w", seed),
+    "greedy-1": lambda g, k: lambda seed: greedy_1(g, k),
+    "greedy-all": lambda g, k: lambda seed: greedy_all(g, k),
+    "greedy-max": lambda g, k: lambda seed: greedy_max(g, k),
+    "greedy-l": lambda g, k: lambda seed: greedy_l(g, k),
+    "tree-dp": lambda g, k: lambda seed: tree_dp(as_ctree(g), k),
+    "optimal-unbounded": lambda g, k: lambda seed: optimal_unbounded(g),
+    "rand-k": lambda g, k: random_picker(g, k, "rand_k"),
+    "rand-i": lambda g, k: random_picker(g, k, "rand_i"),
+    "rand-w": lambda g, k: random_picker(g, k, "rand_w"),
 }
 ALGORITHMS = tuple(_RUNNERS)
 
 
 def run_algorithm(g: CGraph, name: str, k: int, seed: int | None = 0) -> FilterSet:
     """Run one placement algorithm by CLI name."""
-    run = _RUNNERS.get(name)
-    if run is None:
+    prepare = _RUNNERS.get(name)
+    if prepare is None:
         raise ValueError(f"unknown algorithm {name!r}")
-    return run(g, k, seed)
+    return prepare(g, k)(seed)
 
 
 def scoring_constants(g: CGraph) -> tuple[int, int]:
@@ -79,6 +84,10 @@ def filter_ratio(g: CGraph, filters) -> Fraction:
     return ratio(objective_f(g, filters), max_objective(g))
 
 
+# candidate subsets scored per packed pass in ``oracle``
+_ORACLE_CHUNK = 256
+
+
 def oracle(g: CGraph, k: int, budget: int = 10**6) -> tuple[FilterSet, int]:
     """Exhaustively maximize the objective over all filter sets of size <= k.
 
@@ -97,9 +106,9 @@ def oracle(g: CGraph, k: int, budget: int = 10**6) -> tuple[FilterSet, int]:
         )
     best_members: tuple[int, ...] = ()
     phi_empty = best_phi = phi_total(g, ())
-    for size in range(1, k_eff + 1):
-        for candidate in combinations(eligible, size):
-            phi = phi_total(g, candidate)
+    candidates = (c for size in range(1, k_eff + 1) for c in combinations(eligible, size))
+    while chunk := list(islice(candidates, _ORACLE_CHUNK)):
+        for candidate, phi in zip(chunk, phi_totals(g, chunk, phi_empty)):
             if phi < best_phi:  # minimizing phi maximizes F; strict keeps the first
                 best_phi = phi
                 best_members = candidate
@@ -148,12 +157,17 @@ def _run_cell(
         seeds = [_cell_seed(master_seed, name, k, trial) for trial in range(runs)]
     else:
         seeds = [None]
-    results = []
+    t0 = time.perf_counter()
+    pick = _RUNNERS[name](g, k)
+    setup_ms = (time.perf_counter() - t0) * 1000.0 / len(seeds)
+    picks, wall = [], []
     for seed in seeds:
         t0 = time.perf_counter()
-        fs = run_algorithm(g, name, k, seed)
-        ms = (time.perf_counter() - t0) * 1000.0
-        f = phi_empty - phi_total(g, fs)
+        picks.append(pick(seed))
+        wall.append((time.perf_counter() - t0) * 1000.0 + setup_ms)
+    results = []
+    for seed, fs, ms, phi in zip(seeds, picks, wall, phi_totals(g, picks, phi_empty)):
+        f = phi_empty - phi
         results.append(
             PlacementResult(name, k, seed, tuple(fs.labels(g)), f, ratio(f, fv), ms)
         )
@@ -173,8 +187,10 @@ def fr_curve(
 
     Randomized algorithms are averaged over ``runs`` seeded trials (the F
     values are averaged first, then divided by F(V)); deterministic ones
-    run one trial with seed None.  Each trial is timed once, and a cell's
-    ``wall_ms`` is the mean over its trials.
+    run one trial with seed None.  A trial's ``wall_ms`` is the time of its
+    pick plus the cell's setup time divided by its number of trials, so a
+    cell's ``wall_ms``, the mean over its trials, is what one trial costs
+    with the setup shared.  Scoring is not timed.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")

@@ -8,6 +8,7 @@ deterministic selector is reproducible bit for bit.
 """
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .graph import CGraph, GraphError, topological_order
@@ -126,40 +127,53 @@ def optimal_unbounded(g: CGraph) -> FilterSet:
 
 def rand_w_weights(g: CGraph) -> list[float]:
     """Per-node weight: sum over children u of 1/in_degree(u)."""
-    return [
-        sum(1.0 / g.in_degree(u) for u in g.out_adj[v]) for v in range(g.n)
-    ]
+    inverse = [1.0 / len(a) if a else 0.0 for a in g.in_adj]
+    return [sum(inverse[u] for u in g.out_adj[v]) for v in range(g.n)]
 
 
-def randomized_baseline(g: CGraph, k: int, variant: str, seed: int) -> FilterSet:
-    """Seeded random selectors: rand_k, rand_i, or rand_w.
+def random_picker(g: CGraph, k: int, variant: str) -> Callable[[int], FilterSet]:
+    """Set up one random baseline on ``g`` once; return ``pick(seed)``.
 
     rand_k draws exactly k distinct nodes uniformly; rand_i keeps each node
     independently with probability k/n; rand_w keeps node v with probability
     w(v) * k/n clamped to [0, 1], where w favours nodes feeding low-in-degree
     children.  All three draw over every node; a source picked as a filter
-    is inert during propagation.
+    is inert during propagation.  rand_i and rand_w share one draw loop over
+    per-node probabilities, which depend only on ``g`` and k and are
+    computed here, not per pick.
     """
     _check_k(k)
-    rng = random.Random(seed)
     if variant == "rand_k":
         if k > g.n:
             raise ValueError(f"rand_k needs k <= n, got k={k}, n={g.n}")
-        members = frozenset(rng.sample(range(g.n), k))
-    elif variant == "rand_i":
-        p = min(1.0, k / g.n)
-        members = frozenset(v for v in range(g.n) if rng.random() < p)
-    elif variant == "rand_w":
-        weights = rand_w_weights(g)
+        probs = None
+    elif variant in ("rand_i", "rand_w"):
         scale = k / g.n
-        members = frozenset(
-            v
-            for v in range(g.n)
-            if rng.random() < min(1.0, max(0.0, weights[v] * scale))
-        )
+        if variant == "rand_i":
+            probs = [min(1.0, scale)] * g.n
+        else:
+            probs = [min(1.0, max(0.0, w * scale)) for w in rand_w_weights(g)]
     else:
         raise ValueError(f"unknown baseline variant {variant!r}")
-    return FilterSet(members, variant.replace("_", "-"), k, seed)
+    name = variant.replace("_", "-")
+
+    def pick(seed: int) -> FilterSet:
+        rng = random.Random(seed)
+        if probs is None:
+            members = rng.sample(range(g.n), k)
+        else:
+            members = [v for v, p in enumerate(probs) if rng.random() < p]
+        return FilterSet(frozenset(members), name, k, seed)
+
+    return pick
+
+
+def randomized_baseline(g: CGraph, k: int, variant: str, seed: int) -> FilterSet:
+    """One seeded pick of a random baseline: rand_k, rand_i, or rand_w.
+
+    See ``random_picker`` for the three variants.
+    """
+    return random_picker(g, k, variant)(seed)
 
 
 # --- communication trees ----------------------------------------------------

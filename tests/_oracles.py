@@ -6,9 +6,12 @@ of the recursions it is used to check.
 
 import random
 from collections import deque
+from itertools import combinations
 
 from flowfilter.dag_extract import extract_dag
 from flowfilter.graph import CGraph, build_graph
+from flowfilter.placement import eligible_nodes
+from flowfilter.propagation import phi_total
 
 
 def reachable_from(g: CGraph, v: int) -> set[int]:
@@ -28,6 +31,18 @@ def best_dag_all_roots(g: CGraph) -> CGraph:
     """``extract_dag`` from every root, keeping the smallest (-n, -m, root)."""
     dags = [(extract_dag(g, root), root) for root in range(g.n)]
     return min(dags, key=lambda pair: (-pair[0].n, -pair[0].m, pair[1]))[0]
+
+
+def exhaustive_best(g: CGraph, k: int) -> tuple[frozenset[int], int]:
+    """``oracle`` one ``phi_total`` at a time: the first set of size <= k with least phi."""
+    best, phi_empty = (), phi_total(g, ())
+    best_phi = phi_empty
+    for size in range(1, k + 1):
+        for candidate in combinations(eligible_nodes(g), size):
+            phi = phi_total(g, candidate)
+            if phi < best_phi:
+                best, best_phi = candidate, phi
+    return frozenset(best), phi_empty - best_phi
 
 
 def enumerate_paths(g: CGraph, start: int) -> list[tuple[int, ...]]:

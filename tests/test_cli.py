@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from flowfilter import propagation
 from flowfilter.cli import main
 from flowfilter.fixtures import FANIN_TSV, DEGREE_TRAP_TSV, g_tree1
 from flowfilter.graph import serialize_edge_list
@@ -372,19 +371,16 @@ def test_cli_outputs_pinned(tmp_path, capsys):
     [
         (["place", "--algo", "greedy-all", "--k", "1"], 3),
         (["evaluate", "--filters", "A,B"], 3),
-        # one per candidate set (10 eligible nodes), plus phi(empty) in
-        # oracle and phi(empty), phi(V) for the CLI's F(V)
+        # one packed lane per candidate set (10 eligible nodes), plus
+        # phi(empty) in oracle and phi(empty), phi(V) for the CLI's F(V)
         (["oracle", "--k", "1"], 10 + 3),
         (["oracle", "--k", "2"], 10 + 45 + 3),
     ],
 )
 def test_cli_simulates_each_filter_set_once(
-    argv, expected, degree_trap_path, monkeypatch, capsys
+    argv, expected, degree_trap_path, scoring_calls, capsys
 ):
-    calls = []
-    real = propagation.simulate
-    monkeypatch.setattr(
-        propagation, "simulate", lambda g, filters: calls.append(1) or real(g, filters)
-    )
+    sims, passes = scoring_calls
     assert main(argv + ["--input", str(degree_trap_path)]) == 0
-    assert len(calls) == expected
+    assert len(sims) == 3  # every filter set past these three is scored in lanes
+    assert len(sims) + sum(passes) == expected

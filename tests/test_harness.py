@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from flowfilter import harness, propagation
+from _oracles import exhaustive_best
+from flowfilter import harness, placement
 from flowfilter.fixtures import g_diamond, g_fanin, g_degree_trap, g_tree1
 from flowfilter.graph import build_graph
 from flowfilter.harness import (
@@ -51,6 +52,29 @@ def test_oracle_examples():
     assert (fs.labels(g2), f) == (["A"], 2)
     fs, f = oracle(gd, 2)
     assert (fs.labels(gd), f) == (["c"], 1)  # no pair beats the singleton
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_oracle_matches_scalar_scan_across_chunks(seed):
+    # 24 eligible nodes and k = 2 give 300 candidates: more than one packed
+    # chunk, with many ties among sparse graphs' sets
+    g = random_dag(24, [0.05, 0.15, 0.3, 0.6][seed % 4], seed + 300)
+    fs, f = oracle(g, 2)
+    assert (fs.members, f) == exhaustive_best(g, 2)
+
+
+def test_oracle_scores_the_last_chunk():
+    # two disjoint diamonds whose join nodes x and y carry the highest
+    # indices, so {x, y}, the only set with F = 2, is the last of the 351
+    # candidates
+    edges = [("s", f"c{i}") for i in range(18)]
+    for join in ("x", "y"):
+        edges += [("s", f"{join}1"), ("s", f"{join}2"), (f"{join}1", join),
+                  (f"{join}2", join), (join, f"{join}t")]
+    labels = ["s"] + [f"c{i}" for i in range(18)] + ["x1", "x2", "xt", "y1", "y2", "yt", "x", "y"]
+    g = build_graph(edges, nodes=labels)
+    fs, f = oracle(g, 2)
+    assert (fs.labels(g), f) == (["x", "y"], 2)
 
 
 def test_oracle_budget():
@@ -108,32 +132,46 @@ def test_fr_curve_rows_carry_runs_and_results():
 
 
 def test_fr_curve_runs_each_trial_once(monkeypatch):
-    calls = {}
+    prepares, picks = {}, {}
 
-    def counting(name, run):
-        def wrapped(g, k, seed):
-            calls[name] = calls.get(name, 0) + 1
-            return run(g, k, seed)
+    def counting(name, prepare):
+        def wrapped_prepare(g, k):
+            prepares[name, k] = prepares.get((name, k), 0) + 1
+            pick = prepare(g, k)
 
-        return wrapped
+            def wrapped_pick(seed):
+                picks[name] = picks.get(name, 0) + 1
+                return pick(seed)
 
-    runners = {name: counting(name, run) for name, run in harness._RUNNERS.items()}
+            return wrapped_pick
+
+        return wrapped_prepare
+
+    runners = {name: counting(name, prep) for name, prep in harness._RUNNERS.items()}
     monkeypatch.setattr(harness, "_RUNNERS", runners)
     fr_curve(g_fanin(), ["greedy-all", "rand-k"], k_max=3, runs=4)
-    assert calls == {"greedy-all": 3, "rand-k": 12}
+    assert picks == {"greedy-all": 3, "rand-k": 12}
+    assert prepares == {(name, k): 1 for name in ("greedy-all", "rand-k") for k in (1, 2, 3)}
 
 
-def test_scoring_simulates_each_filter_set_once(monkeypatch):
+def test_rand_w_weights_computed_once_per_cell(monkeypatch):
     calls = []
-    real = propagation.simulate
-    monkeypatch.setattr(
-        propagation, "simulate", lambda g, filters: calls.append(1) or real(g, filters)
-    )
+    real = placement.rand_w_weights
+    monkeypatch.setattr(placement, "rand_w_weights", lambda g: calls.append(1) or real(g))
+    fr_curve(g_fanin(), ["rand-w"], 3, runs=4)
+    assert len(calls) == 3  # one per k, not one per trial
+
+
+def test_scoring_simulates_each_filter_set_once(scoring_calls):
+    sims, passes = scoring_calls
     fr_curve(g_fanin(), ["greedy-all", "rand-k"], k_max=3, runs=4)
-    assert len(calls) == 2 + 3 + 12  # phi(empty), phi(V), then one per trial
-    calls.clear()
+    assert len(sims) == 2  # phi(empty) and phi(V)
+    assert passes == [1, 1, 1, 4, 4, 4]  # one packed pass per cell, a lane per trial
+    sims.clear()
+    passes.clear()
     oracle(g_degree_trap(), 1)
-    assert len(calls) == 1 + 10  # phi(empty), then one per eligible singleton
+    assert len(sims) == 1  # phi(empty)
+    assert passes == [10]  # a lane per eligible singleton
 
 
 def test_fr_curve_reproducible():

@@ -4,9 +4,9 @@ import pytest
 
 from _oracles import count_paths
 from flowfilter.fixtures import g_fanin, g_degree_trap
-from flowfilter.graph import GraphError, build_graph
+from flowfilter.graph import CGraph, GraphError, build_graph
 from flowfilter.placement import FilterSet, eligible_nodes
-from flowfilter.propagation import objective_f, phi_total, simulate
+from flowfilter.propagation import objective_f, phi_total, phi_totals, simulate
 from flowfilter.synth import random_dag
 
 
@@ -116,3 +116,44 @@ def test_monotone_submodular_bounded(seed):
             gain_x = objective_f(g, set(xs) | {v}) - fx
             gain_y = objective_f(g, ys | {v}) - fy
             assert gain_x >= gain_y
+
+
+def _random_sets(rng, g):
+    sets = [(), range(g.n), eligible_nodes(g)]  # empty, full with and without sources
+    sets += [rng.sample(range(g.n), rng.randint(0, g.n)) for _ in range(rng.randint(0, 6))]
+    rng.shuffle(sets)
+    return sets[: rng.randint(0, len(sets))]  # sometimes no sets at all
+
+
+@pytest.mark.parametrize("block", range(10))
+def test_phi_totals_matches_phi_total_in_every_lane(block):
+    for seed in range(block * 250, (block + 1) * 250):
+        rng = random.Random(seed)
+        g = random_dag(rng.randint(1, 12), rng.uniform(0.0, 1.0), seed)
+        if rng.random() < 0.5:
+            # any node as the source: the super source and whatever is not
+            # below the new source become unreachable
+            g = CGraph(g.labels, g.edges, [rng.randrange(g.n)])
+        sets = _random_sets(rng, g)
+        assert phi_totals(g, sets, phi_total(g, ())) == [phi_total(g, s) for s in sets]
+
+
+def test_phi_totals_of_no_sets_is_empty():
+    g = g_fanin()
+    assert phi_totals(g, [], phi_total(g, ())) == []
+
+
+def test_phi_totals_past_64_bits():
+    # a ladder: every rung doubles the path count, so phi(empty) > 2**80
+    edges = [("s", "a0"), ("s", "b0")]
+    for i in range(80):
+        for u in (f"a{i}", f"b{i}"):
+            edges += [(u, f"a{i + 1}"), (u, f"b{i + 1}")]
+    g = build_graph(edges)
+    phi_empty = phi_total(g, ())
+    assert phi_empty > 2**80
+    rng = random.Random(5)
+    sets = _random_sets(random.Random(6), g) + [
+        rng.sample(range(g.n), rng.randint(1, 4)) for _ in range(30)
+    ]
+    assert phi_totals(g, sets, phi_empty) == [phi_total(g, s) for s in sets]
