@@ -18,7 +18,6 @@ from .propagation import CountTable, objective_f, phi_total, simulate
 from .path_stats import PathStats, compute_stats, impact, impact_table
 from .placement import (
     CTree,
-    FilterSet,
     NotACTreeError,
     as_ctree,
     greedy_1,
@@ -37,7 +36,6 @@ __all__ = [
     "CountTable",
     "CTree",
     "CycleError",
-    "FilterSet",
     "GraphError",
     "NoSourceError",
     "NotACTreeError",

@@ -96,14 +96,14 @@ def _cmd_extract_dag(args) -> int:
 
 def _cmd_place(args) -> int:
     g = _load_graph(args)
-    fs = run_algorithm(g, args.algo, args.k, args.seed)
+    filters = run_algorithm(g, args.algo, args.k, args.seed)
     phi_empty, fv = scoring_constants(g)
-    f = phi_empty - phi_total(g, fs)
+    f = phi_empty - phi_total(g, filters)
     obj = {
         "algorithm": args.algo,
         "k": args.k,
         "seed": args.seed if args.algo in RANDOMIZED_ALGORITHMS else None,
-        "filters": fs.labels(g),
+        "filters": g.sorted_labels(filters),
         "f": f,
         "fr": round(float(ratio(f, fv)), 6),
     }
@@ -130,11 +130,11 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = _load_graph(args)
-    fs, f = oracle(g, args.k, args.budget)
+    filters, f = oracle(g, args.k, args.budget)
     _, fv = scoring_constants(g)
     obj = {
         "k": args.k,
-        "filters": fs.labels(g),
+        "filters": g.sorted_labels(filters),
         "f": f,
         "fr": round(float(ratio(f, fv)), 6),
     }
@@ -148,7 +148,7 @@ def _cmd_fr_curve(args) -> int:
     _write_with_manifest(args.csv, curve_to_csv(curve), args)
     if args.json:
         _json_out(curve_to_json_obj(curve), args, args.json)
-    print(f"wrote {args.csv}: {len(curve.rows)} rows")
+    print(f"wrote {args.csv}: {len(curve)} rows")
     return 0
 
 
@@ -195,12 +195,14 @@ _positive_float.__name__ = "float"  # a non-number reads "invalid float value"
 
 
 def _algorithm_names(text: str) -> list[str]:
-    """argparse type: one or more comma-separated names from ALGORITHMS."""
+    """argparse type: one or more distinct comma-separated names from ALGORITHMS."""
     names = [a for a in text.split(",") if a]
     if not names or any(a not in ALGORITHMS for a in names):
         raise argparse.ArgumentTypeError(
             f"expected comma-separated names from {', '.join(ALGORITHMS)}; got {text!r}"
         )
+    if len(set(names)) < len(names):
+        raise argparse.ArgumentTypeError(f"repeated algorithm name in {text!r}")
     return names
 
 

@@ -124,6 +124,10 @@ class CGraph:
         except KeyError:
             raise GraphError(f"unknown node label {label!r}") from None
 
+    def sorted_labels(self, nodes: Iterable[int]) -> list[str]:
+        """The labels of ``nodes``, sorted: the inverse of ``index``."""
+        return sorted(self.labels[v] for v in nodes)
+
     def in_degree(self, v: int) -> int:
         return len(self.in_adj[v])
 

@@ -4,9 +4,14 @@ F(A) = φ(∅) − φ(A) scores a filter set A, and FR(A) = F(A) / F(V), an exac
 fraction that is 1 when F(V) = 0, is the share of removable redundancy it
 removes.  Callers take φ(∅), F(V) from ``scoring_constants`` once per call.
 
+A filter set is a frozenset of node indices.  Its provenance is kept only
+where it is reported: the algorithm and k on each ``FRRow``, the seed on
+each of the row's ``PlacementResult`` trials, and the CLI's own JSON.
+
 An FR cell is one (algorithm, k) pair.  ``fr_curve`` sets each cell up
 once (rand-w's weights, for instance), picks every trial, and scores all of
 the cell's filter sets in one packed pass (``propagation.phi_totals``).
+``fr_curve`` returns the curve as a tuple of ``FRRow``, one per cell.
 """
 
 import hashlib
@@ -19,7 +24,6 @@ from math import comb
 
 from .graph import CGraph
 from .placement import (
-    FilterSet,
     as_ctree,
     eligible_nodes,
     greedy_1,
@@ -55,7 +59,7 @@ _RUNNERS = {
 ALGORITHMS = tuple(_RUNNERS)
 
 
-def run_algorithm(g: CGraph, name: str, k: int, seed: int | None = 0) -> FilterSet:
+def run_algorithm(g: CGraph, name: str, k: int, seed: int | None = 0) -> frozenset[int]:
     """Run one placement algorithm by CLI name."""
     prepare = _RUNNERS.get(name)
     if prepare is None:
@@ -88,7 +92,7 @@ def filter_ratio(g: CGraph, filters) -> Fraction:
 _ORACLE_CHUNK = 256
 
 
-def oracle(g: CGraph, k: int, budget: int = 10**6) -> tuple[FilterSet, int]:
+def oracle(g: CGraph, k: int, budget: int = 10**6) -> tuple[frozenset[int], int]:
     """Exhaustively maximize the objective over all filter sets of size <= k.
 
     Among maximizers, the smallest set wins, then the lexicographically
@@ -112,15 +116,13 @@ def oracle(g: CGraph, k: int, budget: int = 10**6) -> tuple[FilterSet, int]:
             if phi < best_phi:  # minimizing phi maximizes F; strict keeps the first
                 best_phi = phi
                 best_members = candidate
-    return FilterSet(frozenset(best_members), "oracle", k), phi_empty - best_phi
+    return frozenset(best_members), phi_empty - best_phi
 
 
 @dataclass(frozen=True)
 class PlacementResult:
-    """One algorithm run: who was picked and what it achieved."""
+    """One trial of an FR cell: who was picked and what it achieved."""
 
-    algorithm: str
-    k: int
     seed: int | None
     filters: tuple[str, ...]
     f: int
@@ -138,11 +140,6 @@ class FRRow:
     runs: int
     wall_ms: float
     results: tuple[PlacementResult, ...]
-
-
-@dataclass(frozen=True)
-class FRCurve:
-    rows: tuple[FRRow, ...]
 
 
 def _cell_seed(master: int, algorithm: str, k: int, trial: int) -> int:
@@ -169,7 +166,7 @@ def _run_cell(
     for seed, fs, ms, phi in zip(seeds, picks, wall, phi_totals(g, picks, phi_empty)):
         f = phi_empty - phi
         results.append(
-            PlacementResult(name, k, seed, tuple(fs.labels(g)), f, ratio(f, fv), ms)
+            PlacementResult(seed, tuple(g.sorted_labels(fs)), f, ratio(f, fv), ms)
         )
     mean_f = Fraction(sum(r.f for r in results), len(results))
     wall = statistics.fmean(r.wall_ms for r in results)
@@ -182,8 +179,8 @@ def fr_curve(
     k_max: int,
     runs: int = 25,
     seed: int = 0,
-) -> FRCurve:
-    """FR per (algorithm, k) for k = 1..k_max.
+) -> tuple[FRRow, ...]:
+    """FR per (algorithm, k) for k = 1..k_max, one row per cell.
 
     Randomized algorithms are averaged over ``runs`` seeded trials (the F
     values are averaged first, then divided by F(V)); deterministic ones
@@ -194,16 +191,16 @@ def fr_curve(
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    for name in algorithms:
+    for i, name in enumerate(algorithms):
         if name not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {name!r}")
+        if name in algorithms[:i]:
+            raise ValueError(f"repeated algorithm {name!r}")
     phi_empty, fv = scoring_constants(g)
-    return FRCurve(
-        tuple(
-            _run_cell(g, name, k, runs, seed, phi_empty, fv)
-            for name in algorithms
-            for k in range(1, k_max + 1)
-        )
+    return tuple(
+        _run_cell(g, name, k, runs, seed, phi_empty, fv)
+        for name in algorithms
+        for k in range(1, k_max + 1)
     )
 
 
@@ -220,9 +217,9 @@ def format_fraction(x: Fraction, digits: int = 6) -> str:
     return f"{sign}{whole}.{frac:0{digits}d}"
 
 
-def curve_to_csv(curve: FRCurve) -> str:
+def curve_to_csv(curve: tuple[FRRow, ...]) -> str:
     lines = ["algorithm,k,fr,runs,wall_ms"]
-    for row in curve.rows:
+    for row in curve:
         lines.append(
             f"{row.algorithm},{row.k},{format_fraction(row.fr)},"
             f"{row.runs},{row.wall_ms:.3f}"
@@ -230,10 +227,10 @@ def curve_to_csv(curve: FRCurve) -> str:
     return "\n".join(lines) + "\n"
 
 
-def curve_to_json_obj(curve: FRCurve) -> list[dict]:
+def curve_to_json_obj(curve: tuple[FRRow, ...]) -> list[dict]:
     """Full per-cell results in JSON-ready form."""
     out = []
-    for row in curve.rows:
+    for row in curve:
         out.append(
             {
                 "algorithm": row.algorithm,

@@ -3,8 +3,10 @@
 Deterministic selectors (degree product, full impact with and without
 recomputation, prefix-times-out-degree), the closed-form unbounded optimum,
 an exact dynamic program for communication trees, and three seeded random
-baselines.  All tie-breaks go to the smallest dense node index, so every
-deterministic selector is reproducible bit for bit.
+baselines.  Every selector returns its filter set as a frozenset of node
+indices (``CGraph.sorted_labels`` names them).  All tie-breaks go to the
+smallest dense node index, so every deterministic selector is reproducible
+bit for bit.
 """
 
 import random
@@ -17,19 +19,6 @@ from .path_stats import compute_prefix, impact_table
 
 class NotACTreeError(GraphError):
     """Graph is not a communication tree (source removal must leave a forest)."""
-
-
-@dataclass(frozen=True)
-class FilterSet:
-    """A chosen set of filter nodes plus provenance."""
-
-    members: frozenset[int]
-    algorithm: str = "manual"
-    k_requested: int = 0
-    seed: int | None = None
-
-    def labels(self, g: CGraph) -> list[str]:
-        return sorted(g.labels[v] for v in self.members)
 
 
 def eligible_nodes(g: CGraph) -> list[int]:
@@ -48,22 +37,22 @@ def _top_k(scored: list[tuple[int, int]], k: int) -> frozenset[int]:
     return frozenset(v for v, _ in ranked[:k])
 
 
-def greedy_1(g: CGraph, k: int) -> FilterSet:
+def greedy_1(g: CGraph, k: int) -> frozenset[int]:
     """Rank nodes by in-degree times out-degree and keep the top k."""
     _check_k(k)
     scored = [(v, g.in_degree(v) * g.out_degree(v)) for v in eligible_nodes(g)]
-    return FilterSet(_top_k(scored, k), "greedy-1", k)
+    return _top_k(scored, k)
 
 
-def greedy_max(g: CGraph, k: int) -> FilterSet:
+def greedy_max(g: CGraph, k: int) -> frozenset[int]:
     """Top k nodes by impact computed once, with no recomputation."""
     _check_k(k)
     table = impact_table(g, ())
     scored = [(v, table[v]) for v in eligible_nodes(g)]
-    return FilterSet(_top_k(scored, k), "greedy-max", k)
+    return _top_k(scored, k)
 
 
-def greedy_all(g: CGraph, k: int) -> FilterSet:
+def greedy_all(g: CGraph, k: int) -> frozenset[int]:
     """k rounds of picking the highest-impact node, recomputing each round.
 
     Stops early once no remaining node has positive impact.
@@ -81,10 +70,10 @@ def greedy_all(g: CGraph, k: int) -> FilterSet:
         if best is None:
             break
         members.add(best)
-    return FilterSet(frozenset(members), "greedy-all", k)
+    return frozenset(members)
 
 
-def greedy_l(g: CGraph, k: int) -> FilterSet:
+def greedy_l(g: CGraph, k: int) -> frozenset[int]:
     """k rounds of picking the best prefix times out-degree.
 
     Cheaper than full impact: only the prefix table is refreshed per round.
@@ -105,21 +94,20 @@ def greedy_l(g: CGraph, k: int) -> FilterSet:
         if best is None:
             break
         members.add(best)
-    return FilterSet(frozenset(members), "greedy-l", k)
+    return frozenset(members)
 
 
-def optimal_unbounded(g: CGraph) -> FilterSet:
+def optimal_unbounded(g: CGraph) -> frozenset[int]:
     """Smallest filter set removing all removable redundancy.
 
     Exactly the non-source nodes with in-degree above one and at least one
     out-edge: every other node forwards at most one copy anyway.
     """
-    members = frozenset(
+    return frozenset(
         v
         for v in eligible_nodes(g)
         if g.in_degree(v) > 1 and g.out_degree(v) > 0
     )
-    return FilterSet(members, "optimal-unbounded", len(members))
 
 
 # --- random baselines -------------------------------------------------------
@@ -131,7 +119,7 @@ def rand_w_weights(g: CGraph) -> list[float]:
     return [sum(inverse[u] for u in g.out_adj[v]) for v in range(g.n)]
 
 
-def random_picker(g: CGraph, k: int, variant: str) -> Callable[[int], FilterSet]:
+def random_picker(g: CGraph, k: int, variant: str) -> Callable[[int], frozenset[int]]:
     """Set up one random baseline on ``g`` once; return ``pick(seed)``.
 
     rand_k draws exactly k distinct nodes uniformly; rand_i keeps each node
@@ -155,20 +143,17 @@ def random_picker(g: CGraph, k: int, variant: str) -> Callable[[int], FilterSet]
             probs = [min(1.0, max(0.0, w * scale)) for w in rand_w_weights(g)]
     else:
         raise ValueError(f"unknown baseline variant {variant!r}")
-    name = variant.replace("_", "-")
 
-    def pick(seed: int) -> FilterSet:
+    def pick(seed: int) -> frozenset[int]:
         rng = random.Random(seed)
         if probs is None:
-            members = rng.sample(range(g.n), k)
-        else:
-            members = [v for v, p in enumerate(probs) if rng.random() < p]
-        return FilterSet(frozenset(members), name, k, seed)
+            return frozenset(rng.sample(range(g.n), k))
+        return frozenset([v for v, p in enumerate(probs) if rng.random() < p])
 
     return pick
 
 
-def randomized_baseline(g: CGraph, k: int, variant: str, seed: int) -> FilterSet:
+def randomized_baseline(g: CGraph, k: int, variant: str, seed: int) -> frozenset[int]:
     """One seeded pick of a random baseline: rand_k, rand_i, or rand_w.
 
     See ``random_picker`` for the three variants.
@@ -279,7 +264,7 @@ def _split(children: tuple, picks: list, out: int, budget: int):
         yield children[-1], budget
 
 
-def tree_dp(t: CTree, k: int) -> FilterSet:
+def tree_dp(t: CTree, k: int) -> frozenset[int]:
     """Exact optimal filter set of size <= k on a communication tree.
 
     One bottom-up pass over the tree.  Node v gets a table [inflow][budget]
@@ -329,4 +314,4 @@ def tree_dp(t: CTree, k: int) -> FilterSet:
             chosen.add(v)
             out, budget = min(out, 1), budget - 1
         stack.extend((c, out, j) for c, j in _split(t.children[v], picks, out, budget))
-    return FilterSet(frozenset(chosen), "tree-dp", k)
+    return frozenset(chosen)

@@ -28,10 +28,7 @@ class CountTable:
 
 
 def filter_members(filters) -> frozenset[int]:
-    """Accept a FilterSet or any iterable of node indices."""
-    members = getattr(filters, "members", None)
-    if members is not None:
-        return frozenset(members)
+    """A filter set from any iterable of node indices."""
     return frozenset(filters)
 
 

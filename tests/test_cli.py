@@ -298,6 +298,7 @@ def test_usage_error_exits_2():
         ["generate", "--y", "-1"],
         ["generate", "--x", "nan"],
         ["generate", "--y", "inf"],
+        ["fr-curve", "--algos", "greedy-1,greedy-1", "--kmax", "1"],
     ],
 )
 def test_out_of_range_arguments_exit_2(argv, degree_trap_path, tmp_path, capsys):

@@ -11,6 +11,7 @@ from flowfilter.graph import build_graph
 from flowfilter.harness import (
     ALGORITHMS,
     BudgetExceededError,
+    FRRow,
     curve_to_csv,
     curve_to_json_obj,
     filter_ratio,
@@ -47,11 +48,11 @@ def test_filter_ratio_is_exact_fraction():
 def test_oracle_examples():
     g1, g2, gd = g_fanin(), g_degree_trap(), g_diamond()
     fs, f = oracle(g1, 1)
-    assert (fs.labels(g1), f) == (["z2"], 1)
+    assert (g1.sorted_labels(fs), f) == (["z2"], 1)
     fs, f = oracle(g2, 1)
-    assert (fs.labels(g2), f) == (["A"], 2)
+    assert (g2.sorted_labels(fs), f) == (["A"], 2)
     fs, f = oracle(gd, 2)
-    assert (fs.labels(gd), f) == (["c"], 1)  # no pair beats the singleton
+    assert (gd.sorted_labels(fs), f) == (["c"], 1)  # no pair beats the singleton
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -60,7 +61,7 @@ def test_oracle_matches_scalar_scan_across_chunks(seed):
     # chunk, with many ties among sparse graphs' sets
     g = random_dag(24, [0.05, 0.15, 0.3, 0.6][seed % 4], seed + 300)
     fs, f = oracle(g, 2)
-    assert (fs.members, f) == exhaustive_best(g, 2)
+    assert (fs, f) == exhaustive_best(g, 2)
 
 
 def test_oracle_scores_the_last_chunk():
@@ -74,7 +75,7 @@ def test_oracle_scores_the_last_chunk():
     labels = ["s"] + [f"c{i}" for i in range(18)] + ["x1", "x2", "xt", "y1", "y2", "yt", "x", "y"]
     g = build_graph(edges, nodes=labels)
     fs, f = oracle(g, 2)
-    assert (fs.labels(g), f) == (["x", "y"], 2)
+    assert (g.sorted_labels(fs), f) == (["x", "y"], 2)
 
 
 def test_oracle_budget():
@@ -87,17 +88,35 @@ def test_oracle_budget():
 def test_oracle_prefers_smaller_sets_on_ties():
     g = g_diamond()
     fs, _ = oracle(g, 3)
-    assert fs.labels(g) == ["c"]
+    assert g.sorted_labels(fs) == ["c"]
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_run_algorithm_returns_frozenset_of_node_indices(name):
+    g = g_tree1() if name == "tree-dp" else g_degree_trap()
+    fs = run_algorithm(g, name, 2, seed=7)
+    assert type(fs) is frozenset
+    assert all(type(v) is int and 0 <= v < g.n for v in fs)
+
+
+def test_oracle_and_fr_curve_return_plain_types():
+    g = g_degree_trap()
+    fs, f = oracle(g, 2)
+    assert type(fs) is frozenset and type(f) is int
+    assert all(type(v) is int and 0 <= v < g.n for v in fs)
+    curve = fr_curve(g, ["greedy-1", "rand-w"], k_max=2, runs=3)
+    assert type(curve) is tuple and len(curve) == 4
+    assert all(type(row) is FRRow for row in curve)
 
 
 def test_run_algorithm_dispatch():
     g = g_degree_trap()
-    assert run_algorithm(g, "greedy-all", 1).labels(g) == ["A"]
-    assert run_algorithm(g, "optimal-unbounded", 0).labels(g) == ["A"]
+    assert g.sorted_labels(run_algorithm(g, "greedy-all", 1)) == ["A"]
+    assert g.sorted_labels(run_algorithm(g, "optimal-unbounded", 0)) == ["A"]
     t = g_tree1()
-    assert run_algorithm(t, "tree-dp", 1).labels(t) == ["a"]
+    assert t.sorted_labels(run_algorithm(t, "tree-dp", 1)) == ["a"]
     fs = run_algorithm(g, "rand-k", 2, seed=5)
-    assert len(fs.members) == 2
+    assert len(fs) == 2
     with pytest.raises(ValueError):
         run_algorithm(g, "greedy-9", 1)
 
@@ -105,7 +124,7 @@ def test_run_algorithm_dispatch():
 def test_fr_curve_fanin_greedy_all():
     g = g_fanin()
     curve = fr_curve(g, ["greedy-all"], k_max=2)
-    assert [(r.algorithm, r.k, r.fr) for r in curve.rows] == [
+    assert [(r.algorithm, r.k, r.fr) for r in curve] == [
         ("greedy-all", 1, Fraction(1)),
         ("greedy-all", 2, Fraction(1)),
     ]
@@ -114,7 +133,7 @@ def test_fr_curve_fanin_greedy_all():
 def test_fr_curve_degree_trap_contrast():
     g = g_degree_trap()
     curve = fr_curve(g, ["greedy-1", "greedy-all"], k_max=1)
-    fr = {(r.algorithm, r.k): r.fr for r in curve.rows}
+    fr = {(r.algorithm, r.k): r.fr for r in curve}
     assert fr[("greedy-1", 1)] == 0
     assert fr[("greedy-all", 1)] == 1
 
@@ -122,10 +141,10 @@ def test_fr_curve_degree_trap_contrast():
 def test_fr_curve_rows_carry_runs_and_results():
     g = g_fanin()
     curve = fr_curve(g, ["greedy-all", "rand-k"], k_max=1, runs=4, seed=3)
-    det, rnd = curve.rows
+    det, rnd = curve
     assert det.runs == 1 and len(det.results) == 1
     assert rnd.runs == 4 and len(rnd.results) == 4
-    assert {r.algorithm for r in rnd.results} == {"rand-k"}
+    assert rnd.algorithm == "rand-k"
     # averaged F first, then divided
     mean_f = Fraction(sum(r.f for r in rnd.results), 4)
     assert rnd.fr == mean_f / max_objective(g)
@@ -179,7 +198,7 @@ def test_fr_curve_reproducible():
     kwargs = dict(algorithms=["greedy-max", "rand-i"], k_max=2, runs=5, seed=11)
     a = fr_curve(g, **kwargs)
     b = fr_curve(g, **kwargs)
-    key = lambda curve: [(r.algorithm, r.k, r.fr, r.runs) for r in curve.rows]
+    key = lambda curve: [(r.algorithm, r.k, r.fr, r.runs) for r in curve]
     assert key(a) == key(b)
 
 
@@ -188,10 +207,15 @@ def test_fr_curve_rejects_unknown_algorithm():
         fr_curve(g_fanin(), ["greedy-42"], 1)
 
 
+def test_fr_curve_rejects_repeated_algorithm():
+    with pytest.raises(ValueError, match="repeated algorithm 'greedy-1'"):
+        fr_curve(g_fanin(), ["greedy-1", "greedy-all", "greedy-1"], 1)
+
+
 def test_rand_k_trials_have_exact_size():
     g = random_dag(50, 0.1, 9)
     curve = fr_curve(g, ["rand-k"], k_max=3, runs=25, seed=17)
-    for row in curve.rows:
+    for row in curve:
         for res in row.results:
             assert len(res.filters) == row.k
 
@@ -200,7 +224,7 @@ def test_rand_i_mean_size_within_three_sigma():
     g = random_dag(50, 0.1, 9)
     k, runs = 5, 25
     curve = fr_curve(g, ["rand-i"], k_max=k, runs=runs, seed=23)
-    row = [r for r in curve.rows if r.k == k][0]
+    row = [r for r in curve if r.k == k][0]
     sizes = [len(res.filters) for res in row.results]
     n = g.n
     p = k / n
@@ -239,7 +263,7 @@ def test_fr_bounded_and_monotone_in_k_for_greedy_all(seed):
     g = random_dag(rng.randint(3, 12), rng.uniform(0.2, 0.8), seed + 40)
     curve = fr_curve(g, ["greedy-all", "rand-w"], k_max=4, runs=3, seed=seed)
     by_algo = {}
-    for row in curve.rows:
+    for row in curve:
         assert 0 <= row.fr <= 1
         by_algo.setdefault(row.algorithm, []).append(row.fr)
     greedy = by_algo["greedy-all"]

@@ -5,7 +5,7 @@ import pytest
 from _oracles import count_paths
 from flowfilter.fixtures import g_fanin, g_degree_trap
 from flowfilter.graph import CGraph, GraphError, build_graph
-from flowfilter.placement import FilterSet, eligible_nodes
+from flowfilter.placement import eligible_nodes, optimal_unbounded
 from flowfilter.propagation import objective_f, phi_total, phi_totals, simulate
 from flowfilter.synth import random_dag
 
@@ -53,9 +53,11 @@ def test_objective_examples():
 
 
 def test_simulate_accepts_filter_set_objects():
+    # a selector's frozenset, a list and a one-shot iterator score alike
     g = g_fanin()
-    fs = FilterSet(frozenset({g.index("z2")}))
-    assert objective_f(g, fs) == 1
+    fs = optimal_unbounded(g)
+    assert fs == frozenset({g.index("z2")})
+    assert objective_f(g, fs) == objective_f(g, list(fs)) == objective_f(g, iter(fs)) == 1
 
 
 def test_filter_on_source_is_inert():
