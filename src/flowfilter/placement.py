@@ -12,6 +12,7 @@ bit for bit.
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
+from operator import add
 
 from .graph import CGraph, GraphError, topological_order
 from .path_stats import compute_prefix, impact_table
@@ -224,44 +225,63 @@ def as_ctree(g: CGraph) -> CTree:
     )
 
 
-def _join(tables: list, rows: int, k: int) -> tuple[list, list]:
-    """Min-plus join of the children's tables, taken right to left.
+def _at(row: list, b: int) -> int:
+    """``row``'s value at budget b: rows stop where more budget buys nothing."""
+    return row[b] if b < len(row) else row[-1]
 
-    Returns the joined table [outflow][budget] for outflows 0..rows-1 and,
-    per folded child, the budget it gets at each (outflow, budget): the
-    smallest one that reaches the minimum.  With two or more children the
-    last one takes what is left, as in the chain (c1, (c2, (... c_m))); a
-    single child is joined with an all-zero table.
+
+def _fold(tables: list, k: int) -> list:
+    """Min-plus joins of two or more [row][budget] tables, folded right to left.
+
+    Entry i of the result is the join of ``tables[i:]``: the fewest
+    receipts when those children share each budget.  Entry 0 is the whole
+    join; the others are what ``_split`` needs to pick each child's budget.
+    A join is as wide as its parts allow, up to k + 1 budgets, and each
+    budget looks only at splits inside both parts' widths.
     """
-    if len(tables) >= 2:
-        acc, fold = tables[-1], tables[-2::-1]
-    else:
-        acc, fold = [[0] * (k + 1) for _ in range(rows)], tables
-    picks = []
-    for table in fold:
-        new_acc, pick = [], []
-        for row, acc_row in zip(table, acc):
-            vals, js = [], []
-            for b in range(k + 1):
-                sums = [row[j] + acc_row[b - j] for j in range(b + 1)]
-                vals.append(min(sums))
-                js.append(sums.index(vals[-1]))
-            new_acc.append(vals)
-            pick.append(js)
-        acc = new_acc
-        picks.append(pick)
-    picks.reverse()
-    return acc, picks
+    suffix = [tables[-1]]
+    for table in tables[-2::-1]:
+        acc = suffix[-1]
+        w, wa = len(table[0]), len(acc[0])
+        # budget b splits as j + (b - j), j < w and b - j < wa; the smallest
+        # j is lo, and acc[b - lo] is at index lo + wa - 1 - b when reversed
+        starts = [
+            (lo, lo + wa - 1 - b)
+            for b in range(min(k + 1, w + wa - 1))
+            for lo in (max(0, b - wa + 1),)
+        ]
+        suffix.append([
+            [min(map(add, row[lo:], rev[at:])) for lo, at in starts]
+            for row, rev in zip(table, (acc_row[::-1] for acc_row in acc))
+        ])
+    suffix.reverse()
+    return suffix
 
 
-def _split(children: tuple, picks: list, out: int, budget: int):
-    """Yield (child, budget) pairs as ``_join`` chose them."""
-    for c, pick in zip(children, picks):
-        j = pick[out][budget]
+def _split(kids: tuple, suffix: list, best: list, out: int, budget: int):
+    """Yield (child, budget) pairs for ``kids`` at outflow ``out``.
+
+    Each child but the last gets the smallest budget that reaches the
+    minimum, and with two or more children the last takes what is left, as
+    in the chain (c1, (c2, (... c_m))).  A single child also gets only the
+    smallest budget that reaches its minimum.
+    """
+    if len(kids) == 1:
+        row = best[kids[0]][out]
+        yield kids[0], row.index(_at(row, budget))  # rows never rise with budget
+        return
+    for i, c in enumerate(kids[:-1]):
+        # past its row's width a child's value stops falling while the
+        # rest's can only rise, so larger budgets never reach the minimum first
+        row, rest = best[c][out], suffix[i + 1][out]
+        sums = [
+            row[j] + _at(rest, budget - j) for j in range(min(budget + 1, len(row)))
+        ]
+        j = sums.index(min(sums))
         budget -= j
         yield c, j
-    if len(children) >= 2:
-        yield children[-1], budget
+    if kids:
+        yield kids[-1], budget
 
 
 def tree_dp(t: CTree, k: int) -> frozenset[int]:
@@ -270,10 +290,19 @@ def tree_dp(t: CTree, k: int) -> frozenset[int]:
     One bottom-up pass over the tree.  Node v gets a table [inflow][budget]
     of the fewest receipts in v's subtree, where inflow is the copy count
     its tree parent forwards.  Inflow can reach the number of source-edge
-    nodes above v, so tables grow with depth on deep chains.  A node
-    becomes a filter only when that is strictly better, and ties between
-    children go as in ``_join``.  Minimizing total receipts is equivalent
-    to maximizing the objective.
+    nodes above v, so tables grow with depth on deep chains.  Budget runs
+    up to the number of non-leaf nodes in v's subtree, capped at k, since
+    more buys nothing; so no table or traceback step grows with a k past
+    the number of non-source nodes.
+
+    Only a node with two or more children joins its children's tables, in
+    O(rows * w^2) per child for budget widths w <= k + 1.  A leaf's subtree
+    receives just its own copies, and a single child's table already is
+    the join, since tables never rise with budget.  No argmin tables are
+    stored: the top-down traceback recomputes each budget split
+    (``_split``) at the one (outflow, budget) cell it visits.  A node
+    becomes a filter only when that is strictly better.  Minimizing total
+    receipts is equivalent to maximizing the objective.
     """
     _check_k(k)
     n, se = t.graph.n, t.has_source_edge
@@ -287,31 +316,40 @@ def tree_dp(t: CTree, k: int) -> frozenset[int]:
             top[c] = top[v] + se[v]
         stack.extend(t.children[v])
 
-    best: list = [None] * n  # v's [inflow][budget] table, until v's parent joins it
-    joined: list = [None] * n  # v's children joined over v's outflow, and the picks
+    best: list = [None] * n  # v's [inflow][budget] table
+    suffix: list = [None] * n  # ``_fold`` of v's children, if it has two or more
     for v in reversed(order):
-        kids = t.children[v]
-        joined[v] = _join([best[c] for c in kids], top[v] + se[v] + 1, k)
-        for c in kids:
-            best[c] = None
-        table = joined[v][0]
+        kids, recvs = t.children[v], range(se[v], top[v] + se[v] + 1)
+        if not kids:
+            best[v] = [[recv] for recv in recvs]
+            continue
+        if len(kids) == 1:
+            table = best[kids[0]]
+        else:
+            suffix[v] = _fold([best[c] for c in kids], k)
+            table = suffix[v][0]
+        # at budget b >= 1, keep with b or filter with b - 1; v's rows are
+        # one budget wider than the join's, up to k + 1
+        full = len(table[0]) > k
         best[v] = []
-        for recv in range(se[v], top[v] + se[v] + 1):
+        for recv in recvs:
             keep, cut = table[recv], table[min(recv, 1)]
-            best[v].append(
-                [recv + keep[0]]
-                + [recv + min(keep[b], cut[b - 1]) for b in range(1, k + 1)]
-            )
+            more = keep[1:] if full else keep[1:] + keep[-1:]
+            best[v].append([recv + keep[0]] + [recv + m for m in map(min, more, cut)])
 
-    _, root_picks = _join([best[r] for r in t.roots], 1, k)
+    roots = t.roots
+    root_suffix = _fold([best[r] for r in roots], k) if len(roots) >= 2 else None
     chosen: set[int] = set()
-    stack = [(r, 0, j) for r, j in _split(t.roots, root_picks, 0, k)]
+    stack = [(r, 0, j) for r, j in _split(roots, root_suffix, best, 0, k)]
     while stack:
         v, inflow, budget = stack.pop()
-        table, picks = joined[v]
+        kids = t.children[v]
+        if not kids:
+            continue  # a leaf filter removes nothing
+        table = best[kids[0]] if len(kids) == 1 else suffix[v][0]
         out = inflow + se[v]  # copies v forwards unless it filters
-        if budget and table[min(out, 1)][budget - 1] < table[out][budget]:
+        if budget and _at(table[min(out, 1)], budget - 1) < _at(table[out], budget):
             chosen.add(v)
             out, budget = min(out, 1), budget - 1
-        stack.extend((c, out, j) for c, j in _split(t.children[v], picks, out, budget))
+        stack.extend((c, out, j) for c, j in _split(kids, suffix[v], best, out, budget))
     return frozenset(chosen)

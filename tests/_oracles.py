@@ -10,7 +10,7 @@ from itertools import combinations
 
 from flowfilter.dag_extract import extract_dag
 from flowfilter.graph import CGraph, build_graph
-from flowfilter.placement import eligible_nodes
+from flowfilter.placement import CTree, eligible_nodes
 from flowfilter.propagation import phi_total
 
 
@@ -168,3 +168,91 @@ def is_acyclic_edge_set(n: int, edges: set[tuple[int, int]]) -> bool:
             if indeg[w] == 0:
                 ready.append(w)
     return seen == n
+
+
+def _join_reference(tables: list, rows: int, k: int) -> tuple[list, list]:
+    """Min-plus join of the children's tables, taken right to left.
+
+    Returns the joined table [outflow][budget] for outflows 0..rows-1 and,
+    per folded child, the budget it gets at each (outflow, budget): the
+    smallest one that reaches the minimum.  With two or more children the
+    last one takes what is left, as in the chain (c1, (c2, (... c_m))); a
+    single child is joined with an all-zero table.
+    """
+    if len(tables) >= 2:
+        acc, fold = tables[-1], tables[-2::-1]
+    else:
+        acc, fold = [[0] * (k + 1) for _ in range(rows)], tables
+    picks = []
+    for table in fold:
+        new_acc, pick = [], []
+        for row, acc_row in zip(table, acc):
+            vals, js = [], []
+            for b in range(k + 1):
+                sums = [row[j] + acc_row[b - j] for j in range(b + 1)]
+                vals.append(min(sums))
+                js.append(sums.index(vals[-1]))
+            new_acc.append(vals)
+            pick.append(js)
+        acc = new_acc
+        picks.append(pick)
+    picks.reverse()
+    return acc, picks
+
+
+def _split_reference(children: tuple, picks: list, out: int, budget: int):
+    """Yield (child, budget) pairs as ``_join_reference`` chose them."""
+    for c, pick in zip(children, picks):
+        j = pick[out][budget]
+        budget -= j
+        yield c, j
+    if len(children) >= 2:
+        yield children[-1], budget
+
+
+def tree_dp_reference(t: CTree, k: int) -> frozenset[int]:
+    """``tree_dp`` joining every node's children over full k + 1 budgets.
+
+    Leaves and single children get the same O(rows * k^2) join as any
+    other node, against an all-zero table, and every join stores its
+    argmin picks for the traceback.  Every table is k + 1 budgets wide.
+    """
+    n, se = t.graph.n, t.has_source_edge
+    top = [0] * n
+    order = []
+    stack = list(t.roots)
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for c in t.children[v]:
+            top[c] = top[v] + se[v]
+        stack.extend(t.children[v])
+
+    best: list = [None] * n
+    joined: list = [None] * n
+    for v in reversed(order):
+        kids = t.children[v]
+        joined[v] = _join_reference([best[c] for c in kids], top[v] + se[v] + 1, k)
+        table = joined[v][0]
+        best[v] = []
+        for recv in range(se[v], top[v] + se[v] + 1):
+            keep, cut = table[recv], table[min(recv, 1)]
+            best[v].append(
+                [recv + keep[0]]
+                + [recv + min(keep[b], cut[b - 1]) for b in range(1, k + 1)]
+            )
+
+    _, root_picks = _join_reference([best[r] for r in t.roots], 1, k)
+    chosen: set[int] = set()
+    stack = [(r, 0, j) for r, j in _split_reference(t.roots, root_picks, 0, k)]
+    while stack:
+        v, inflow, budget = stack.pop()
+        table, picks = joined[v]
+        out = inflow + se[v]
+        if budget and table[min(out, 1)][budget - 1] < table[out][budget]:
+            chosen.add(v)
+            out, budget = min(out, 1), budget - 1
+        stack.extend(
+            (c, out, j) for c, j in _split_reference(t.children[v], picks, out, budget)
+        )
+    return frozenset(chosen)

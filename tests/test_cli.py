@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 
 import pytest
 
@@ -133,6 +134,22 @@ def test_place_seed_reported_only_for_randomized_algorithms(tmp_path, capsys):
         assert main(argv) == 0, algo
         got = json.loads(capsys.readouterr().out)
         assert got["seed"] == (9 if algo in RANDOMIZED_ALGORITHMS else None), algo
+
+
+def test_place_tree_dp_huge_k_matches_k_of_node_count(tmp_path, capsys):
+    # budgets past the 4 non-source nodes buy nothing, so tree-dp must not
+    # build 100001-wide tables
+    path = tmp_path / "tree1.tsv"
+    path.write_text(serialize_edge_list(g_tree1()))
+    argv = ["place", "--input", str(path), "--algo", "tree-dp", "--k"]
+    assert main(argv + ["4"]) == 0
+    want = json.loads(capsys.readouterr().out)
+    start = time.perf_counter()
+    assert main(argv + ["100000"]) == 0
+    assert time.perf_counter() - start < 5.0
+    got = json.loads(capsys.readouterr().out)
+    assert got["k"] == 100000
+    assert {**got, "k": 4} == want
 
 
 def test_oracle_command(degree_trap_path, capsys):

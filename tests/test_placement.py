@@ -23,6 +23,8 @@ from flowfilter.placement import (
 from flowfilter.propagation import objective_f
 from flowfilter.synth import random_ctree, random_dag
 
+from _oracles import tree_dp_reference
+
 
 # --- greedy_1 ----------------------------------------------------------------
 
@@ -252,6 +254,73 @@ def test_tree_dp_deep_chain_without_recursion(monkeypatch):
     fs = tree_dp(as_ctree(g), 3)
     assert len(fs) <= 3
     assert objective_f(g, fs) >= objective_f(g, greedy_all(g, 3))
+
+
+def test_tree_dp_random_ctree_of_100k_nodes(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("tree_dp must not touch the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    t = random_ctree(100_000, 0.05, 2024)
+    fs = tree_dp(t, 3)
+    assert len(fs) <= 3
+    assert objective_f(t.graph, fs) >= objective_f(t.graph, greedy_1(t.graph, 3))
+
+
+def test_tree_dp_matches_reference_on_random_ctrees():
+    # identical sets, not just equal objectives: the tie-breaks reach the CLI
+    for seed in range(1000):
+        rng = random.Random(seed)
+        t = random_ctree(rng.randint(1, 60), rng.uniform(0.0, 0.9), seed + 9000)
+        k = (0, 1, 2, 3, 5, 8)[seed % 6]
+        assert tree_dp(t, k) == tree_dp_reference(t, k), (seed, k)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tree_dp_matches_reference_on_deep_chains(seed):
+    # most chain nodes carry a source edge, so the deepest tables have
+    # dozens of inflow rows; a few side leaves make some nodes join
+    rng = random.Random(seed)
+    n = rng.randint(40, 90)
+    edges = [("s", "t0")] + [(f"t{i}", f"t{i + 1}") for i in range(n - 1)]
+    edges += [("s", f"t{i}") for i in range(1, n) if rng.random() < 0.8]
+    for i in rng.sample(range(n), n // 5):
+        edges.append((f"t{i}", f"x{i}"))
+        if rng.random() < 0.5:
+            edges.append(("s", f"x{i}"))
+    t = as_ctree(build_graph(edges, sources=["s"]))
+    for k in (0, 1, 2, 3, 5, 8):
+        assert tree_dp(t, k) == tree_dp_reference(t, k), k
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tree_dp_matches_reference_on_wide_stars(seed):
+    # one hub with dozens of children, some with children of their own,
+    # and several source-fed roots joined at the top
+    rng = random.Random(seed)
+    edges = [("s", f"r{i}") for i in range(rng.randint(1, 4))]
+    for c in range(rng.randint(10, 40)):
+        edges.append(("r0", f"c{c}"))
+        if rng.random() < 0.5:
+            edges.append(("s", f"c{c}"))
+        for g in range(rng.choice((0, 0, 1, 3))):
+            edges.append((f"c{c}", f"g{c}_{g}"))
+            if rng.random() < 0.4:
+                edges.append(("s", f"g{c}_{g}"))
+    t = as_ctree(build_graph(edges, sources=["s"]))
+    for k in (0, 1, 2, 3, 5, 8):
+        assert tree_dp(t, k) == tree_dp_reference(t, k), k
+
+
+def test_tree_dp_budget_past_the_node_count_changes_nothing():
+    for seed in range(500):
+        rng = random.Random(seed)
+        t = random_ctree(rng.randint(1, 12), rng.uniform(0.0, 0.9), seed + 6000)
+        n = t.graph.n
+        want = tree_dp(t, n - 1)
+        for k in range(n - 1, n + 4):
+            assert tree_dp(t, k) == want, (seed, k)
+        assert tree_dp(t, 10**6) == want, seed
 
 
 def test_tree_dp_source_only_graph():
