@@ -1,3 +1,4 @@
+import hashlib
 import statistics
 
 import pytest
@@ -56,6 +57,28 @@ def test_layered_config_validation():
             LayeredConfig(5, 10, bad, 4.0, 0)
         with pytest.raises(ValueError):
             LayeredConfig(5, 10, 1.0, bad, 0)
+
+
+def test_layered_graph_outputs_pinned():
+    # The seed -> graph mapping is a contract: benchmark digests, README
+    # examples and replayed manifests all rest on it.  The grid holds the
+    # benchmark's 10x100 and 10x60 seed-11 graphs and README's seed-7 one.
+    grid = [
+        (10, 100, 1.0, 4.0, 11),
+        (10, 60, 1.0, 4.0, 11),
+        (10, 100, 1.0, 4.0, 7),
+        (2, 1, 1.0, 1.0, 0),
+        (3, 5, 1.0, 2.0, 0),
+        (4, 10, 3.0, 1.5, 5),
+        (6, 20, 0.5, 2.0, 3),
+        (12, 8, 1.0, 4.0, 2),
+    ]
+    h = hashlib.sha256()
+    for cfg in grid:
+        h.update(serialize_edge_list(layered_graph(LayeredConfig(*cfg))).encode())
+    assert h.hexdigest() == (
+        "77b4a889e63ea844d6baad83e766ebdfc87cfb294ae730c15a281c092d5e82f5"
+    )
 
 
 def test_layered_small_config_calibration():
