@@ -37,31 +37,36 @@ class LayeredConfig:
 
 
 def layered_edge_probability(cfg: LayeredConfig, gap: int) -> float:
-    return min(1.0, cfg.x / cfg.y**gap)
+    """min(1, x / y**gap); its limit, 0 or 1, where y**gap over- or underflows."""
+    try:
+        scale = cfg.y**gap
+    except OverflowError:
+        return 0.0
+    return min(1.0, cfg.x / scale) if scale else 1.0
 
 
 def layered_graph(cfg: LayeredConfig) -> CGraph:
     """Generate a layered graph plus a source node feeding level 1.
 
-    The node count is exactly levels * expected_width (+1 for the source);
-    level membership is random, edges are independent draws per
-    cross-level pair.
+    The node count is exactly levels * expected_width (+1 for the source).
+    The draw order is the seed -> graph contract, pinned by
+    ``test_layered_graph_outputs_pinned``: one ``randrange`` per node for
+    its level, then one ``random()`` per pair with level[u] > level[v],
+    v-major and u ascending, keeping v -> u when it falls below p(gap).
     """
     rng = random.Random(cfg.seed)
     n = cfg.levels * cfg.expected_width
     level = [rng.randrange(cfg.levels) for _ in range(n)]  # 0-based levels
 
-    names = [f"n{i}" for i in range(n)]
-    edges: list[tuple[str, str]] = []
-    for v in range(n):
-        for u in range(n):
-            gap = level[u] - level[v]
-            if gap <= 0:
-                continue
-            if rng.random() < layered_edge_probability(cfg, gap):
-                edges.append((names[v], names[u]))
-    source_edges = [("s", names[v]) for v in range(n) if level[v] == 0]
-    return build_graph(source_edges + edges, nodes=["s"] + names, sources=["s"])
+    # per level, (index, p) for each node above it, ascending; "s" is index 0
+    prob = [layered_edge_probability(cfg, gap) for gap in range(cfg.levels)]
+    above = [[(u, prob[lu - lv]) for u, lu in enumerate(level, 1) if lu > lv]
+             for lv in range(cfg.levels)]
+    draw = rng.random
+    edges = [(0, v) for v, lv in enumerate(level, 1) if lv == 0]
+    edges += [(v, u) for v, lv in enumerate(level, 1)
+              for u, p in above[lv] if draw() < p]
+    return CGraph(["s"] + [f"n{i}" for i in range(n)], edges, [0])
 
 
 def random_dag(n: int, edge_prob: float, seed: int) -> CGraph:
@@ -99,11 +104,6 @@ def random_ctree(n: int, source_edge_prob: float, seed: int) -> CTree:
     rng = random.Random(seed)
     names = [f"t{i}" for i in range(n)]
     edges = [("s", names[0])]
-    for i in range(1, n):
-        parent = rng.randrange(i)
-        edges.append((names[parent], names[i]))
-    for i in range(1, n):
-        if rng.random() < source_edge_prob:
-            edges.append(("s", names[i]))
-    g = build_graph(edges, nodes=["s"] + names, sources=["s"])
-    return as_ctree(g)
+    edges += [(names[rng.randrange(i)], names[i]) for i in range(1, n)]
+    edges += [("s", names[i]) for i in range(1, n) if rng.random() < source_edge_prob]
+    return as_ctree(build_graph(edges, nodes=["s"] + names, sources=["s"]))

@@ -151,6 +151,32 @@ def layered_sigma(cfg, node_count_noise: bool, draws: int = 4000, seed: int = 1)
     return (statistics.fmean(cond_vars) + statistics.pvariance(cond_means)) ** 0.5
 
 
+def layered_graph_reference(cfg) -> CGraph:
+    """The layered generator as a scan over every ordered node pair.
+
+    Draws the levels, then visits (v, u) v-major, u ascending, and draws
+    once for each pair whose gap level[u] - level[v] is positive; an edge
+    runs v -> u when the draw falls below that gap's probability.
+    """
+    from flowfilter.synth import layered_edge_probability
+
+    rng = random.Random(cfg.seed)
+    n = cfg.levels * cfg.expected_width
+    level = [rng.randrange(cfg.levels) for _ in range(n)]
+
+    names = [f"n{i}" for i in range(n)]
+    edges: list[tuple[str, str]] = []
+    for v in range(n):
+        for u in range(n):
+            gap = level[u] - level[v]
+            if gap <= 0:
+                continue
+            if rng.random() < layered_edge_probability(cfg, gap):
+                edges.append((names[v], names[u]))
+    source_edges = [("s", names[v]) for v in range(n) if level[v] == 0]
+    return build_graph(source_edges + edges, nodes=["s"] + names, sources=["s"])
+
+
 def is_acyclic_edge_set(n: int, edges: set[tuple[int, int]]) -> bool:
     """Kahn's check over a raw edge set on nodes 0..n-1."""
     indeg = [0] * n

@@ -85,6 +85,19 @@ def test_generate_writes_graph_and_manifest(tmp_path):
     assert out.read_bytes() == first
 
 
+@pytest.mark.parametrize("y, edges", [("1e200", 1), ("1e-300", 10)])
+def test_generate_extreme_y(tmp_path, capsys, y, edges):
+    # y**2 overflows (1e200) or underflows to 0.0 (1e-300): both finite
+    # inputs pass validation and take the probability's limit, 0 or 1.
+    # Seed 0 puts n2 on level 0, n4 on level 2 and the rest on level 1, so
+    # at 1e-300 every cross-level pair is an edge: s -> n2, 5 + 4 more.
+    out = tmp_path / "g.tsv"
+    argv = ["generate", "--levels", "3", "--width", "2", "--y", y, "--out", str(out)]
+    assert main(argv) == 0
+    assert f": 7 nodes, {edges} edges" in capsys.readouterr().out
+    assert len(out.read_text().splitlines()) == edges
+
+
 def test_generate_then_place_pipeline(tmp_path):
     out = tmp_path / "g.tsv"
     main(["generate", "--levels", "3", "--width", "5", "--seed", "1", "--out", str(out)])

@@ -1,9 +1,15 @@
 import hashlib
+import random
 import statistics
 
 import pytest
 
-from _oracles import count_paths, layered_analytic_mean, layered_sigma
+from _oracles import (
+    count_paths,
+    layered_analytic_mean,
+    layered_graph_reference,
+    layered_sigma,
+)
 from flowfilter.graph import serialize_edge_list, topological_order
 from flowfilter.path_stats import compute_stats
 from flowfilter.placement import eligible_nodes
@@ -79,6 +85,47 @@ def test_layered_graph_outputs_pinned():
     assert h.hexdigest() == (
         "77b4a889e63ea844d6baad83e766ebdfc87cfb294ae730c15a281c092d5e82f5"
     )
+
+
+def test_layered_graph_matches_reference():
+    # (3, 1.5) puts p >= 1 on gaps 1 and 2, where every draw keeps its edge.
+    # Every fourth config is up to 40 wide; the rest stay narrow, because the
+    # reference's pair scan is quadratic in the node count.
+    params = [(1.0, 4.0), (3.0, 1.5), (0.5, 2.0)]
+    for seed in range(300):
+        rng = random.Random(seed)
+        x, y = params[seed % 3]
+        width = rng.randint(1, 40 if seed % 4 == 0 else 10)
+        cfg = LayeredConfig(rng.randint(2, 12), width, x, y, seed)
+        got, want = layered_graph(cfg), layered_graph_reference(cfg)
+        assert got.labels == want.labels
+        assert got.edges == want.edges
+        assert got.out_adj == want.out_adj
+        assert got.in_adj == want.in_adj
+        assert got.sources == want.sources
+        assert topological_order(got) == topological_order(want)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_layered_extreme_y(seed):
+    # y**2 overflows at 1e200 (p = 0) and underflows to 0.0 at 1e-300 (p = 1)
+    levels, width = 3, 2
+    rng = random.Random(seed)
+    level = [rng.randrange(levels) for _ in range(levels * width)]
+    source_edges = {(0, v + 1) for v, lv in enumerate(level) if lv == 0}
+
+    g = layered_graph(LayeredConfig(levels, width, 1.0, 1e200, seed))
+    assert g.n == levels * width + 1
+    assert set(g.edges) == source_edges  # p = 1e-200 at gap 1, 0 at gap 2
+
+    g = layered_graph(LayeredConfig(levels, width, 1.0, 1e-300, seed))
+    assert g.n == levels * width + 1
+    assert set(g.edges) == source_edges | {
+        (v + 1, u + 1)
+        for v, lv in enumerate(level)
+        for u, lu in enumerate(level)
+        if lu > lv
+    }
 
 
 def test_layered_small_config_calibration():
