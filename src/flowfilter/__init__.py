@@ -15,7 +15,7 @@ from .graph import (
     topological_order,
 )
 from .propagation import CountTable, objective_f, phi_total, simulate
-from .path_stats import PathStats, compute_stats, impact, impact_table
+from .path_stats import PathStats, compute_stats, impact_table
 from .placement import (
     CTree,
     NotACTreeError,
@@ -53,7 +53,6 @@ __all__ = [
     "greedy_all",
     "greedy_l",
     "greedy_max",
-    "impact",
     "impact_table",
     "objective_f",
     "optimal_unbounded",

@@ -8,10 +8,10 @@ A filter set is a frozenset of node indices.  Its provenance is kept only
 where it is reported: the algorithm and k on each ``FRRow``, the seed on
 each of the row's ``PlacementResult`` trials, and the CLI's own JSON.
 
-An FR cell is one (algorithm, k) pair.  ``fr_curve`` sets each cell up
-once (rand-w's weights, for instance), picks every trial, and scores all of
-the cell's filter sets in one packed pass (``propagation.phi_totals``).
-``fr_curve`` returns the curve as a tuple of ``FRRow``, one per cell.
+``fr_curve`` sets each algorithm up once for k_max (a greedy's ordered
+picks, the tree DP's tables, rand-w's weights), picks every (k, trial), and
+scores all of the algorithm's filter sets in one packed pass
+(``propagation.phi_totals``).  It returns one ``FRRow`` per (algorithm, k).
 """
 
 import hashlib
@@ -25,14 +25,15 @@ from math import comb
 from .graph import CGraph
 from .placement import (
     as_ctree,
+    check_k,
     eligible_nodes,
-    greedy_1,
-    greedy_all,
-    greedy_l,
-    greedy_max,
+    greedy_1_order,
+    greedy_all_order,
+    greedy_l_order,
+    greedy_max_order,
     optimal_unbounded,
     random_picker,
-    tree_dp,
+    tree_dp_tables,
 )
 from .propagation import objective_f, phi_total, phi_totals
 
@@ -43,18 +44,28 @@ class BudgetExceededError(Exception):
 
 RANDOMIZED_ALGORITHMS = ("rand-k", "rand-i", "rand-w")
 
-# name -> prepare(g, k), which does the per-(g, k) setup once and returns
-# pick(seed); the order is the CLI's `choices` order
+
+def _first(picks: list[int]):
+    # a greedy's picks at k are the first k of its ordered picks for k_max
+    return lambda k, seed: frozenset(picks[:k])
+
+
+def _seedless(pick):
+    return lambda k, seed: pick(k)
+
+
+# name -> prepare(g, k_max), which does the per-graph setup once and returns
+# pick(k, seed) for every k <= k_max; the order is the CLI's `choices` order
 _RUNNERS = {
-    "greedy-1": lambda g, k: lambda seed: greedy_1(g, k),
-    "greedy-all": lambda g, k: lambda seed: greedy_all(g, k),
-    "greedy-max": lambda g, k: lambda seed: greedy_max(g, k),
-    "greedy-l": lambda g, k: lambda seed: greedy_l(g, k),
-    "tree-dp": lambda g, k: lambda seed: tree_dp(as_ctree(g), k),
-    "optimal-unbounded": lambda g, k: lambda seed: optimal_unbounded(g),
-    "rand-k": lambda g, k: random_picker(g, k, "rand_k"),
-    "rand-i": lambda g, k: random_picker(g, k, "rand_i"),
-    "rand-w": lambda g, k: random_picker(g, k, "rand_w"),
+    "greedy-1": lambda g, k: _first(greedy_1_order(g, k)),
+    "greedy-all": lambda g, k: _first(greedy_all_order(g, k)),
+    "greedy-max": lambda g, k: _first(greedy_max_order(g, k)),
+    "greedy-l": lambda g, k: _first(greedy_l_order(g, k)),
+    "tree-dp": lambda g, k: _seedless(tree_dp_tables(as_ctree(g), k)),
+    "optimal-unbounded": lambda g, k: _seedless(lambda k, filters=optimal_unbounded(g): filters),
+    "rand-k": lambda g, k: random_picker(g, "rand_k"),
+    "rand-i": lambda g, k: random_picker(g, "rand_i"),
+    "rand-w": lambda g, k: random_picker(g, "rand_w"),
 }
 ALGORITHMS = tuple(_RUNNERS)
 
@@ -64,7 +75,8 @@ def run_algorithm(g: CGraph, name: str, k: int, seed: int | None = 0) -> frozens
     prepare = _RUNNERS.get(name)
     if prepare is None:
         raise ValueError(f"unknown algorithm {name!r}")
-    return prepare(g, k)(seed)
+    check_k(k)
+    return prepare(g, k)(k, seed)
 
 
 def scoring_constants(g: CGraph) -> tuple[int, int]:
@@ -99,8 +111,7 @@ def oracle(g: CGraph, k: int, budget: int = 10**6) -> tuple[frozenset[int], int]
     smallest index tuple.  Raises BudgetExceededError before starting if
     the subset count is out of reach.
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    check_k(k)
     eligible = eligible_nodes(g)
     k_eff = min(k, len(eligible))
     total = sum(comb(len(eligible), j) for j in range(k_eff + 1))
@@ -147,61 +158,51 @@ def _cell_seed(master: int, algorithm: str, k: int, trial: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _run_cell(
-    g: CGraph, name: str, k: int, runs: int, master_seed: int, phi_empty: int, fv: int
-) -> FRRow:
-    if name in RANDOMIZED_ALGORITHMS:
-        seeds = [_cell_seed(master_seed, name, k, trial) for trial in range(runs)]
-    else:
-        seeds = [None]
-    t0 = time.perf_counter()
-    pick = _RUNNERS[name](g, k)
-    setup_ms = (time.perf_counter() - t0) * 1000.0 / len(seeds)
-    picks, wall = [], []
-    for seed in seeds:
-        t0 = time.perf_counter()
-        picks.append(pick(seed))
-        wall.append((time.perf_counter() - t0) * 1000.0 + setup_ms)
-    results = []
-    for seed, fs, ms, phi in zip(seeds, picks, wall, phi_totals(g, picks, phi_empty)):
-        f = phi_empty - phi
-        results.append(
-            PlacementResult(seed, tuple(g.sorted_labels(fs)), f, ratio(f, fv), ms)
-        )
-    mean_f = Fraction(sum(r.f for r in results), len(results))
-    wall = statistics.fmean(r.wall_ms for r in results)
-    return FRRow(name, k, ratio(mean_f, fv), len(results), wall, tuple(results))
-
-
 def fr_curve(
-    g: CGraph,
-    algorithms: list[str],
-    k_max: int,
-    runs: int = 25,
-    seed: int = 0,
+    g: CGraph, algorithms: list[str], k_max: int, runs: int = 25, seed: int = 0
 ) -> tuple[FRRow, ...]:
     """FR per (algorithm, k) for k = 1..k_max, one row per cell.
 
-    Randomized algorithms are averaged over ``runs`` seeded trials (the F
-    values are averaged first, then divided by F(V)); deterministic ones
+    Randomized algorithms are averaged over ``runs`` seeded trials per k (the
+    F values are averaged first, then divided by F(V)); deterministic ones
     run one trial with seed None.  A trial's ``wall_ms`` is the time of its
-    pick plus the cell's setup time divided by its number of trials, so a
-    cell's ``wall_ms``, the mean over its trials, is what one trial costs
-    with the setup shared.  Scoring is not timed.
+    pick plus its algorithm's one-off setup time divided by the algorithm's
+    number of trials on the curve; a row's ``wall_ms`` is the mean over its
+    trials.  Scoring is not timed.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    if k_max < 1 or runs < 1:
+        raise ValueError(f"k_max and runs must be >= 1, got {k_max} and {runs}")
     for i, name in enumerate(algorithms):
         if name not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {name!r}")
         if name in algorithms[:i]:
             raise ValueError(f"repeated algorithm {name!r}")
     phi_empty, fv = scoring_constants(g)
-    return tuple(
-        _run_cell(g, name, k, runs, seed, phi_empty, fv)
-        for name in algorithms
-        for k in range(1, k_max + 1)
-    )
+    rows = []
+    for name in algorithms:
+        randomized = name in RANDOMIZED_ALGORITHMS
+        trials = runs if randomized else 1
+        args = [(k, _cell_seed(seed, name, k, t) if randomized else None)
+                for k in range(1, k_max + 1) for t in range(trials)]
+        t0 = time.perf_counter()
+        pick = _RUNNERS[name](g, k_max)
+        setup_ms = (time.perf_counter() - t0) * 1000.0 / len(args)
+        picks, wall = [], []
+        for k, s in args:
+            t0 = time.perf_counter()
+            picks.append(pick(k, s))
+            wall.append((time.perf_counter() - t0) * 1000.0 + setup_ms)
+        gains = [phi_empty - phi for phi in phi_totals(g, picks, phi_empty)]
+        results = [
+            PlacementResult(s, tuple(g.sorted_labels(fs)), f, ratio(f, fv), ms)
+            for (_, s), fs, f, ms in zip(args, picks, gains, wall)
+        ]
+        for i in range(0, len(args), trials):  # one row per k
+            cell = tuple(results[i : i + trials])
+            mean_f = Fraction(sum(r.f for r in cell), trials)
+            wall_ms = statistics.fmean(r.wall_ms for r in cell)
+            rows.append(FRRow(name, args[i][0], ratio(mean_f, fv), trials, wall_ms, cell))
+    return tuple(rows)
 
 
 def format_fraction(x: Fraction, digits: int = 6) -> str:

@@ -20,10 +20,6 @@ from .graph import CGraph, topological_order
 from .propagation import filter_members
 
 
-class AlreadyFilterError(ValueError):
-    """Requested the impact of a node that is already a filter."""
-
-
 @dataclass(frozen=True)
 class PathStats:
     prefix: tuple[int, ...]
@@ -78,18 +74,6 @@ def impact_from_stats(g: CGraph, stats: PathStats, v: int) -> int:
     if stats.prefix[v] == 0:
         return 0  # unreachable: a filter there changes nothing
     return (stats.prefix[v] - 1) * stats.suffix[v]
-
-
-def impact(g: CGraph, filters, v: int) -> int:
-    """Marginal gain of adding v to ``filters``.
-
-    Equals objective_f(g, filters | {v}) - objective_f(g, filters); the
-    test suite enforces that identity against the simulator.
-    """
-    members = filter_members(filters)
-    if v in members:
-        raise AlreadyFilterError(f"node {g.labels[v]!r} is already a filter")
-    return impact_from_stats(g, compute_stats(g, members), v)
 
 
 def impact_table(g: CGraph, filters) -> dict[int, int]:

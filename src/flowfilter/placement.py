@@ -9,10 +9,11 @@ smallest dense node index, so every deterministic selector is reproducible
 bit for bit.
 """
 
+import functools
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
-from operator import add
+from operator import add, mul
 
 from .graph import CGraph, GraphError, topological_order
 from .path_stats import compute_prefix, impact_table
@@ -27,30 +28,65 @@ def eligible_nodes(g: CGraph) -> list[int]:
     return [v for v in range(g.n) if v not in g.sources]
 
 
-def _check_k(k: int) -> None:
+def check_k(k: int) -> None:
+    """Reject a negative filter budget."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
 
 
-def _top_k(scored: list[tuple[int, int]], k: int) -> frozenset[int]:
-    # scored: (node, score); highest score first, then smallest index
-    ranked = sorted(scored, key=lambda t: (-t[1], t[0]))
-    return frozenset(v for v, _ in ranked[:k])
+def _ranked(g: CGraph, score, k: int) -> list[int]:
+    # the k eligible nodes of highest score, highest first, then smallest index
+    check_k(k)
+    return sorted(eligible_nodes(g), key=lambda v: (-score[v], v))[:k]
+
+
+def _rounds(g: CGraph, k: int, scores, stop_at_zero: bool) -> list[int]:
+    # up to k rounds, each picking the eligible node not yet picked that
+    # scores(picks) rates highest; with stop_at_zero, none once it scores <= 0.
+    # No round looks past the picks before it, so the picks for k are the
+    # first k of the picks for any larger k.
+    check_k(k)
+    picks: list[int] = []
+    left = eligible_nodes(g)
+    while left and len(picks) < k:
+        score = scores(picks)
+        best = max(left, key=score.__getitem__)  # the first maximum in index order
+        if stop_at_zero and score[best] <= 0:
+            break
+        picks.append(best)
+        left.remove(best)
+    return picks
+
+
+def greedy_1_order(g: CGraph, k: int) -> list[int]:
+    """``greedy_1``'s picks, best first."""
+    return _ranked(g, [g.in_degree(v) * g.out_degree(v) for v in range(g.n)], k)
+
+
+def greedy_max_order(g: CGraph, k: int) -> list[int]:
+    """``greedy_max``'s picks, best first."""
+    return _ranked(g, impact_table(g, ()), k)
+
+
+def greedy_all_order(g: CGraph, k: int) -> list[int]:
+    """``greedy_all``'s picks, in the order its rounds make them."""
+    return _rounds(g, k, lambda picks: impact_table(g, picks), True)
+
+
+def greedy_l_order(g: CGraph, k: int) -> list[int]:
+    """``greedy_l``'s picks, in the order its rounds make them."""
+    degree = [len(out) for out in g.out_adj]
+    return _rounds(g, k, lambda picks: list(map(mul, compute_prefix(g, picks), degree)), False)
 
 
 def greedy_1(g: CGraph, k: int) -> frozenset[int]:
     """Rank nodes by in-degree times out-degree and keep the top k."""
-    _check_k(k)
-    scored = [(v, g.in_degree(v) * g.out_degree(v)) for v in eligible_nodes(g)]
-    return _top_k(scored, k)
+    return frozenset(greedy_1_order(g, k))
 
 
 def greedy_max(g: CGraph, k: int) -> frozenset[int]:
     """Top k nodes by impact computed once, with no recomputation."""
-    _check_k(k)
-    table = impact_table(g, ())
-    scored = [(v, table[v]) for v in eligible_nodes(g)]
-    return _top_k(scored, k)
+    return frozenset(greedy_max_order(g, k))
 
 
 def greedy_all(g: CGraph, k: int) -> frozenset[int]:
@@ -58,20 +94,7 @@ def greedy_all(g: CGraph, k: int) -> frozenset[int]:
 
     Stops early once no remaining node has positive impact.
     """
-    _check_k(k)
-    members: set[int] = set()
-    for _ in range(k):
-        table = impact_table(g, members)
-        best, best_gain = None, 0
-        for v in range(g.n):
-            if v in members:
-                continue
-            if table[v] > best_gain:
-                best, best_gain = v, table[v]
-        if best is None:
-            break
-        members.add(best)
-    return frozenset(members)
+    return frozenset(greedy_all_order(g, k))
 
 
 def greedy_l(g: CGraph, k: int) -> frozenset[int]:
@@ -81,21 +104,7 @@ def greedy_l(g: CGraph, k: int) -> frozenset[int]:
     The score says nothing about true gain, so there is no early stop; all
     k picks are made while eligible nodes remain.
     """
-    _check_k(k)
-    members: set[int] = set()
-    for _ in range(k):
-        prefix = compute_prefix(g, members)
-        best, best_score = None, -1
-        for v in range(g.n):
-            if v in g.sources or v in members:
-                continue
-            score = prefix[v] * g.out_degree(v)
-            if score > best_score:
-                best, best_score = v, score
-        if best is None:
-            break
-        members.add(best)
-    return frozenset(members)
+    return frozenset(greedy_l_order(g, k))
 
 
 def optimal_unbounded(g: CGraph) -> frozenset[int]:
@@ -120,46 +129,40 @@ def rand_w_weights(g: CGraph) -> list[float]:
     return [sum(inverse[u] for u in g.out_adj[v]) for v in range(g.n)]
 
 
-def random_picker(g: CGraph, k: int, variant: str) -> Callable[[int], frozenset[int]]:
-    """Set up one random baseline on ``g`` once; return ``pick(seed)``.
+def random_picker(g: CGraph, variant: str) -> Callable[[int, int], frozenset[int]]:
+    """Set up one random baseline on ``g`` once; return ``pick(k, seed)``.
 
     rand_k draws exactly k distinct nodes uniformly; rand_i keeps each node
     independently with probability k/n; rand_w keeps node v with probability
     w(v) * k/n clamped to [0, 1], where w favours nodes feeding low-in-degree
     children.  All three draw over every node; a source picked as a filter
-    is inert during propagation.  rand_i and rand_w share one draw loop over
-    per-node probabilities, which depend only on ``g`` and k and are
-    computed here, not per pick.
+    is inert during propagation.  rand_i (w = 1) and rand_w share one draw
+    loop; the weights are computed here, the probabilities once per k.
     """
-    _check_k(k)
-    if variant == "rand_k":
+    if variant not in ("rand_k", "rand_i", "rand_w"):
+        raise ValueError(f"unknown baseline variant {variant!r}")
+    weights = rand_w_weights(g) if variant == "rand_w" else [1.0] * g.n
+
+    @functools.cache
+    def probs(k: int) -> list[float]:
+        scale = k / g.n
+        return [min(1.0, max(0.0, w * scale)) for w in weights]
+
+    def pick(k: int, seed: int) -> frozenset[int]:
+        rng = random.Random(seed)
+        if variant != "rand_k":
+            return frozenset([v for v, p in enumerate(probs(k)) if rng.random() < p])
         if k > g.n:
             raise ValueError(f"rand_k needs k <= n, got k={k}, n={g.n}")
-        probs = None
-    elif variant in ("rand_i", "rand_w"):
-        scale = k / g.n
-        if variant == "rand_i":
-            probs = [min(1.0, scale)] * g.n
-        else:
-            probs = [min(1.0, max(0.0, w * scale)) for w in rand_w_weights(g)]
-    else:
-        raise ValueError(f"unknown baseline variant {variant!r}")
-
-    def pick(seed: int) -> frozenset[int]:
-        rng = random.Random(seed)
-        if probs is None:
-            return frozenset(rng.sample(range(g.n), k))
-        return frozenset([v for v, p in enumerate(probs) if rng.random() < p])
+        return frozenset(rng.sample(range(g.n), k))
 
     return pick
 
 
 def randomized_baseline(g: CGraph, k: int, variant: str, seed: int) -> frozenset[int]:
-    """One seeded pick of a random baseline: rand_k, rand_i, or rand_w.
-
-    See ``random_picker`` for the three variants.
-    """
-    return random_picker(g, k, variant)(seed)
+    """One seeded pick of a random baseline: rand_k, rand_i or rand_w (``random_picker``)."""
+    check_k(k)
+    return random_picker(g, variant)(k, seed)
 
 
 # --- communication trees ----------------------------------------------------
@@ -285,26 +288,34 @@ def _split(kids: tuple, suffix: list, best: list, out: int, budget: int):
 
 
 def tree_dp(t: CTree, k: int) -> frozenset[int]:
-    """Exact optimal filter set of size <= k on a communication tree.
+    """Exact optimal filter set of size <= k on a communication tree."""
+    return tree_dp_tables(t, k)(k)
+
+
+def tree_dp_tables(t: CTree, k_max: int) -> Callable[[int], frozenset[int]]:
+    """Build the tree DP's tables once; return ``traceback(k)`` for k <= k_max.
 
     One bottom-up pass over the tree.  Node v gets a table [inflow][budget]
     of the fewest receipts in v's subtree, where inflow is the copy count
     its tree parent forwards.  Inflow can reach the number of source-edge
     nodes above v, so tables grow with depth on deep chains.  Budget runs
-    up to the number of non-leaf nodes in v's subtree, capped at k, since
-    more buys nothing; so no table or traceback step grows with a k past
-    the number of non-source nodes.
+    up to the number of non-leaf nodes in v's subtree, capped at k_max,
+    since more buys nothing; so no table or traceback step grows with a
+    k_max past the number of non-source nodes.
 
     Only a node with two or more children joins its children's tables, in
-    O(rows * w^2) per child for budget widths w <= k + 1.  A leaf's subtree
-    receives just its own copies, and a single child's table already is
-    the join, since tables never rise with budget.  No argmin tables are
-    stored: the top-down traceback recomputes each budget split
+    O(rows * w^2) per child for budget widths w <= k_max + 1.  A leaf's
+    subtree receives just its own copies, and a single child's table
+    already is the join, since tables never rise with budget.  No argmin
+    tables are stored: the top-down traceback recomputes each budget split
     (``_split``) at the one (outflow, budget) cell it visits.  A node
     becomes a filter only when that is strictly better.  Minimizing total
     receipts is equivalent to maximizing the objective.
+
+    A value at budget b reads only budgets <= b, so ``traceback(k)`` returns
+    exactly the set that tables built for k would.
     """
-    _check_k(k)
+    check_k(k_max)
     n, se = t.graph.n, t.has_source_edge
     top = [0] * n  # source-edge nodes above v: v's largest inflow
     order = []  # pre-order: parents before children
@@ -326,11 +337,11 @@ def tree_dp(t: CTree, k: int) -> frozenset[int]:
         if len(kids) == 1:
             table = best[kids[0]]
         else:
-            suffix[v] = _fold([best[c] for c in kids], k)
+            suffix[v] = _fold([best[c] for c in kids], k_max)
             table = suffix[v][0]
         # at budget b >= 1, keep with b or filter with b - 1; v's rows are
-        # one budget wider than the join's, up to k + 1
-        full = len(table[0]) > k
+        # one budget wider than the join's, up to k_max + 1
+        full = len(table[0]) > k_max
         best[v] = []
         for recv in recvs:
             keep, cut = table[recv], table[min(recv, 1)]
@@ -338,18 +349,22 @@ def tree_dp(t: CTree, k: int) -> frozenset[int]:
             best[v].append([recv + keep[0]] + [recv + m for m in map(min, more, cut)])
 
     roots = t.roots
-    root_suffix = _fold([best[r] for r in roots], k) if len(roots) >= 2 else None
-    chosen: set[int] = set()
-    stack = [(r, 0, j) for r, j in _split(roots, root_suffix, best, 0, k)]
-    while stack:
-        v, inflow, budget = stack.pop()
-        kids = t.children[v]
-        if not kids:
-            continue  # a leaf filter removes nothing
-        table = best[kids[0]] if len(kids) == 1 else suffix[v][0]
-        out = inflow + se[v]  # copies v forwards unless it filters
-        if budget and _at(table[min(out, 1)], budget - 1) < _at(table[out], budget):
-            chosen.add(v)
-            out, budget = min(out, 1), budget - 1
-        stack.extend((c, out, j) for c, j in _split(kids, suffix[v], best, out, budget))
-    return frozenset(chosen)
+    root_suffix = _fold([best[r] for r in roots], k_max) if len(roots) >= 2 else None
+
+    def traceback(k: int) -> frozenset[int]:  # k <= k_max
+        chosen: set[int] = set()
+        stack = [(r, 0, j) for r, j in _split(roots, root_suffix, best, 0, k)]
+        while stack:
+            v, inflow, budget = stack.pop()
+            kids = t.children[v]
+            if not kids:
+                continue  # a leaf filter removes nothing
+            table = best[kids[0]] if len(kids) == 1 else suffix[v][0]
+            out = inflow + se[v]  # copies v forwards unless it filters
+            if budget and _at(table[min(out, 1)], budget - 1) < _at(table[out], budget):
+                chosen.add(v)
+                out, budget = min(out, 1), budget - 1
+            stack.extend((c, out, j) for c, j in _split(kids, suffix[v], best, out, budget))
+        return frozenset(chosen)
+
+    return traceback

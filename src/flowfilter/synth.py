@@ -3,8 +3,8 @@
 All generators are pure functions of their config and seed.
 """
 
-import math
 import random
+import sys
 from dataclasses import dataclass
 
 from .graph import CGraph, add_super_source, build_graph
@@ -32,14 +32,14 @@ class LayeredConfig:
             raise ValueError("levels must be >= 2")
         if self.expected_width < 1:
             raise ValueError("expected_width must be >= 1")
-        if not (0 < self.x < math.inf and 0 < self.y < math.inf):
-            raise ValueError("x and y must be finite and positive")
+        if not (0 < self.x <= sys.float_info.max and 0 < self.y <= sys.float_info.max):
+            raise ValueError("x and y must be positive and finite as floats")
 
 
 def layered_edge_probability(cfg: LayeredConfig, gap: int) -> float:
     """min(1, x / y**gap); its limit, 0 or 1, where y**gap over- or underflows."""
     try:
-        scale = cfg.y**gap
+        scale = float(cfg.y) ** gap
     except OverflowError:
         return 0.0
     return min(1.0, cfg.x / scale) if scale else 1.0

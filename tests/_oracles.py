@@ -10,6 +10,7 @@ from itertools import combinations
 
 from flowfilter.dag_extract import extract_dag
 from flowfilter.graph import CGraph, build_graph
+from flowfilter.path_stats import compute_prefix, impact_table
 from flowfilter.placement import CTree, eligible_nodes
 from flowfilter.propagation import phi_total
 
@@ -282,3 +283,38 @@ def tree_dp_reference(t: CTree, k: int) -> frozenset[int]:
             (c, out, j) for c, j in _split_reference(t.children[v], picks, out, budget)
         )
     return frozenset(chosen)
+
+
+def greedy_all_reference(g: CGraph, k: int) -> frozenset[int]:
+    """greedy-all as k rounds run for this k alone, one impact table per round."""
+    members: set[int] = set()
+    for _ in range(k):
+        table = impact_table(g, members)
+        best, best_gain = None, 0
+        for v in range(g.n):
+            if v in members:
+                continue
+            if table[v] > best_gain:
+                best, best_gain = v, table[v]
+        if best is None:
+            break
+        members.add(best)
+    return frozenset(members)
+
+
+def greedy_l_reference(g: CGraph, k: int) -> frozenset[int]:
+    """greedy-l as k rounds run for this k alone, one prefix table per round."""
+    members: set[int] = set()
+    for _ in range(k):
+        prefix = compute_prefix(g, members)
+        best, best_score = None, -1
+        for v in range(g.n):
+            if v in g.sources or v in members:
+                continue
+            score = prefix[v] * g.out_degree(v)
+            if score > best_score:
+                best, best_score = v, score
+        if best is None:
+            break
+        members.add(best)
+    return frozenset(members)

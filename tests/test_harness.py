@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import exhaustive_best
+from _oracles import exhaustive_best, greedy_all_reference, greedy_l_reference
 from flowfilter import harness, placement
 from flowfilter.fixtures import g_diamond, g_fanin, g_degree_trap, g_tree1
 from flowfilter.graph import build_graph
@@ -154,13 +154,13 @@ def test_fr_curve_runs_each_trial_once(monkeypatch):
     prepares, picks = {}, {}
 
     def counting(name, prepare):
-        def wrapped_prepare(g, k):
-            prepares[name, k] = prepares.get((name, k), 0) + 1
-            pick = prepare(g, k)
+        def wrapped_prepare(g, k_max):
+            prepares[name, k_max] = prepares.get((name, k_max), 0) + 1
+            pick = prepare(g, k_max)
 
-            def wrapped_pick(seed):
+            def wrapped_pick(k, seed):
                 picks[name] = picks.get(name, 0) + 1
-                return pick(seed)
+                return pick(k, seed)
 
             return wrapped_pick
 
@@ -170,27 +170,53 @@ def test_fr_curve_runs_each_trial_once(monkeypatch):
     monkeypatch.setattr(harness, "_RUNNERS", runners)
     fr_curve(g_fanin(), ["greedy-all", "rand-k"], k_max=3, runs=4)
     assert picks == {"greedy-all": 3, "rand-k": 12}
-    assert prepares == {(name, k): 1 for name in ("greedy-all", "rand-k") for k in (1, 2, 3)}
+    assert prepares == {("greedy-all", 3): 1, ("rand-k", 3): 1}  # once per algorithm
 
 
-def test_rand_w_weights_computed_once_per_cell(monkeypatch):
+def test_rand_w_weights_computed_once_per_curve(monkeypatch):
     calls = []
     real = placement.rand_w_weights
     monkeypatch.setattr(placement, "rand_w_weights", lambda g: calls.append(1) or real(g))
     fr_curve(g_fanin(), ["rand-w"], 3, runs=4)
-    assert len(calls) == 3  # one per k, not one per trial
+    assert len(calls) == 1  # not one per k, nor one per trial
+
+
+def test_fr_curve_certifies_and_builds_tree_dp_tables_once(monkeypatch):
+    calls = []
+    for name in ("as_ctree", "tree_dp_tables"):
+        real = getattr(harness, name)
+        monkeypatch.setattr(
+            harness, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+        )
+    curve = fr_curve(g_tree1(), ["tree-dp"], k_max=4, runs=3)
+    assert len(curve) == 4
+    assert calls == ["as_ctree", "tree_dp_tables"]
 
 
 def test_scoring_simulates_each_filter_set_once(scoring_calls):
     sims, passes = scoring_calls
     fr_curve(g_fanin(), ["greedy-all", "rand-k"], k_max=3, runs=4)
     assert len(sims) == 2  # phi(empty) and phi(V)
-    assert passes == [1, 1, 1, 4, 4, 4]  # one packed pass per cell, a lane per trial
+    assert passes == [3, 12]  # one packed pass per algorithm, a lane per trial
     sims.clear()
     passes.clear()
     oracle(g_degree_trap(), 1)
     assert len(sims) == 1  # phi(empty)
     assert passes == [10]  # a lane per eligible singleton
+
+
+def test_greedy_curves_match_per_k_references():
+    # the curve sets each greedy up once for k_max and slices its ordered
+    # picks; the references rerun every round for each k on its own
+    references = {"greedy-all": greedy_all_reference, "greedy-l": greedy_l_reference}
+    for seed in range(300):
+        rng = random.Random(seed)
+        g = random_dag(rng.randint(2, 12), rng.uniform(0.1, 0.9), seed + 5000)
+        curve = fr_curve(g, list(references), k_max=rng.randint(1, g.n + 1), runs=1)
+        for row in curve:
+            want = references[row.algorithm](g, row.k)
+            assert row.results[0].filters == tuple(g.sorted_labels(want)), (seed, row.k)
+            assert run_algorithm(g, row.algorithm, row.k) == want, (seed, row.k)
 
 
 def test_fr_curve_reproducible():
@@ -205,6 +231,8 @@ def test_fr_curve_reproducible():
 def test_fr_curve_rejects_unknown_algorithm():
     with pytest.raises(ValueError):
         fr_curve(g_fanin(), ["greedy-42"], 1)
+    with pytest.raises(ValueError, match="k_max and runs must be >= 1"):
+        fr_curve(g_fanin(), ["greedy-1"], 0)
 
 
 def test_fr_curve_rejects_repeated_algorithm():
@@ -277,12 +305,13 @@ def test_fr_of_optimal_unbounded_is_one(seed):
     assert filter_ratio(g, run_algorithm(g, "optimal-unbounded", 0)) == 1
 
 
-def test_oracle_and_placement_reject_negative_k():
-    g = g_fanin()
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_oracle_and_placement_reject_negative_k(name):
+    g = g_fanin()  # not a c-tree: k is checked before any setup
+    with pytest.raises(ValueError, match="k must be >= 0, got -1"):
         oracle(g, -1)
-    with pytest.raises(ValueError):
-        run_algorithm(g, "greedy-all", -2)
+    with pytest.raises(ValueError, match="k must be >= 0, got -2"):
+        run_algorithm(g, name, -2)
 
 
 def test_algorithm_registry_names():

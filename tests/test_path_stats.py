@@ -6,10 +6,8 @@ from _oracles import count_nonempty_paths_from, enumerate_paths
 from flowfilter.fixtures import g_diamond, g_fanin, g_degree_trap
 from flowfilter.graph import CGraph, build_graph
 from flowfilter.path_stats import (
-    AlreadyFilterError,
     compute_prefix,
     compute_stats,
-    impact,
     impact_from_stats,
     impact_table,
 )
@@ -71,15 +69,9 @@ def test_suffix_counts_paths_stopped_by_filters_and_sources(seed):
 
 def test_impact_examples():
     g1, g2 = g_fanin(), g_degree_trap()
-    assert impact(g1, (), g1.index("z2")) == 1
-    assert impact(g1, (), g1.index("x")) == 0
-    assert impact(g2, (), g2.index("A")) == 2
-
-
-def test_impact_rejects_existing_filter():
-    g = g_fanin()
-    with pytest.raises(AlreadyFilterError):
-        impact(g, {g.index("z2")}, g.index("z2"))
+    assert impact_table(g1, ())[g1.index("z2")] == 1
+    assert impact_table(g1, ())[g1.index("x")] == 0
+    assert impact_table(g2, ())[g2.index("A")] == 2
 
 
 def test_impact_table_fanin_chain_diamond():
@@ -107,8 +99,8 @@ def test_impact_of_source_and_filters_is_zero():
 def test_impact_zero_for_unreachable_node():
     g = build_graph([("s", "b"), ("a", "b"), ("b", "c")], sources=["s"])
     a = g.index("a")
-    assert impact(g, (), a) == 0
-    assert impact(g, (), a) == objective_f(g, {a}) - objective_f(g, ())
+    assert impact_table(g, ())[a] == 0
+    assert impact_table(g, ())[a] == objective_f(g, {a}) - objective_f(g, ())
 
 
 @pytest.mark.parametrize("seed", range(25))

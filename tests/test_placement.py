@@ -19,6 +19,7 @@ from flowfilter.placement import (
     rand_w_weights,
     randomized_baseline,
     tree_dp,
+    tree_dp_tables,
 )
 from flowfilter.propagation import objective_f
 from flowfilter.synth import random_ctree, random_dag
@@ -274,6 +275,18 @@ def test_tree_dp_matches_reference_on_random_ctrees():
         t = random_ctree(rng.randint(1, 60), rng.uniform(0.0, 0.9), seed + 9000)
         k = (0, 1, 2, 3, 5, 8)[seed % 6]
         assert tree_dp(t, k) == tree_dp_reference(t, k), (seed, k)
+
+
+def test_tree_dp_tables_trace_back_every_smaller_budget():
+    # a value at budget b reads only budgets <= b, so the tables built once
+    # for k_max give, at each k, the set that tables built for k give
+    for seed in range(1000):
+        rng = random.Random(seed)
+        t = random_ctree(rng.randint(1, 60), rng.uniform(0.0, 0.9), seed + 9000)
+        k_max = (0, 1, 2, 3, 5, 8)[seed % 6]
+        traceback = tree_dp_tables(t, k_max)
+        for k in range(k_max + 1):
+            assert traceback(k) == tree_dp(t, k), (seed, k)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -58,7 +58,7 @@ def test_layered_config_validation():
         LayeredConfig(5, 0, 1.0, 4.0, 0)
     with pytest.raises(ValueError):
         LayeredConfig(5, 10, 0.0, 4.0, 0)
-    for bad in (float("nan"), float("inf"), -1.0):
+    for bad in (float("nan"), float("inf"), -1.0, 10**400):
         with pytest.raises(ValueError):
             LayeredConfig(5, 10, bad, 4.0, 0)
         with pytest.raises(ValueError):
@@ -114,9 +114,10 @@ def test_layered_extreme_y(seed):
     level = [rng.randrange(levels) for _ in range(levels * width)]
     source_edges = {(0, v + 1) for v, lv in enumerate(level) if lv == 0}
 
-    g = layered_graph(LayeredConfig(levels, width, 1.0, 1e200, seed))
-    assert g.n == levels * width + 1
-    assert set(g.edges) == source_edges  # p = 1e-200 at gap 1, 0 at gap 2
+    for huge in (1e200, 10**200):  # an int y is taken as a float
+        g = layered_graph(LayeredConfig(levels, width, 1.0, huge, seed))
+        assert g.n == levels * width + 1
+        assert set(g.edges) == source_edges  # p = 1e-200 at gap 1, 0 at gap 2
 
     g = layered_graph(LayeredConfig(levels, width, 1.0, 1e-300, seed))
     assert g.n == levels * width + 1
