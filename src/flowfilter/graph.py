@@ -196,8 +196,6 @@ def parse_edge_list(text: str, source_hint: str | None = None) -> CGraph:
             edge_labels,
             sources=[source_hint] if source_hint is not None else None,
         )
-    except ParseError:
-        raise
     except GraphError as exc:
         raise ParseError(_first_repeat_or_loop(text) or str(exc)) from None
 

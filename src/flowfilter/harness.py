@@ -10,8 +10,9 @@ each of the row's ``PlacementResult`` trials, and the CLI's own JSON.
 
 ``fr_curve`` sets each algorithm up once for k_max (a greedy's ordered
 picks, the tree DP's tables, rand-w's weights), picks every (k, trial), and
-scores all of the algorithm's filter sets in one packed pass
-(``propagation.phi_totals``).  It returns one ``FRRow`` per (algorithm, k).
+scores the algorithm's filter sets in packed passes
+(``propagation.phi_totals``) of at most 256 sets each.  It returns one
+``FRRow`` per (algorithm, k).
 """
 
 import hashlib
@@ -20,7 +21,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
-from math import comb
+from math import comb, floor
 
 from .graph import CGraph
 from .placement import (
@@ -35,7 +36,7 @@ from .placement import (
     random_picker,
     tree_dp_tables,
 )
-from .propagation import objective_f, phi_total, phi_totals
+from .propagation import phi_total, phi_totals
 
 
 class BudgetExceededError(Exception):
@@ -97,11 +98,18 @@ def max_objective(g: CGraph) -> int:
 
 def filter_ratio(g: CGraph, filters) -> Fraction:
     """F(A) / F(V) as an exact fraction; 1 when the graph has no redundancy."""
-    return ratio(objective_f(g, filters), max_objective(g))
+    phi_empty, fv = scoring_constants(g)
+    return ratio(phi_empty - phi_total(g, filters), fv)
 
 
-# candidate subsets scored per packed pass in ``oracle``
-_ORACLE_CHUNK = 256
+_PASS_SETS = 256  # filter sets per packed pass, which bounds its memory
+
+
+def _packed_phis(g: CGraph, filter_sets, phi_empty: int):
+    """Yield (filter set, φ of it) for each set, in passes of at most ``_PASS_SETS``."""
+    filter_sets = iter(filter_sets)
+    while chunk := list(islice(filter_sets, _PASS_SETS)):
+        yield from zip(chunk, phi_totals(g, chunk, phi_empty))
 
 
 def oracle(g: CGraph, k: int, budget: int = 10**6) -> tuple[frozenset[int], int]:
@@ -122,11 +130,10 @@ def oracle(g: CGraph, k: int, budget: int = 10**6) -> tuple[frozenset[int], int]
     best_members: tuple[int, ...] = ()
     phi_empty = best_phi = phi_total(g, ())
     candidates = (c for size in range(1, k_eff + 1) for c in combinations(eligible, size))
-    while chunk := list(islice(candidates, _ORACLE_CHUNK)):
-        for candidate, phi in zip(chunk, phi_totals(g, chunk, phi_empty)):
-            if phi < best_phi:  # minimizing phi maximizes F; strict keeps the first
-                best_phi = phi
-                best_members = candidate
+    for candidate, phi in _packed_phis(g, candidates, phi_empty):
+        if phi < best_phi:  # minimizing phi maximizes F; strict keeps the first
+            best_phi = phi
+            best_members = candidate
     return frozenset(best_members), phi_empty - best_phi
 
 
@@ -168,7 +175,8 @@ def fr_curve(
     run one trial with seed None.  A trial's ``wall_ms`` is the time of its
     pick plus its algorithm's one-off setup time divided by the algorithm's
     number of trials on the curve; a row's ``wall_ms`` is the mean over its
-    trials.  Scoring is not timed.
+    trials.  Scoring, in packed passes of at most 256 filter sets, is not
+    timed.
     """
     if k_max < 1 or runs < 1:
         raise ValueError(f"k_max and runs must be >= 1, got {k_max} and {runs}")
@@ -192,7 +200,7 @@ def fr_curve(
             t0 = time.perf_counter()
             picks.append(pick(k, s))
             wall.append((time.perf_counter() - t0) * 1000.0 + setup_ms)
-        gains = [phi_empty - phi for phi in phi_totals(g, picks, phi_empty)]
+        gains = [phi_empty - phi for _, phi in _packed_phis(g, picks, phi_empty)]
         results = [
             PlacementResult(s, tuple(g.sorted_labels(fs)), f, ratio(f, fv), ms)
             for (_, s), fs, f, ms in zip(args, picks, gains, wall)
@@ -205,17 +213,14 @@ def fr_curve(
     return tuple(rows)
 
 
-def format_fraction(x: Fraction, digits: int = 6) -> str:
-    """Exact decimal rendering of a ratio with fixed fractional digits."""
-    scaled = x * 10**digits
-    q = scaled.numerator // scaled.denominator
-    rem = scaled.numerator % scaled.denominator
-    if 2 * rem >= scaled.denominator:
-        q += 1
-    sign = "-" if q < 0 else ""
-    q = abs(q)
-    whole, frac = divmod(q, 10**digits)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+_FR_DIGITS = 6
+
+
+def format_fraction(x: Fraction) -> str:
+    """Exact decimal rendering of a ratio with ``_FR_DIGITS`` digits, halves up."""
+    q = floor(x * 10**_FR_DIGITS + Fraction(1, 2))
+    whole, frac = divmod(abs(q), 10**_FR_DIGITS)
+    return f"{'-' if q < 0 else ''}{whole}.{frac:0{_FR_DIGITS}d}"
 
 
 def curve_to_csv(curve: tuple[FRRow, ...]) -> str:

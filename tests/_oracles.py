@@ -59,6 +59,16 @@ def enumerate_paths(g: CGraph, start: int) -> list[tuple[int, ...]]:
     return paths
 
 
+def rooted_at_sources(g: CGraph) -> CGraph:
+    """``g`` with each source's in-edges cut and a new root, node g.n, feeding every source.
+
+    Each of g's sources then receives exactly one copy, and no path runs into one.
+    """
+    edges = [(u, v) for u, v in g.edges if v not in g.sources]
+    edges += [(g.n, s) for s in sorted(g.sources)]
+    return CGraph(g.labels + ("__root__",), edges, [g.n])
+
+
 def count_paths(g: CGraph, x: int, y: int) -> int:
     """Number of distinct directed x -> y paths; 1 for x == y (empty path)."""
     if x == y:

@@ -1,6 +1,6 @@
-"""Small hand-built graphs used throughout the test suite and docs."""
+"""Small hand-built graphs used throughout the test suite."""
 
-from .graph import CGraph, build_graph, parse_edge_list
+from flowfilter.graph import CGraph, build_graph, parse_edge_list
 
 FANIN_TSV = """\
 s\tx

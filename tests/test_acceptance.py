@@ -19,10 +19,10 @@ from _oracles import (
     reachable_from,
 )
 from flowfilter.dag_extract import extract_dag
-from flowfilter.fixtures import g_fanin, g_degree_trap
+from fixtures import g_fanin, g_degree_trap
 from flowfilter.graph import topological_order
 from flowfilter.harness import filter_ratio, max_objective, oracle
-from flowfilter.path_stats import compute_stats, impact_from_stats
+from flowfilter.path_stats import compute_stats, impact_table
 from flowfilter.placement import (
     eligible_nodes,
     greedy_1,
@@ -86,12 +86,12 @@ def test_impact_identity():
                 members = frozenset(
                     rng.sample(elig, rng.randint(0, max(0, len(elig) - 1)))
                 )
-                stats = compute_stats(g, members)
+                table = impact_table(g, members)
                 base = objective_f(g, members)
                 for v in elig:
                     if v in members:
                         continue
-                    predicted = impact_from_stats(g, stats, v)
+                    predicted = table[v]
                     actual = objective_f(g, members | {v}) - base
                     assert predicted == actual, (seed, sorted(members), v)
 

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from flowfilter.cli import main
-from flowfilter.fixtures import FANIN_TSV, DEGREE_TRAP_TSV, g_tree1
+from fixtures import FANIN_TSV, DEGREE_TRAP_TSV, g_tree1
 from flowfilter.graph import serialize_edge_list
 from flowfilter.harness import ALGORITHMS, RANDOMIZED_ALGORITHMS
 from flowfilter.synth import random_dag

@@ -10,7 +10,7 @@ from _oracles import (
 )
 from flowfilter import dag_extract
 from flowfilter.dag_extract import RootNotFoundError, best_dag, dfs_annotate, extract_dag
-from flowfilter.fixtures import g_fanin
+from fixtures import g_fanin
 from flowfilter.graph import build_graph, topological_order
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from _oracles import random_digraph, reachable_from
 
-from flowfilter.fixtures import FANIN_TSV, DEGREE_TRAP_TSV, g_fanin, g_degree_trap
+from fixtures import FANIN_TSV, DEGREE_TRAP_TSV, g_fanin, g_degree_trap
 from flowfilter.graph import (
     CycleError,
     GraphError,

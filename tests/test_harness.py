@@ -6,7 +6,7 @@ import pytest
 
 from _oracles import exhaustive_best, greedy_all_reference, greedy_l_reference
 from flowfilter import harness, placement
-from flowfilter.fixtures import g_diamond, g_fanin, g_degree_trap, g_tree1
+from fixtures import g_diamond, g_fanin, g_degree_trap, g_tree1
 from flowfilter.graph import build_graph
 from flowfilter.harness import (
     ALGORITHMS,
@@ -203,6 +203,21 @@ def test_scoring_simulates_each_filter_set_once(scoring_calls):
     oracle(g_degree_trap(), 1)
     assert len(sims) == 1  # phi(empty)
     assert passes == [10]  # a lane per eligible singleton
+
+
+def test_fr_curve_scores_at_most_256_sets_per_pass(scoring_calls):
+    # 3 k values x 100 trials: the packed passes stay bounded whatever
+    # --kmax x --runs asks for
+    _, passes = scoring_calls
+    fr_curve(g_fanin(), ["rand-k"], k_max=3, runs=100)
+    assert passes == [256, 44]
+
+
+def test_filter_ratio_simulates_three_times(scoring_calls):
+    sims, _ = scoring_calls
+    g = g_degree_trap()
+    assert filter_ratio(g, {g.index("A")}) == 1
+    assert len(sims) == 3  # phi(empty), phi(V) and phi(A)
 
 
 def test_greedy_curves_match_per_k_references():

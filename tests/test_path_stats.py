@@ -2,15 +2,10 @@ import random
 
 import pytest
 
-from _oracles import count_nonempty_paths_from, enumerate_paths
-from flowfilter.fixtures import g_diamond, g_fanin, g_degree_trap
+from _oracles import count_nonempty_paths_from, enumerate_paths, rooted_at_sources
+from fixtures import g_diamond, g_fanin, g_degree_trap
 from flowfilter.graph import CGraph, build_graph
-from flowfilter.path_stats import (
-    compute_prefix,
-    compute_stats,
-    impact_from_stats,
-    impact_table,
-)
+from flowfilter.path_stats import compute_prefix, compute_stats, impact_table
 from flowfilter.placement import eligible_nodes
 from flowfilter.propagation import objective_f, phi_total, simulate
 from flowfilter.synth import random_dag
@@ -47,24 +42,40 @@ def test_compute_prefix_agrees_with_full_stats():
         assert compute_prefix(g, filters) == list(compute_stats(g, filters).prefix)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_suffix_counts_paths_stopped_by_filters_and_sources(seed):
-    # suffix(v): nonempty paths from v that enter no source and pass no
-    # filter before their last node; extra sources may have in-edges
+def _with_extra_sources(seed: int) -> tuple[CGraph, set[int]]:
+    # a random DAG where up to two more nodes, which may have in-edges, are
+    # sources too, and a random filter set
     rng = random.Random(seed)
     g = random_dag(rng.randint(2, 10), rng.uniform(0.2, 0.9), seed + 300)
     sources = set(g.sources) | set(rng.sample(range(g.n), rng.randint(0, 2)))
-    g = CGraph(g.labels, g.edges, sources)
     filters = set(rng.sample(range(g.n), rng.randint(0, g.n)))
+    return CGraph(g.labels, g.edges, sources), filters
+
+
+def test_prefix_with_extra_sources_matches_simulator():
+    # every source emits one copy and nothing flows into a source: the same
+    # as cutting each source's in-edges and feeding it from one new root
+    for seed in range(300):
+        g, filters = _with_extra_sources(seed)
+        want = list(simulate(rooted_at_sources(g), filters).received[: g.n])
+        assert compute_prefix(g, filters) == want, (seed, filters)
+        assert list(compute_stats(g, filters).prefix) == want, (seed, filters)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_suffix_counts_paths_stopped_by_filters_and_sources(seed):
+    # suffix(v): nonempty paths from v that enter no source and pass no
+    # filter before their last node; extra sources may have in-edges
+    g, filters = _with_extra_sources(seed)
     stats = compute_stats(g, filters)
     for v in range(g.n):
         expected = sum(
             1
             for path in enumerate_paths(g, v)
-            if not sources & set(path[1:])
+            if not g.sources & set(path[1:])
             and not filters & set(path[1:-1])
         )
-        assert stats.suffix[v] == expected, (v, filters, sources)
+        assert stats.suffix[v] == expected, (v, filters, g.sources)
 
 
 def test_impact_examples():
@@ -77,16 +88,17 @@ def test_impact_examples():
 def test_impact_table_fanin_chain_diamond():
     g1 = g_fanin()
     table = impact_table(g1, ())
+    assert isinstance(table, list) and len(table) == g1.n
     assert table[g1.index("z2")] == 1
-    assert all(c == 0 for v, c in table.items() if v != g1.index("z2"))
+    assert all(c == 0 for v, c in enumerate(table) if v != g1.index("z2"))
 
     chain = build_graph([("s", "a"), ("a", "b"), ("b", "c")])
-    assert all(c == 0 for c in impact_table(chain, ()).values())
+    assert impact_table(chain, ()) == [0] * chain.n
 
     gd = g_diamond()
     table = impact_table(gd, ())
     assert table[gd.index("c")] == 1
-    assert all(c == 0 for v, c in table.items() if v != gd.index("c"))
+    assert all(c == 0 for v, c in enumerate(table) if v != gd.index("c"))
 
 
 def test_impact_of_source_and_filters_is_zero():
@@ -111,12 +123,13 @@ def test_impact_equals_objective_difference(seed):
     elig = eligible_nodes(g)
     for _ in range(3):
         members = frozenset(rng.sample(elig, rng.randint(0, max(0, len(elig) - 1))))
-        stats = compute_stats(g, members)
+        table = impact_table(g, members)
+        assert len(table) == g.n
         base = objective_f(g, members)
         for v in elig:
             if v in members:
                 continue
-            assert impact_from_stats(g, stats, v) == objective_f(g, members | {v}) - base
+            assert table[v] == objective_f(g, members | {v}) - base
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from flowfilter.fixtures import g_diamond, g_fanin, g_degree_trap, g_mergers, g_tree1
+from fixtures import g_diamond, g_fanin, g_degree_trap, g_mergers, g_tree1
 from flowfilter.graph import CGraph, build_graph
 from flowfilter.harness import oracle
 from flowfilter.placement import (

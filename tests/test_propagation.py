@@ -3,7 +3,7 @@ import random
 import pytest
 
 from _oracles import count_paths
-from flowfilter.fixtures import g_fanin, g_degree_trap
+from fixtures import g_fanin, g_degree_trap
 from flowfilter.graph import CGraph, GraphError, build_graph
 from flowfilter.placement import eligible_nodes, optimal_unbounded
 from flowfilter.propagation import objective_f, phi_total, phi_totals, simulate
