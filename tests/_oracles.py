@@ -8,7 +8,6 @@ import random
 from collections import deque
 from itertools import combinations
 
-from flowfilter.dag_extract import extract_dag
 from flowfilter.graph import CGraph, build_graph
 from flowfilter.path_stats import compute_prefix, impact_table
 from flowfilter.placement import CTree, eligible_nodes
@@ -28,9 +27,41 @@ def reachable_from(g: CGraph, v: int) -> set[int]:
     return seen
 
 
+def extract_dag_reference(g: CGraph, root: int) -> CGraph:
+    """``extract_dag`` by DFS interval classification (Tarjan 1972).
+
+    A DFS from root, children in ascending index order, stamps each node's
+    entry and exit on one clock.  An edge (u, v) out of a reached node is a
+    back edge when v is an ancestor of u, so u's [enter, exit] interval is
+    nested in v's; every other such edge is kept.
+    """
+    enter, exit_ = [-1] * g.n, [-1] * g.n
+    clock = 0
+
+    def visit(v):
+        nonlocal clock
+        enter[v] = clock
+        clock += 1
+        for w in sorted(g.out_adj[v]):
+            if enter[w] == -1:
+                visit(w)
+        exit_[v] = clock
+        clock += 1
+
+    visit(root)
+    keep = [v for v in range(g.n) if enter[v] != -1]
+    remap = {v: i for i, v in enumerate(keep)}
+    edges = [
+        (remap[u], remap[v])
+        for u, v in g.edges
+        if enter[u] != -1 and not (enter[v] <= enter[u] and exit_[u] <= exit_[v])
+    ]
+    return CGraph([g.labels[v] for v in keep], edges, [remap[root]])
+
+
 def best_dag_all_roots(g: CGraph) -> CGraph:
-    """``extract_dag`` from every root, keeping the smallest (-n, -m, root)."""
-    dags = [(extract_dag(g, root), root) for root in range(g.n)]
+    """``extract_dag_reference`` from every root, keeping the smallest (-n, -m, root)."""
+    dags = [(extract_dag_reference(g, root), root) for root in range(g.n)]
     return min(dags, key=lambda pair: (-pair[0].n, -pair[0].m, pair[1]))[0]
 
 

@@ -1,9 +1,11 @@
 import random
+import sys
 
 import pytest
 
 from _oracles import (
     best_dag_all_roots,
+    extract_dag_reference,
     is_acyclic_edge_set,
     random_digraph,
     reachable_from,
@@ -11,7 +13,7 @@ from _oracles import (
 from flowfilter import dag_extract
 from flowfilter.dag_extract import RootNotFoundError, best_dag, dfs_annotate, extract_dag
 from fixtures import g_fanin
-from flowfilter.graph import build_graph, topological_order
+from flowfilter.graph import CGraph, build_graph, topological_order
 
 
 def edge_labels(g):
@@ -49,17 +51,43 @@ def test_forward_edge_to_descendant_kept():
 
 def test_discovery_times_deterministic_ascending_index():
     g = g_fanin()
-    ann = dfs_annotate(g, g.index("s"))
+    order, _ = dfs_annotate(g, g.index("s"))
     # children visited in index order: s, x, z1, w, z2, y, z3
     expected = ["s", "x", "z1", "w", "z2", "y", "z3"]
-    assert sorted(range(g.n), key=lambda v: ann.enter[v]) == [
-        g.index(lab) for lab in expected
-    ]
+    assert order == [g.index(lab) for lab in expected]
+
+
+def test_dfs_annotate_reports_on_stack_edge():
+    g = build_graph([("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")])
+    _, back = dfs_annotate(g, g.index("a"))
+    assert back == [(g.index("c"), g.index("a"))]
+
+
+def test_ring_of_100k_nodes_drops_only_closing_edge():
+    n = 100_000
+    limit = sys.getrecursionlimit()
+    g = CGraph([f"r{i}" for i in range(n)], [(i, (i + 1) % n) for i in range(n)])
+    dag = extract_dag(g, 0)
+    assert (dag.n, dag.m) == (n, n - 1)
+    assert dag.edges == g.edges[:-1]  # (n - 1, 0) closes the ring
+    assert sys.getrecursionlimit() == limit
 
 
 def test_root_not_found():
     with pytest.raises(RootNotFoundError):
         extract_dag(g_fanin(), 99)
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_extract_dag_matches_reference_from_every_root(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 40)
+    g = random_digraph(n, rng.uniform(0.5, 4.0) / n, seed + 5000)
+    for root in range(g.n):
+        got, want = extract_dag(g, root), extract_dag_reference(g, root)
+        assert got.labels == want.labels
+        assert got.edges == want.edges
+        assert got.sources == want.sources
 
 
 def _seeded_digraph(seed):
@@ -121,9 +149,29 @@ def test_best_dag_spans_strongly_connected_graphs(seed):
     topological_order(dag)
 
 
+def _giant_scc_digraph(seed):
+    """A ring through most of n = 60..120 nodes plus random chords, so the
+    ring is one giant source SCC; the other nodes hang off it."""
+    rng = random.Random(seed)
+    n = rng.randint(60, 120)
+    ring = rng.sample(range(n), n - n // 10)
+    edges = {(ring[i - 1], ring[i]) for i in range(len(ring))}
+    for _ in range(rng.randint(n // 2, 2 * n)):
+        edges.add(tuple(rng.sample(ring, 2)))
+    reached = list(ring)
+    for v in sorted(set(range(n)) - set(ring)):
+        edges.add((rng.choice(reached), v))
+        reached.append(v)
+    edges = sorted(edges)
+    rng.shuffle(edges)
+    names = [f"g{i}" for i in range(n)]
+    return build_graph([(names[u], names[v]) for u, v in edges], nodes=names)
+
+
 @pytest.mark.parametrize(
     "g",
     [_seeded_digraph(seed)[0] for seed in range(30)]
+    + [_giant_scc_digraph(seed) for seed in range(10)]
     + [
         random_digraph(60, 0.03, 1),
         random_digraph(80, 0.02, 2),
