@@ -170,17 +170,17 @@ def randomized_baseline(g: CGraph, k: int, variant: str, seed: int) -> frozenset
 
 @dataclass(frozen=True)
 class CTree:
-    """A certified communication tree.
+    """A certified communication tree, rooted at its source.
 
-    The graph minus its source is a forest of out-trees; roots of the
-    forest are fed directly by the source, and any other node may carry an
-    extra source edge on top of the one from its tree parent.
+    The graph minus its source is a forest of out-trees; the source feeds
+    each root of the forest, so with the source as their parent the whole
+    graph is one tree.  Any other node may carry an extra source edge on
+    top of the one from its tree parent.
     """
 
     graph: CGraph
     source: int
-    parent: tuple  # tree parent index or None, per node
-    children: tuple  # tuple of child indices, per node
+    children: tuple  # tree child indices, per node; the source's are the roots
     roots: tuple
     has_source_edge: tuple  # bool per node
 
@@ -195,8 +195,7 @@ def as_ctree(g: CGraph) -> CTree:
     except GraphError as exc:
         raise NotACTreeError(f"graph is cyclic: {exc}") from None
 
-    parent: list = [None] * g.n
-    roots = []
+    children: list[list[int]] = [[] for _ in range(g.n)]
     for v in range(g.n):
         if v == source:
             continue
@@ -205,26 +204,15 @@ def as_ctree(g: CGraph) -> CTree:
             raise NotACTreeError(
                 f"node {g.labels[v]!r} has {len(tree_parents)} non-source parents"
             )
-        if tree_parents:
-            parent[v] = tree_parents[0]
-        else:
-            if source not in g.in_adj[v]:
-                raise NotACTreeError(
-                    f"node {g.labels[v]!r} is not reachable from the source"
-                )
-            roots.append(v)
-    children: list[list[int]] = [[] for _ in range(g.n)]
-    for v, p in enumerate(parent):
-        if p is not None:
-            children[p].append(v)
-    has_source_edge = [source in g.in_adj[v] for v in range(g.n)]
+        if not tree_parents and source not in g.in_adj[v]:
+            raise NotACTreeError(f"node {g.labels[v]!r} is not reachable from the source")
+        children[tree_parents[0] if tree_parents else source].append(v)
     return CTree(
         g,
         source,
-        tuple(parent),
-        tuple(tuple(sorted(c)) for c in children),
-        tuple(roots),
-        tuple(has_source_edge),
+        tuple(map(tuple, children)),
+        tuple(children[source]),
+        tuple(source in g.in_adj[v] for v in range(g.n)),
     )
 
 
@@ -262,7 +250,7 @@ def _fold(tables: list, k: int) -> list:
 
 
 def _split(kids: tuple, suffix: list, best: list, out: int, budget: int):
-    """Yield (child, budget) pairs for ``kids`` at outflow ``out``.
+    """Yield (child, budget) pairs for ``kids`` in their tables' row ``out``.
 
     Each child but the last gets the smallest budget that reaches the
     minimum, and with two or more children the last takes what is left, as
@@ -283,8 +271,7 @@ def _split(kids: tuple, suffix: list, best: list, out: int, budget: int):
         j = sums.index(min(sums))
         budget -= j
         yield c, j
-    if kids:
-        yield kids[-1], budget
+    yield kids[-1], budget
 
 
 def tree_dp(t: CTree, k: int) -> frozenset[int]:
@@ -295,42 +282,44 @@ def tree_dp(t: CTree, k: int) -> frozenset[int]:
 def tree_dp_tables(t: CTree, k_max: int) -> Callable[[int], frozenset[int]]:
     """Build the tree DP's tables once; return ``traceback(k)`` for k <= k_max.
 
-    One bottom-up pass over the tree.  Node v gets a table [inflow][budget]
-    of the fewest receipts in v's subtree, where inflow is the copy count
-    its tree parent forwards.  Inflow can reach the number of source-edge
-    nodes above v, so tables grow with depth on deep chains.  Budget runs
-    up to the number of non-leaf nodes in v's subtree, capped at k_max,
-    since more buys nothing; so no table or traceback step grows with a
-    k_max past the number of non-source nodes.
+    One bottom-up pass over the tree rooted at the source.  Node v gets a
+    table [inflow - 1][budget] of the fewest receipts in v's subtree, where
+    inflow >= 1 is the copy count its tree parent forwards.  v receives its
+    inflow, plus one copy if a source edge that is not its tree edge feeds
+    it, so its rows number 1 plus the extra source edges above it, and
+    tables grow with depth on deep chains.  Budget runs up to the number of
+    non-leaf nodes in v's subtree, capped at k_max, since more buys
+    nothing; so no table or traceback step grows with a k_max past the
+    number of non-source nodes.
 
     Only a node with two or more children joins its children's tables, in
     O(rows * w^2) per child for budget widths w <= k_max + 1.  A leaf's
     subtree receives just its own copies, and a single child's table
     already is the join, since tables never rise with budget.  No argmin
     tables are stored: the top-down traceback recomputes each budget split
-    (``_split``) at the one (outflow, budget) cell it visits.  A node
-    becomes a filter only when that is strictly better.  Minimizing total
-    receipts is equivalent to maximizing the objective.
+    (``_split``) at the one (row, budget) cell it visits.  A node becomes a
+    filter only when that is strictly better, so never the source, which
+    forwards one copy either way.  Minimizing total receipts is equivalent
+    to maximizing the objective.
 
     A value at budget b reads only budgets <= b, so ``traceback(k)`` returns
     exactly the set that tables built for k would.
     """
     check_k(k_max)
-    n, se = t.graph.n, t.has_source_edge
-    top = [0] * n  # source-edge nodes above v: v's largest inflow
-    order = []  # pre-order: parents before children
-    stack = list(t.roots)
-    while stack:
-        v = stack.pop()
-        order.append(v)
+    n = t.graph.n
+    extra = list(t.has_source_edge)  # a source edge besides v's tree edge
+    for r in t.roots:
+        extra[r] = False
+    order = topological_order(t.graph)
+    top = [0] * n  # extra source edges above v: v's largest inflow - 1
+    for v in order:
         for c in t.children[v]:
-            top[c] = top[v] + se[v]
-        stack.extend(t.children[v])
+            top[c] = top[v] + extra[v]
 
-    best: list = [None] * n  # v's [inflow][budget] table
+    best: list = [None] * n  # v's [inflow - 1][budget] table
     suffix: list = [None] * n  # ``_fold`` of v's children, if it has two or more
     for v in reversed(order):
-        kids, recvs = t.children[v], range(se[v], top[v] + se[v] + 1)
+        kids, recvs = t.children[v], range(1 + extra[v], top[v] + extra[v] + 2)
         if not kids:
             best[v] = [[recv] for recv in recvs]
             continue
@@ -341,29 +330,27 @@ def tree_dp_tables(t: CTree, k_max: int) -> Callable[[int], frozenset[int]]:
             table = suffix[v][0]
         # at budget b >= 1, keep with b or filter with b - 1; v's rows are
         # one budget wider than the join's, up to k_max + 1
-        full = len(table[0]) > k_max
+        cut = table[0]  # a filter forwards one copy
+        full = len(cut) > k_max
         best[v] = []
         for recv in recvs:
-            keep, cut = table[recv], table[min(recv, 1)]
+            keep = table[recv - 1]
             more = keep[1:] if full else keep[1:] + keep[-1:]
             best[v].append([recv + keep[0]] + [recv + m for m in map(min, more, cut)])
 
-    roots = t.roots
-    root_suffix = _fold([best[r] for r in roots], k_max) if len(roots) >= 2 else None
-
     def traceback(k: int) -> frozenset[int]:  # k <= k_max
         chosen: set[int] = set()
-        stack = [(r, 0, j) for r, j in _split(roots, root_suffix, best, 0, k)]
+        stack = [(t.source, 0, k)]  # (node, inflow - 1, budget)
         while stack:
-            v, inflow, budget = stack.pop()
+            v, row, budget = stack.pop()
             kids = t.children[v]
             if not kids:
                 continue  # a leaf filter removes nothing
             table = best[kids[0]] if len(kids) == 1 else suffix[v][0]
-            out = inflow + se[v]  # copies v forwards unless it filters
-            if budget and _at(table[min(out, 1)], budget - 1) < _at(table[out], budget):
+            out = row + extra[v]  # the children's row unless v filters
+            if budget and _at(table[0], budget - 1) < _at(table[out], budget):
                 chosen.add(v)
-                out, budget = min(out, 1), budget - 1
+                out, budget = 0, budget - 1
             stack.extend((c, out, j) for c, j in _split(kids, suffix[v], best, out, budget))
         return frozenset(chosen)
 

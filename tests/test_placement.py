@@ -277,6 +277,31 @@ def test_tree_dp_matches_reference_on_random_ctrees():
         assert tree_dp(t, k) == tree_dp_reference(t, k), (seed, k)
 
 
+def test_tree_dp_matches_reference_on_random_forests():
+    # random_ctree builds one tree; here 2-6 random recursive trees hang
+    # off the source, so the budget is split among several roots
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(2, 60)
+        roots = {0, *rng.sample(range(1, n), rng.randint(2, min(6, n)) - 1)}
+        p = rng.uniform(0.0, 0.9)
+        edges = []
+        for i in range(n):
+            if i in roots:
+                edges.append(("s", f"t{i}"))
+                continue
+            edges.append((f"t{rng.randrange(i)}", f"t{i}"))
+            if rng.random() < p:
+                edges.append(("s", f"t{i}"))
+        t = as_ctree(build_graph(edges, sources=["s"]))
+        assert len(t.roots) == len(roots)
+        traceback = tree_dp_tables(t, 8)
+        for k in (0, 1, 2, 3, 5, 8):
+            want = tree_dp(t, k)
+            assert want == tree_dp_reference(t, k), (seed, k)
+            assert traceback(k) == want, (seed, k)
+
+
 def test_tree_dp_tables_trace_back_every_smaller_budget():
     # a value at budget b reads only budgets <= b, so the tables built once
     # for k_max give, at each k, the set that tables built for k give
@@ -341,14 +366,23 @@ def test_tree_dp_source_only_graph():
 
 
 def test_as_ctree_rejects_non_trees():
-    with pytest.raises(NotACTreeError):
-        as_ctree(g_diamond())  # c has two non-source parents
-    with pytest.raises(NotACTreeError):
-        as_ctree(build_graph([("a", "c"), ("b", "c")]))  # two sources
-    with pytest.raises(NotACTreeError):
-        as_ctree(
-            build_graph([("s", "a"), ("a", "b"), ("b", "a")], sources=["s"])
-        )  # cyclic
+    # the CLI prints these messages when it exits 1
+    cases = [
+        (build_graph([("a", "c"), ("b", "c")]), "expected exactly one source, got 2"),
+        (
+            build_graph([("s", "a"), ("a", "b"), ("b", "a")], sources=["s"]),
+            "graph is cyclic: directed cycle: a -> b -> a",
+        ),
+        (g_diamond(), "node 'c' has 2 non-source parents"),
+        (
+            build_graph([("s", "a"), ("x", "b")], sources=["s"]),
+            "node 'x' is not reachable from the source",
+        ),
+    ]
+    for g, message in cases:
+        with pytest.raises(NotACTreeError) as exc:
+            as_ctree(g)
+        assert str(exc.value) == message
 
 
 # --- randomized baselines -----------------------------------------------------

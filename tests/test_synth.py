@@ -209,8 +209,8 @@ def test_random_ctree_certified():
     # construction went through the certifier; spot-check the annotations
     t = random_ctree(12, 0.6, 5)
     g = t.graph
-    for v, parent in enumerate(t.parent):
-        if parent is not None:
-            assert v in g.out_adj[parent]
+    for p, kids in enumerate(t.children):
+        assert all(c in g.out_adj[p] for c in kids)
+    assert t.children[t.source] == t.roots
     for r in t.roots:
         assert t.has_source_edge[r]
