@@ -130,8 +130,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = _load_graph(args)
-    filters, f = oracle(g, args.k, args.budget)
-    _, fv = scoring_constants(g)
+    phi_empty, fv = scoring_constants(g)
+    filters, f = oracle(g, args.k, args.budget, phi_empty=phi_empty)
     obj = {
         "k": args.k,
         "filters": g.sorted_labels(filters),

@@ -2,11 +2,12 @@
 
 A graph is a set of labelled nodes and directed edges (u, v), read as
 "u propagates items to v".  Designated source nodes originate items; every
-other node relays what it receives.  Graphs are immutable once built and
-safe to share across threads.
+other node relays what it receives.  Graphs are immutable once built.
 """
 
 import heapq
+from itertools import chain, starmap
+from operator import eq
 from typing import Iterable, Sequence
 
 SUPER_SOURCE_LABEL = "__super__"
@@ -40,10 +41,10 @@ class CGraph:
     """Immutable directed graph with designated sources.
 
     Node labels are interned to dense indices 0..n-1 in first-seen order;
-    all other modules work on the dense indices.  Self-loops and duplicate
-    edges are rejected, and the adjacency lists are recounted against the
-    edge list at construction time.  The topological order is computed once
-    here; read it through ``topological_order``.
+    all other modules work on the dense indices.  Edges are (u, v) index
+    pairs; out-of-range indices, self-loops and duplicate edges are
+    rejected, naming the first offending edge.  The topological order is
+    computed once here; read it through ``topological_order``.
     """
 
     __slots__ = (
@@ -56,32 +57,41 @@ class CGraph:
         edges: Sequence[tuple[int, int]],
         sources: Iterable[int] | None = None,
     ):
-        if not labels:
-            raise GraphError("graph must have at least one node")
-        if len(set(labels)) != len(labels):
-            raise GraphError("node labels must be unique")
         self.labels: tuple[str, ...] = tuple(labels)
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
-
+        if not self.labels:
+            raise GraphError("graph must have at least one node")
         n = len(self.labels)
-        seen = set()
+        self._index = dict(zip(self.labels, range(n)))
+        if len(self._index) != n:
+            raise GraphError("node labels must be unique")
+
+        # check all edges at once; walk them only to name the first bad one
+        self.edges: tuple[tuple[int, int], ...] = tuple(edges)
+        ids = set(chain.from_iterable(self.edges))
+        if (
+            min(ids, default=0) < 0
+            or max(ids, default=0) >= n
+            or any(starmap(eq, self.edges))
+            or len(set(self.edges)) < len(self.edges)
+        ):
+            seen = set()
+            for u, v in self.edges:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise GraphError(f"edge ({u}, {v}) references unknown node index")
+                if u == v:
+                    raise GraphError(f"self-loop at node {self.labels[u]!r}")
+                if (u, v) in seen:
+                    raise GraphError(
+                        f"duplicate edge {self.labels[u]!r} -> {self.labels[v]!r}"
+                    )
+                seen.add((u, v))
         out_lists: list[list[int]] = [[] for _ in range(n)]
         in_lists: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) references unknown node index")
-            if u == v:
-                raise GraphError(f"self-loop at node {self.labels[u]!r}")
-            if (u, v) in seen:
-                raise GraphError(
-                    f"duplicate edge {self.labels[u]!r} -> {self.labels[v]!r}"
-                )
-            seen.add((u, v))
+        for u, v in self.edges:
             out_lists[u].append(v)
             in_lists[v].append(u)
-        self.edges: tuple[tuple[int, int], ...] = tuple((u, v) for u, v in edges)
-        self.out_adj: tuple[tuple[int, ...], ...] = tuple(tuple(l) for l in out_lists)
-        self.in_adj: tuple[tuple[int, ...], ...] = tuple(tuple(l) for l in in_lists)
+        self.out_adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, out_lists))
+        self.in_adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, in_lists))
 
         if sources is None:
             self.sources = frozenset(i for i in range(n) if not in_lists[i])
@@ -91,10 +101,6 @@ class CGraph:
                 if not (0 <= s < n):
                     raise GraphError(f"source index {s} out of range")
             self.sources = src
-
-        # recount check: adjacency must agree with the edge list
-        assert sum(len(a) for a in self.out_adj) == len(self.edges)
-        assert sum(len(a) for a in self.in_adj) == len(self.edges)
 
         # Kahn's algorithm, smallest ready index first; on a cyclic graph it
         # stops short of every node on or downstream of a cycle
@@ -139,7 +145,7 @@ class CGraph:
 
 
 def build_graph(
-    edge_labels: Sequence[tuple[str, str]],
+    edge_labels: Iterable[tuple[str, str]],
     nodes: Sequence[str] = (),
     sources: Sequence[str] | None = None,
 ) -> CGraph:
@@ -150,19 +156,11 @@ def build_graph(
     first-seen order.  ``sources`` overrides the default in-degree-zero
     source detection.
     """
-    labels: list[str] = []
-    index: dict[str, int] = {}
-    for lab in nodes:
-        if lab not in index:
-            index[lab] = len(labels)
-            labels.append(lab)
-    edges: list[tuple[int, int]] = []
-    for u_lab, v_lab in edge_labels:
-        for lab in (u_lab, v_lab):
-            if lab not in index:
-                index[lab] = len(labels)
-                labels.append(lab)
-        edges.append((index[u_lab], index[v_lab]))
+    tokens = list(chain.from_iterable(edge_labels))
+    labels = list(dict.fromkeys(chain(nodes, tokens)))
+    index = dict(zip(labels, range(len(labels))))
+    ids = map(index.__getitem__, tokens)
+    edges = tuple(zip(ids, ids))  # consecutive ids pair up as (u, v)
     src = None
     if sources is not None:
         missing = [s for s in sources if s not in index]
@@ -180,20 +178,25 @@ def parse_edge_list(text: str, source_hint: str | None = None) -> CGraph:
     default to the in-degree-zero nodes unless ``source_hint`` names one
     explicitly.
     """
-    edge_labels: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected 'u<TAB>v', got {raw!r}")
-        edge_labels.append((parts[0], parts[1]))
-    if not edge_labels:
+    lines = text.splitlines()
+    if "#" in text:
+        fields = (line.split("#", 1)[0].split() for line in lines)
+    else:
+        fields = map(str.split, lines)
+    tokens: list[str] = []
+    for lineno, parts in enumerate(fields, start=1):
+        if len(parts) == 2:
+            tokens += parts
+        elif parts:
+            raise ParseError(
+                f"line {lineno}: expected 'u<TAB>v', got {lines[lineno - 1]!r}"
+            )
+    if not tokens:
         raise ParseError("empty graph: no edges found")
+    pairs = iter(tokens)  # zip(pairs, pairs) yields (u, v) label pairs
     try:
         return build_graph(
-            edge_labels,
+            zip(pairs, pairs),
             sources=[source_hint] if source_hint is not None else None,
         )
     except GraphError as exc:

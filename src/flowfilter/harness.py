@@ -112,12 +112,15 @@ def _packed_phis(g: CGraph, filter_sets, phi_empty: int):
         yield from zip(chunk, phi_totals(g, chunk, phi_empty))
 
 
-def oracle(g: CGraph, k: int, budget: int = 10**6) -> tuple[frozenset[int], int]:
+def oracle(
+    g: CGraph, k: int, budget: int = 10**6, *, phi_empty: int | None = None
+) -> tuple[frozenset[int], int]:
     """Exhaustively maximize the objective over all filter sets of size <= k.
 
     Among maximizers, the smallest set wins, then the lexicographically
     smallest index tuple.  Raises BudgetExceededError before starting if
-    the subset count is out of reach.
+    the subset count is out of reach.  A caller that already has φ(∅),
+    ``phi_total(g, ())``, passes it as ``phi_empty`` to save a simulation.
     """
     check_k(k)
     eligible = eligible_nodes(g)
@@ -128,7 +131,9 @@ def oracle(g: CGraph, k: int, budget: int = 10**6) -> tuple[frozenset[int], int]
             f"{total} candidate subsets exceed the budget of {budget}"
         )
     best_members: tuple[int, ...] = ()
-    phi_empty = best_phi = phi_total(g, ())
+    if phi_empty is None:
+        phi_empty = phi_total(g, ())
+    best_phi = phi_empty
     candidates = (c for size in range(1, k_eff + 1) for c in combinations(eligible, size))
     for candidate, phi in _packed_phis(g, candidates, phi_empty):
         if phi < best_phi:  # minimizing phi maximizes F; strict keeps the first

@@ -4,14 +4,126 @@ Everything here is written for clarity, not speed, and stays independent
 of the recursions it is used to check.
 """
 
+import heapq
 import random
 from collections import deque
 from itertools import combinations
 
-from flowfilter.graph import CGraph, build_graph
+from flowfilter.graph import (
+    CGraph,
+    GraphError,
+    ParseError,
+    _first_repeat_or_loop,
+    build_graph,
+)
 from flowfilter.path_stats import compute_prefix, impact_table
 from flowfilter.placement import CTree, eligible_nodes
 from flowfilter.propagation import phi_total
+
+
+class CGraphReference:
+    """``CGraph`` built one edge at a time, each edge checked as it comes.
+
+    ``graph.topological_order`` reads it like a CGraph, so the order (or the
+    cycle) it reports comes from this class's own Kahn pass.
+    """
+
+    __slots__ = ("labels", "edges", "out_adj", "in_adj", "sources", "_order")
+
+    def __init__(self, labels, edges, sources=None):
+        if not labels:
+            raise GraphError("graph must have at least one node")
+        if len(set(labels)) != len(labels):
+            raise GraphError("node labels must be unique")
+        self.labels = tuple(labels)
+        n = len(self.labels)
+        seen = set()
+        out_lists = [[] for _ in range(n)]
+        in_lists = [[] for _ in range(n)]
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphError(f"edge ({u}, {v}) references unknown node index")
+            if u == v:
+                raise GraphError(f"self-loop at node {self.labels[u]!r}")
+            if (u, v) in seen:
+                raise GraphError(
+                    f"duplicate edge {self.labels[u]!r} -> {self.labels[v]!r}"
+                )
+            seen.add((u, v))
+            out_lists[u].append(v)
+            in_lists[v].append(u)
+        self.edges = tuple((u, v) for u, v in edges)
+        self.out_adj = tuple(tuple(l) for l in out_lists)
+        self.in_adj = tuple(tuple(l) for l in in_lists)
+        if sources is None:
+            self.sources = frozenset(i for i in range(n) if not in_lists[i])
+        else:
+            src = frozenset(sources)
+            for s in src:
+                if not (0 <= s < n):
+                    raise GraphError(f"source index {s} out of range")
+            self.sources = src
+        indeg = [len(l) for l in in_lists]
+        ready = [v for v in range(n) if indeg[v] == 0]
+        order = []
+        while ready:
+            v = heapq.heappop(ready)
+            order.append(v)
+            for w in out_lists[v]:
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    heapq.heappush(ready, w)
+        self._order = tuple(order)
+
+    @property
+    def n(self) -> int:
+        return len(self.labels)
+
+
+def build_graph_reference(edge_labels, nodes=(), sources=None) -> CGraphReference:
+    """``build_graph`` interning one label at a time, in first-seen order."""
+    labels: list[str] = []
+    index: dict[str, int] = {}
+    for lab in nodes:
+        if lab not in index:
+            index[lab] = len(labels)
+            labels.append(lab)
+    edges: list[tuple[int, int]] = []
+    for u_lab, v_lab in edge_labels:
+        for lab in (u_lab, v_lab):
+            if lab not in index:
+                index[lab] = len(labels)
+                labels.append(lab)
+        edges.append((index[u_lab], index[v_lab]))
+    src = None
+    if sources is not None:
+        missing = [s for s in sources if s not in index]
+        if missing:
+            raise GraphError(f"source label {missing[0]!r} is not a node")
+        src = [index[s] for s in sources]
+    return CGraphReference(labels, edges, src)
+
+
+def parse_edge_list_reference(text: str, source_hint=None) -> CGraphReference:
+    """``parse_edge_list`` one line, and one label pair, at a time."""
+    edge_labels: list[tuple[str, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"line {lineno}: expected 'u<TAB>v', got {raw!r}")
+        edge_labels.append((parts[0], parts[1]))
+    if not edge_labels:
+        raise ParseError("empty graph: no edges found")
+    try:
+        return build_graph_reference(
+            edge_labels,
+            sources=[source_hint] if source_hint is not None else None,
+        )
+    except GraphError as exc:
+        raise ParseError(_first_repeat_or_loop(text) or str(exc)) from None
 
 
 def reachable_from(g: CGraph, v: int) -> set[int]:

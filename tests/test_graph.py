@@ -3,10 +3,16 @@ import random
 
 import pytest
 
-from _oracles import random_digraph, reachable_from
+from _oracles import (
+    build_graph_reference,
+    parse_edge_list_reference,
+    random_digraph,
+    reachable_from,
+)
 
 from fixtures import FANIN_TSV, DEGREE_TRAP_TSV, g_fanin, g_degree_trap
 from flowfilter.graph import (
+    CGraph,
     CycleError,
     GraphError,
     NoSourceError,
@@ -63,6 +69,10 @@ def test_parse_errors(text, fragment):
 def test_parse_unknown_source_hint():
     with pytest.raises(ParseError, match="not a node"):
         parse_edge_list("a\tb", source_hint="zzz")
+    # a repeated edge is reported before the unknown hint
+    with pytest.raises(ParseError) as exc:
+        parse_edge_list("a\tb\na\tb\n", source_hint="zzz")
+    assert str(exc.value) == "line 2: duplicate edge 'a' -> 'b'"
 
 
 def test_dense_indices_follow_first_seen_order():
@@ -72,10 +82,32 @@ def test_dense_indices_follow_first_seen_order():
 
 
 def test_duplicate_labels_rejected():
-    from flowfilter.graph import CGraph
-
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError) as exc:
         CGraph(["a", "a"], [])
+    assert str(exc.value) == "node labels must be unique"
+
+
+@pytest.mark.parametrize(
+    "labels, edges, sources, message",
+    [
+        (["a", "b"], [(0, 5)], None, "edge (0, 5) references unknown node index"),
+        (["a", "b"], [(-1, 0)], None, "edge (-1, 0) references unknown node index"),
+        # the first bad edge wins, though a repeat of (0, 1) follows
+        (["a", "b", "c"], [(0, 1), (2, 2), (0, 1)], None, "self-loop at node 'c'"),
+        (["a", "b"], [(0, 1), (0, 1)], None, "duplicate edge 'a' -> 'b'"),
+        (["a", "b"], [(0, 1)], [9], "source index 9 out of range"),
+        ([], [], None, "graph must have at least one node"),
+    ],
+)
+def test_cgraph_error_messages_pinned(labels, edges, sources, message):
+    with pytest.raises(GraphError) as exc:
+        CGraph(labels, edges, sources)
+    assert str(exc.value) == message
+
+
+def test_parse_splits_at_every_line_boundary():
+    g = parse_edge_list("a\tb\u2028b\tc\x1cc\td\n")
+    assert (g.n, g.m) == (4, 3)
 
 
 def test_topological_order_chain():
@@ -204,3 +236,80 @@ def test_round_trip_random_graphs(seed):
     edges = {(g.labels[u], g.labels[v]) for u, v in g.edges}
     edges2 = {(g2.labels[u], g2.labels[v]) for u, v in g2.edges}
     assert edges == edges2
+
+
+_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x1c", "\x85", "\u2028")
+_GAPS = ("\t", " ", "\t\t", " \t ")
+
+
+def _random_edge_text(rng: random.Random) -> str:
+    """An edge list mixing blank lines, every line break and gap, comments
+    in about half of the texts, and bad lines, self-loops and repeats in
+    about a third."""
+    pool = [f"v{i}" for i in range(rng.randint(2, 9))]
+    rank = {lab: i for i, lab in enumerate(rng.sample(pool, len(pool)))}
+    acyclic, faulty, comments = (rng.random() < p for p in (0.6, 0.3, 0.5))
+    used, lines = set(), []
+    for _ in range(rng.randint(0, 16)):
+        r = rng.random()
+        if r < 0.1 and comments:
+            lines.append("# " + rng.choice(pool))
+            continue
+        if r < 0.2:
+            lines.append(rng.choice(["", " ", "\t", " \t "]))
+            continue
+        u, v = rng.sample(pool, 2)
+        if acyclic and rank[u] > rank[v]:
+            u, v = v, u
+        fields = [u, v]
+        if faulty and rng.random() < 0.15:
+            repeat = list(rng.choice(sorted(used))) if used else [u, v]
+            fields = rng.choice([[u], [u, v, v], [u, u], repeat])
+        elif (u, v) in used and not faulty:
+            continue
+        used.add((u, v))
+        gap = rng.choice(_GAPS)
+        lead = rng.choice(["", " ", "\t"])
+        tail = rng.choice(["", " ", "  # c", "\t#", "#x"] if comments else ["", " "])
+        lines.append(lead + gap.join(fields) + tail)
+    text = "".join(line + rng.choice(_BREAKS) for line in lines)
+    return text[:-1] if text and rng.random() < 0.3 else text
+
+
+def _loaded(build, *args):
+    """Everything a graph exposes, or the type and message of what was raised."""
+    try:
+        g = build(*args)
+    except GraphError as exc:
+        return type(exc), str(exc)
+    try:
+        order = topological_order(g)
+    except CycleError as exc:
+        order = exc.cycle
+    return g.labels, g.edges, g.out_adj, g.in_adj, g.sources, order
+
+
+def test_parse_edge_list_matches_reference():
+    outcomes = {"acyclic": 0, "cyclic": 0, "error": 0}
+    for seed in range(500):
+        rng = random.Random(seed)
+        text = _random_edge_text(rng)
+        hint = rng.choice([None, None, None, "v0", "v1", "zzz"])
+        got = _loaded(parse_edge_list, text, hint)
+        assert got == _loaded(parse_edge_list_reference, text, hint), (seed, text)
+        if len(got) == 2:
+            outcomes["error"] += 1
+        else:
+            outcomes["acyclic" if len(got[5]) == len(got[0]) else "cyclic"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_build_graph_matches_reference():
+    for seed in range(300):
+        rng = random.Random(seed)
+        pool = [f"v{i}" for i in range(rng.randint(1, 8))] + ["iso"]
+        pairs = [tuple(rng.choices(pool, k=2)) for _ in range(rng.randint(0, 12))]
+        nodes = rng.choices(pool, k=rng.randint(0, 5))
+        sources = rng.choice([None, rng.choices(pool + ["zzz"], k=rng.randint(0, 2))])
+        got = _loaded(build_graph, pairs, nodes, sources)
+        assert got == _loaded(build_graph_reference, pairs, nodes, sources), seed
