@@ -29,7 +29,7 @@ from .placement import (
     tree_dp,
 )
 from .dag_extract import best_dag, extract_dag
-from .harness import filter_ratio, fr_curve, oracle
+from .harness import fr_curve, oracle
 
 __all__ = [
     "CGraph",
@@ -47,7 +47,6 @@ __all__ = [
     "build_graph",
     "compute_stats",
     "extract_dag",
-    "filter_ratio",
     "fr_curve",
     "greedy_1",
     "greedy_all",

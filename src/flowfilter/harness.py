@@ -96,12 +96,6 @@ def max_objective(g: CGraph) -> int:
     return scoring_constants(g)[1]
 
 
-def filter_ratio(g: CGraph, filters) -> Fraction:
-    """F(A) / F(V) as an exact fraction; 1 when the graph has no redundancy."""
-    phi_empty, fv = scoring_constants(g)
-    return ratio(phi_empty - phi_total(g, filters), fv)
-
-
 _PASS_SETS = 256  # filter sets per packed pass, which bounds its memory
 
 
@@ -120,7 +114,7 @@ def oracle(
     Among maximizers, the smallest set wins, then the lexicographically
     smallest index tuple.  Raises BudgetExceededError before starting if
     the subset count is out of reach.  A caller that already has φ(∅),
-    ``phi_total(g, ())``, passes it as ``phi_empty`` to save a simulation.
+    ``phi_total(g, ())``, passes it as ``phi_empty`` to save a pass.
     """
     check_k(k)
     eligible = eligible_nodes(g)

@@ -10,15 +10,15 @@ impact(v)    -- redundancy eliminated by turning v into a filter, i.e.
 
 Two O(edges) passes over one topological order, prefix forward and suffix
 backward.  Each pass decides once per node what that node passes on, so
-every edge costs one list read.  The master property (enforced by the test
-suite) is that impact equals the exact objective difference measured by
-the propagation simulator.
+every edge costs one list read.  ``compute_prefix`` is the library's one
+forward pass: ``propagation.phi_total`` sums it too.  The master property
+(enforced by the test suite) is that impact equals the exact objective
+difference measured by the reference simulator, ``propagation.simulate``.
 """
 
 from dataclasses import dataclass
 
 from .graph import CGraph, topological_order
-from .propagation import filter_members
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,9 @@ class PathStats:
     suffix: tuple[int, ...]
 
 
-def _prefix_pass(g: CGraph, members: frozenset[int]) -> list[int]:
+def compute_prefix(g: CGraph, filters) -> list[int]:
+    """Copies received per node under ``filters``; 1 at every source."""
+    members = frozenset(filters)
     prefix = [0] * g.n
     sent = [0] * g.n  # copies forwarded: 1 at a source, min(prefix, 1) at a filter
     for v in topological_order(g):
@@ -39,11 +41,6 @@ def _prefix_pass(g: CGraph, members: frozenset[int]) -> list[int]:
     return prefix
 
 
-def compute_prefix(g: CGraph, filters) -> list[int]:
-    """Just the prefix table: copies received per node under ``filters``."""
-    return _prefix_pass(g, filter_members(filters))
-
-
 def compute_stats(g: CGraph, filters) -> PathStats:
     """Prefix and suffix tables for ``g`` under ``filters``.
 
@@ -53,18 +50,18 @@ def compute_stats(g: CGraph, filters) -> PathStats:
     whose output does not depend on how many copies arrived; 1 + suffix(w)
     otherwise.
     """
-    members = filter_members(filters)
+    members = frozenset(filters)
     suffix = [0] * g.n
     caused = [0] * g.n  # receipts one arriving copy causes, itself included
     for v in reversed(topological_order(g)):
         s = suffix[v] = sum(map(caused.__getitem__, g.out_adj[v]))
         caused[v] = 0 if v in g.sources else 1 if v in members else s + 1
-    return PathStats(tuple(_prefix_pass(g, members)), tuple(suffix))
+    return PathStats(tuple(compute_prefix(g, members)), tuple(suffix))
 
 
 def impact_table(g: CGraph, filters) -> list[int]:
     """Impact per node under ``filters``: 0 at sources, filters and unreached nodes."""
-    members = filter_members(filters)
+    members = frozenset(filters)
     stats = compute_stats(g, members)
     return [
         (p - 1) * s if p > 1 and v not in g.sources and v not in members else 0

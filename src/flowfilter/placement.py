@@ -303,7 +303,8 @@ def tree_dp_tables(t: CTree, k_max: int) -> Callable[[int], frozenset[int]]:
     to maximizing the objective.
 
     A value at budget b reads only budgets <= b, so ``traceback(k)`` returns
-    exactly the set that tables built for k would.
+    exactly the set that tables built for k would.  It raises ValueError
+    for k < 0 or k > k_max.
     """
     check_k(k_max)
     n = t.graph.n
@@ -338,7 +339,10 @@ def tree_dp_tables(t: CTree, k_max: int) -> Callable[[int], frozenset[int]]:
             more = keep[1:] if full else keep[1:] + keep[-1:]
             best[v].append([recv + keep[0]] + [recv + m for m in map(min, more, cut)])
 
-    def traceback(k: int) -> frozenset[int]:  # k <= k_max
+    def traceback(k: int) -> frozenset[int]:
+        check_k(k)
+        if k > k_max:
+            raise ValueError(f"k must be <= k_max = {k_max}, got {k}")
         chosen: set[int] = set()
         stack = [(t.source, 0, k)]  # (node, inflow - 1, budget)
         while stack:

@@ -1,8 +1,11 @@
-"""Exact deterministic propagation: per-node receive/forward counts.
+"""Exact deterministic propagation: φ, the objective, and the reference simulator.
 
-This simulator is the ground truth the placement machinery is validated
-against.  Counts are plain Python ints, so they stay exact no matter how
-many paths the graph has.
+``phi_total`` sums ``path_stats.compute_prefix``, the library's one forward
+pass: a non-source node receives its prefix in copies, so on a
+single-source graph φ(A) = Σ prefix − 1.  ``simulate``, with per-node
+receive and forward counts, is the ground-truth reference the oracle tests
+compare against; no library code calls it.  Counts are plain Python ints,
+so they stay exact no matter how many paths the graph has.
 
 ``phi_totals`` scores many filter sets in one topological pass by packing
 them into one Python int (SWAR, "SIMD within a register", Fisher & Dietz
@@ -17,6 +20,7 @@ is the guard the min(x, 1) step tests against.
 from dataclasses import dataclass
 
 from .graph import CGraph, GraphError, topological_order
+from .path_stats import compute_prefix
 
 
 @dataclass(frozen=True)
@@ -66,9 +70,8 @@ def simulate(g: CGraph, filters) -> CountTable:
 
 def phi_total(g: CGraph, filters) -> int:
     """Total number of copies received across all non-source nodes."""
-    source = _single_source(g)
-    counts = simulate(g, filters)
-    return sum(c for v, c in enumerate(counts.received) if v != source)
+    _single_source(g)
+    return sum(compute_prefix(g, filters)) - 1  # the source's prefix is 1
 
 
 def phi_totals(g: CGraph, filter_sets, phi_empty: int) -> list[int]:

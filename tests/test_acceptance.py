@@ -21,7 +21,7 @@ from _oracles import (
 from flowfilter.dag_extract import extract_dag
 from fixtures import g_fanin, g_degree_trap
 from flowfilter.graph import topological_order
-from flowfilter.harness import filter_ratio, max_objective, oracle
+from flowfilter.harness import max_objective, oracle, ratio
 from flowfilter.path_stats import compute_stats, impact_table
 from flowfilter.placement import (
     eligible_nodes,
@@ -73,7 +73,8 @@ def test_fanin_semantics_exact():
         stats = compute_stats(g, ())
         assert stats.prefix[g.index("w")] == 4  # the 1 + 2 + 1 copies
         assert g.sorted_labels(optimal_unbounded(g)) == ["z2"]
-        assert filter_ratio(g, {g.index("z2")}) == 1
+        z2 = {g.index("z2")}
+        assert ratio(objective_f(g, z2), max_objective(g)) == 1
 
 
 def test_impact_identity():

@@ -14,23 +14,27 @@ from flowfilter.harness import (
     FRRow,
     curve_to_csv,
     curve_to_json_obj,
-    filter_ratio,
     format_fraction,
     fr_curve,
     max_objective,
     oracle,
+    ratio,
     run_algorithm,
 )
 from flowfilter.propagation import objective_f
 from flowfilter.synth import random_dag
 
 
+def _fr(g, filters):
+    return ratio(objective_f(g, filters), max_objective(g))
+
+
 def test_filter_ratio_examples():
     g1, g2 = g_fanin(), g_degree_trap()
-    assert filter_ratio(g1, {g1.index("z2")}) == 1
-    assert filter_ratio(g2, {g2.index("B")}) == 0
+    assert _fr(g1, {g1.index("z2")}) == 1
+    assert _fr(g2, {g2.index("B")}) == 0
     chain = build_graph([("s", "a"), ("a", "b")])
-    assert filter_ratio(chain, {chain.index("a")}) == 1  # F(V) = 0 convention
+    assert _fr(chain, {chain.index("a")}) == 1  # F(V) = 0 convention
 
 
 def test_max_objective():
@@ -40,9 +44,9 @@ def test_max_objective():
 
 def test_filter_ratio_is_exact_fraction():
     g = g_degree_trap()
-    fr = filter_ratio(g, {g.index("u1")})
-    assert isinstance(fr, Fraction)
-    assert fr == Fraction(0, 1) or 0 <= fr <= 1
+    got = _fr(g, {g.index("u1")})
+    assert isinstance(got, Fraction)
+    assert got == Fraction(0, 1) or 0 <= got <= 1
 
 
 def test_oracle_examples():
@@ -213,13 +217,6 @@ def test_fr_curve_scores_at_most_256_sets_per_pass(scoring_calls):
     assert passes == [256, 44]
 
 
-def test_filter_ratio_simulates_three_times(scoring_calls):
-    sims, _ = scoring_calls
-    g = g_degree_trap()
-    assert filter_ratio(g, {g.index("A")}) == 1
-    assert len(sims) == 3  # phi(empty), phi(V) and phi(A)
-
-
 def test_greedy_curves_match_per_k_references():
     # the curve sets each greedy up once for k_max and slices its ordered
     # picks; the references rerun every round for each k on its own
@@ -317,7 +314,7 @@ def test_fr_bounded_and_monotone_in_k_for_greedy_all(seed):
 def test_fr_of_optimal_unbounded_is_one(seed):
     rng = random.Random(seed)
     g = random_dag(rng.randint(2, 12), rng.uniform(0.1, 0.9), seed + 60)
-    assert filter_ratio(g, run_algorithm(g, "optimal-unbounded", 0)) == 1
+    assert _fr(g, run_algorithm(g, "optimal-unbounded", 0)) == 1
 
 
 @pytest.mark.parametrize("name", ALGORITHMS)

@@ -314,6 +314,16 @@ def test_tree_dp_tables_trace_back_every_smaller_budget():
             assert traceback(k) == tree_dp(t, k), (seed, k)
 
 
+def test_tree_dp_tables_reject_budgets_outside_0_to_k_max():
+    # past k_max the tables are capped, so a traceback would silently
+    # return a worse set; a negative budget would return an oversized one
+    traceback = tree_dp_tables(random_ctree(60, 0.3, 5), 1)
+    with pytest.raises(ValueError, match="k must be <= k_max = 1, got 3"):
+        traceback(3)
+    with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+        traceback(-1)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_tree_dp_matches_reference_on_deep_chains(seed):
     # most chain nodes carry a source edge, so the deepest tables have

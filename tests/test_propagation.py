@@ -4,7 +4,7 @@ import pytest
 
 from _oracles import count_paths
 from fixtures import g_fanin, g_degree_trap
-from flowfilter.graph import CGraph, GraphError, build_graph
+from flowfilter.graph import CGraph, CycleError, GraphError, build_graph
 from flowfilter.placement import eligible_nodes, optimal_unbounded
 from flowfilter.propagation import objective_f, phi_total, phi_totals, simulate
 from flowfilter.synth import random_dag
@@ -118,6 +118,39 @@ def test_monotone_submodular_bounded(seed):
             gain_x = objective_f(g, set(xs) | {v}) - fx
             gain_y = objective_f(g, ys | {v}) - fy
             assert gain_x >= gain_y
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_phi_total_matches_simulate(block):
+    # phi_total sums the prefix pass; simulate is the independent reference
+    for seed in range(block * 150, (block + 1) * 150):
+        rng = random.Random(seed + 9000)
+        g = random_dag(rng.randint(1, 12), rng.uniform(0.0, 1.0), seed + 9000)
+        if rng.random() < 0.5:
+            g = CGraph(g.labels, g.edges, [rng.randrange(g.n)])
+        source = next(iter(g.sources))
+        for _ in range(3):
+            filters = rng.sample(range(g.n), rng.randint(0, g.n))
+            received = simulate(g, filters).received
+            want = sum(c for v, c in enumerate(received) if v != source)
+            assert phi_total(g, filters) == want, (seed, filters)
+
+
+@pytest.mark.parametrize("sources", [[], [0, 1]])
+def test_phi_total_rejects_other_source_counts(sources):
+    g = CGraph(("a", "b", "c"), ((0, 2), (1, 2)), sources)
+    with pytest.raises(GraphError) as got:
+        phi_total(g, ())
+    assert str(got.value) == (
+        f"propagation needs exactly one source, got {len(sources)}; "
+        "apply add_super_source first"
+    )
+
+
+def test_phi_total_rejects_cycles():
+    g = build_graph([("s", "a"), ("a", "b"), ("b", "a")], sources=["s"])
+    with pytest.raises(CycleError):
+        phi_total(g, ())
 
 
 def _random_sets(rng, g):
