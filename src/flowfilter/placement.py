@@ -134,7 +134,7 @@ def random_picker(g: CGraph, variant: str) -> Callable[[int, int], frozenset[int
 
     rand_k draws exactly k distinct nodes uniformly; rand_i keeps each node
     independently with probability k/n; rand_w keeps node v with probability
-    w(v) * k/n clamped to [0, 1], where w favours nodes feeding low-in-degree
+    w(v) * k/n capped at 1, where w >= 0 favours nodes feeding low-in-degree
     children.  All three draw over every node; a source picked as a filter
     is inert during propagation.  rand_i (w = 1) and rand_w share one draw
     loop; the weights are computed here, the probabilities once per k.
@@ -146,9 +146,10 @@ def random_picker(g: CGraph, variant: str) -> Callable[[int, int], frozenset[int
     @functools.cache
     def probs(k: int) -> list[float]:
         scale = k / g.n
-        return [min(1.0, max(0.0, w * scale)) for w in weights]
+        return [min(1.0, w * scale) for w in weights]
 
     def pick(k: int, seed: int) -> frozenset[int]:
+        check_k(k)
         rng = random.Random(seed)
         if variant != "rand_k":
             return frozenset([v for v, p in enumerate(probs(k)) if rng.random() < p])
@@ -161,7 +162,6 @@ def random_picker(g: CGraph, variant: str) -> Callable[[int, int], frozenset[int
 
 def randomized_baseline(g: CGraph, k: int, variant: str, seed: int) -> frozenset[int]:
     """One seeded pick of a random baseline: rand_k, rand_i or rand_w (``random_picker``)."""
-    check_k(k)
     return random_picker(g, variant)(k, seed)
 
 
@@ -222,13 +222,14 @@ def _at(row: list, b: int) -> int:
 
 
 def _fold(tables: list, k: int) -> list:
-    """Min-plus joins of two or more [row][budget] tables, folded right to left.
+    """Min-plus joins of one or more [row][budget] tables, folded right to left.
 
     Entry i of the result is the join of ``tables[i:]``: the fewest
     receipts when those children share each budget.  Entry 0 is the whole
-    join; the others are what ``_split`` needs to pick each child's budget.
-    A join is as wide as its parts allow, up to k + 1 budgets, and each
-    budget looks only at splits inside both parts' widths.
+    join, and one table's join is the table itself; the others are what
+    ``_split`` needs to pick each child's budget.  A join is as wide as its
+    parts allow, up to k + 1 budgets, and each budget looks only at splits
+    inside both parts' widths.
     """
     suffix = [tables[-1]]
     for table in tables[-2::-1]:
@@ -253,14 +254,11 @@ def _split(kids: tuple, suffix: list, best: list, out: int, budget: int):
     """Yield (child, budget) pairs for ``kids`` in their tables' row ``out``.
 
     Each child but the last gets the smallest budget that reaches the
-    minimum, and with two or more children the last takes what is left, as
-    in the chain (c1, (c2, (... c_m))).  A single child also gets only the
-    smallest budget that reaches its minimum.
+    minimum, and the last takes what is left, as in the chain (c1, (c2,
+    (... c_m))), so a single child takes the whole budget.  Budget past
+    where a child's row stops falling buys its subtree nothing, and there
+    the strict filter test picks the same filters as at the smallest budget.
     """
-    if len(kids) == 1:
-        row = best[kids[0]][out]
-        yield kids[0], row.index(_at(row, budget))  # rows never rise with budget
-        return
     for i, c in enumerate(kids[:-1]):
         # past its row's width a child's value stops falling while the
         # rest's can only rise, so larger budgets never reach the minimum first
@@ -292,15 +290,14 @@ def tree_dp_tables(t: CTree, k_max: int) -> Callable[[int], frozenset[int]]:
     nothing; so no table or traceback step grows with a k_max past the
     number of non-source nodes.
 
-    Only a node with two or more children joins its children's tables, in
-    O(rows * w^2) per child for budget widths w <= k_max + 1.  A leaf's
-    subtree receives just its own copies, and a single child's table
-    already is the join, since tables never rise with budget.  No argmin
-    tables are stored: the top-down traceback recomputes each budget split
-    (``_split``) at the one (row, budget) cell it visits.  A node becomes a
-    filter only when that is strictly better, so never the source, which
-    forwards one copy either way.  Minimizing total receipts is equivalent
-    to maximizing the objective.
+    Every internal node joins its children's tables the same way, in
+    O(rows * w^2) per child for budget widths w <= k_max + 1; one child's
+    join is its own table, at no cost.  A leaf's subtree receives just its
+    own copies.  No argmin tables are stored: the top-down traceback
+    recomputes each budget split (``_split``) at the one (row, budget) cell
+    it visits.  A node becomes a filter only when that is strictly better,
+    so never the source, which forwards one copy either way.  Minimizing
+    total receipts is equivalent to maximizing the objective.
 
     A value at budget b reads only budgets <= b, so ``traceback(k)`` returns
     exactly the set that tables built for k would.  It raises ValueError
@@ -318,17 +315,14 @@ def tree_dp_tables(t: CTree, k_max: int) -> Callable[[int], frozenset[int]]:
             top[c] = top[v] + extra[v]
 
     best: list = [None] * n  # v's [inflow - 1][budget] table
-    suffix: list = [None] * n  # ``_fold`` of v's children, if it has two or more
+    suffix: list = [None] * n  # ``_fold`` of v's children, if it has any
     for v in reversed(order):
         kids, recvs = t.children[v], range(1 + extra[v], top[v] + extra[v] + 2)
         if not kids:
             best[v] = [[recv] for recv in recvs]
             continue
-        if len(kids) == 1:
-            table = best[kids[0]]
-        else:
-            suffix[v] = _fold([best[c] for c in kids], k_max)
-            table = suffix[v][0]
+        suffix[v] = _fold([best[c] for c in kids], k_max)
+        table = suffix[v][0]
         # at budget b >= 1, keep with b or filter with b - 1; v's rows are
         # one budget wider than the join's, up to k_max + 1
         cut = table[0]  # a filter forwards one copy
@@ -350,7 +344,7 @@ def tree_dp_tables(t: CTree, k_max: int) -> Callable[[int], frozenset[int]]:
             kids = t.children[v]
             if not kids:
                 continue  # a leaf filter removes nothing
-            table = best[kids[0]] if len(kids) == 1 else suffix[v][0]
+            table = suffix[v][0]
             out = row + extra[v]  # the children's row unless v filters
             if budget and _at(table[0], budget - 1) < _at(table[out], budget):
                 chosen.add(v)

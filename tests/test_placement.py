@@ -17,6 +17,7 @@ from flowfilter.placement import (
     greedy_max,
     optimal_unbounded,
     rand_w_weights,
+    random_picker,
     randomized_baseline,
     tree_dp,
     tree_dp_tables,
@@ -324,6 +325,23 @@ def test_tree_dp_tables_reject_budgets_outside_0_to_k_max():
         traceback(-1)
 
 
+def test_tree_dp_saturated_budgets_on_exhaustive_small_chains():
+    # every chain s -> t0 -> ... -> t(n-1), n <= 8, with every subset of
+    # t1..t(n-1) fed by an extra source edge, at every k up to n: a lone
+    # child often gets more budget than its subtree can use
+    cases = 0
+    for n in range(1, 9):
+        for mask in range(1 << (n - 1)):
+            edges = [("s", "t0")] + [(f"t{i}", f"t{i + 1}") for i in range(n - 1)]
+            edges += [("s", f"t{i}") for i in range(1, n) if mask >> (i - 1) & 1]
+            t = as_ctree(build_graph(edges, sources=["s"]))
+            traceback = tree_dp_tables(t, n)
+            for k in range(n + 1):
+                assert traceback(k) == tree_dp_reference(t, k), (n, mask, k)
+                cases += 1
+    assert cases == 2048
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_tree_dp_matches_reference_on_deep_chains(seed):
     # most chain nodes carry a source edge, so the deepest tables have
@@ -439,6 +457,18 @@ def test_rand_w_clamps_probabilities():
 def test_unknown_variant_rejected():
     with pytest.raises(ValueError):
         randomized_baseline(g_fanin(), 1, "rand_x", 0)
+
+
+@pytest.mark.parametrize("entry", ["picker", "baseline"])
+@pytest.mark.parametrize("variant", ["rand_k", "rand_i", "rand_w"])
+def test_baselines_reject_negative_budget(variant, entry):
+    g = random_dag(10, 0.3, 1)
+    with pytest.raises(ValueError) as exc:
+        if entry == "picker":
+            random_picker(g, variant)(-1, 0)
+        else:
+            randomized_baseline(g, -1, variant, 0)
+    assert str(exc.value) == "k must be >= 0, got -1"
 
 
 @pytest.mark.parametrize("variant", ["rand_k", "rand_i", "rand_w"])
