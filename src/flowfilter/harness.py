@@ -28,10 +28,10 @@ from .placement import (
     as_ctree,
     check_k,
     eligible_nodes,
-    greedy_1_order,
-    greedy_all_order,
-    greedy_l_order,
-    greedy_max_order,
+    greedy_1,
+    greedy_all,
+    greedy_l,
+    greedy_max,
     optimal_unbounded,
     random_picker,
     tree_dp_tables,
@@ -46,7 +46,7 @@ class BudgetExceededError(Exception):
 RANDOMIZED_ALGORITHMS = ("rand-k", "rand-i", "rand-w")
 
 
-def _first(picks: list[int]):
+def _first(picks: tuple[int, ...]):
     # a greedy's picks at k are the first k of its ordered picks for k_max
     return lambda k, seed: frozenset(picks[:k])
 
@@ -58,10 +58,10 @@ def _seedless(pick):
 # name -> prepare(g, k_max), which does the per-graph setup once and returns
 # pick(k, seed) for every k <= k_max; the order is the CLI's `choices` order
 _RUNNERS = {
-    "greedy-1": lambda g, k: _first(greedy_1_order(g, k)),
-    "greedy-all": lambda g, k: _first(greedy_all_order(g, k)),
-    "greedy-max": lambda g, k: _first(greedy_max_order(g, k)),
-    "greedy-l": lambda g, k: _first(greedy_l_order(g, k)),
+    "greedy-1": lambda g, k: _first(greedy_1(g, k)),
+    "greedy-all": lambda g, k: _first(greedy_all(g, k)),
+    "greedy-max": lambda g, k: _first(greedy_max(g, k)),
+    "greedy-l": lambda g, k: _first(greedy_l(g, k)),
     "tree-dp": lambda g, k: _seedless(tree_dp_tables(as_ctree(g), k)),
     "optimal-unbounded": lambda g, k: _seedless(lambda k, filters=optimal_unbounded(g): filters),
     "rand-k": lambda g, k: random_picker(g, "rand_k"),

@@ -3,8 +3,10 @@
 Deterministic selectors (degree product, full impact with and without
 recomputation, prefix-times-out-degree), the closed-form unbounded optimum,
 an exact dynamic program for communication trees, and three seeded random
-baselines.  Every selector returns its filter set as a frozenset of node
-indices (``CGraph.sorted_labels`` names them).  All tie-breaks go to the
+baselines.  Selectors return node indices (``CGraph.sorted_labels`` names
+them).  The four greedies return a tuple of their picks in the order they
+make them, and the first j picks for budget k are the picks for budget j;
+every other selector returns a frozenset.  All tie-breaks go to the
 smallest dense node index, so every deterministic selector is reproducible
 bit for bit.
 """
@@ -34,13 +36,13 @@ def check_k(k: int) -> None:
         raise ValueError(f"k must be >= 0, got {k}")
 
 
-def _ranked(g: CGraph, score, k: int) -> list[int]:
+def _ranked(g: CGraph, score, k: int) -> tuple[int, ...]:
     # the k eligible nodes of highest score, highest first, then smallest index
     check_k(k)
-    return sorted(eligible_nodes(g), key=lambda v: (-score[v], v))[:k]
+    return tuple(sorted(eligible_nodes(g), key=lambda v: (-score[v], v))[:k])
 
 
-def _rounds(g: CGraph, k: int, scores, stop_at_zero: bool) -> list[int]:
+def _rounds(g: CGraph, k: int, scores, stop_at_zero: bool) -> tuple[int, ...]:
     # up to k rounds, each picking the eligible node not yet picked that
     # scores(picks) rates highest; with stop_at_zero, none once it scores <= 0.
     # No round looks past the picks before it, so the picks for k are the
@@ -55,56 +57,46 @@ def _rounds(g: CGraph, k: int, scores, stop_at_zero: bool) -> list[int]:
             break
         picks.append(best)
         left.remove(best)
-    return picks
+    return tuple(picks)
 
 
-def greedy_1_order(g: CGraph, k: int) -> list[int]:
-    """``greedy_1``'s picks, best first."""
+def greedy_1(g: CGraph, k: int) -> tuple[int, ...]:
+    """The top k nodes by in-degree times out-degree, best first.
+
+    A ranking, so the picks for budget j are the first j of any larger k's.
+    """
     return _ranked(g, [g.in_degree(v) * g.out_degree(v) for v in range(g.n)], k)
 
 
-def greedy_max_order(g: CGraph, k: int) -> list[int]:
-    """``greedy_max``'s picks, best first."""
+def greedy_max(g: CGraph, k: int) -> tuple[int, ...]:
+    """The top k nodes by impact computed once, with no recomputation, best first.
+
+    A ranking, so the picks for budget j are the first j of any larger k's.
+    """
     return _ranked(g, impact_table(g, ()), k)
 
 
-def greedy_all_order(g: CGraph, k: int) -> list[int]:
-    """``greedy_all``'s picks, in the order its rounds make them."""
+def greedy_all(g: CGraph, k: int) -> tuple[int, ...]:
+    """k rounds of picking the highest-impact node, recomputing each round.
+
+    Returns the picks in the order the rounds make them, and stops early
+    once no remaining node has positive impact.  A round sees only the
+    picks before it, so the picks for budget j are the first j of any
+    larger k's.
+    """
     return _rounds(g, k, lambda picks: impact_table(g, picks), True)
 
 
-def greedy_l_order(g: CGraph, k: int) -> list[int]:
-    """``greedy_l``'s picks, in the order its rounds make them."""
-    degree = [len(out) for out in g.out_adj]
-    return _rounds(g, k, lambda picks: list(map(mul, compute_prefix(g, picks), degree)), False)
-
-
-def greedy_1(g: CGraph, k: int) -> frozenset[int]:
-    """Rank nodes by in-degree times out-degree and keep the top k."""
-    return frozenset(greedy_1_order(g, k))
-
-
-def greedy_max(g: CGraph, k: int) -> frozenset[int]:
-    """Top k nodes by impact computed once, with no recomputation."""
-    return frozenset(greedy_max_order(g, k))
-
-
-def greedy_all(g: CGraph, k: int) -> frozenset[int]:
-    """k rounds of picking the highest-impact node, recomputing each round.
-
-    Stops early once no remaining node has positive impact.
-    """
-    return frozenset(greedy_all_order(g, k))
-
-
-def greedy_l(g: CGraph, k: int) -> frozenset[int]:
-    """k rounds of picking the best prefix times out-degree.
+def greedy_l(g: CGraph, k: int) -> tuple[int, ...]:
+    """k rounds of picking the best prefix times out-degree, in pick order.
 
     Cheaper than full impact: only the prefix table is refreshed per round.
     The score says nothing about true gain, so there is no early stop; all
-    k picks are made while eligible nodes remain.
+    k picks are made while eligible nodes remain.  As in ``greedy_all``,
+    the picks for budget j are the first j of any larger k's.
     """
-    return frozenset(greedy_l_order(g, k))
+    degree = [len(out) for out in g.out_adj]
+    return _rounds(g, k, lambda picks: list(map(mul, compute_prefix(g, picks), degree)), False)
 
 
 def optimal_unbounded(g: CGraph) -> frozenset[int]:
@@ -150,6 +142,8 @@ def random_picker(g: CGraph, variant: str) -> Callable[[int, int], frozenset[int
 
     def pick(k: int, seed: int) -> frozenset[int]:
         check_k(k)
+        if seed is None:  # random.Random(None) would seed from the OS
+            raise ValueError(f"{variant} needs an integer seed, got None")
         rng = random.Random(seed)
         if variant != "rand_k":
             return frozenset([v for v, p in enumerate(probs(k)) if rng.random() < p])

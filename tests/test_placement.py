@@ -6,7 +6,7 @@ import pytest
 
 from fixtures import g_diamond, g_fanin, g_degree_trap, g_mergers, g_tree1
 from flowfilter.graph import CGraph, build_graph
-from flowfilter.harness import oracle
+from flowfilter.harness import oracle, run_algorithm
 from flowfilter.placement import (
     NotACTreeError,
     as_ctree,
@@ -43,7 +43,7 @@ def test_greedy_1_tie_break_by_index():
 
 def test_greedy_1_k_zero_and_k_large():
     g = g_fanin()
-    assert greedy_1(g, 0) == frozenset()
+    assert greedy_1(g, 0) == ()
     assert set(greedy_1(g, 99)) == set(eligible_nodes(g))
 
 
@@ -143,21 +143,21 @@ def test_greedy_all_optimal_at_k1(seed):
 
 def _simulator_greedy(g, k):
     # gains measured by the simulator; ties go to the smallest index, and
-    # the greedy stops once no gain is positive
-    members = set()
+    # the greedy stops once no gain is positive; picks in the order made
+    picks = []
     for _ in range(k):
-        base = objective_f(g, members)
+        base = objective_f(g, picks)
         best, best_gain = None, 0
         for v in eligible_nodes(g):
-            if v in members:
+            if v in picks:
                 continue
-            gain = objective_f(g, members | {v}) - base
+            gain = objective_f(g, picks + [v]) - base
             if gain > best_gain:
                 best, best_gain = v, gain
         if best is None:
             break
-        members.add(best)
-    return frozenset(members)
+        picks.append(best)
+    return tuple(picks)
 
 
 def test_greedy_all_matches_simulator_greedy():
@@ -471,6 +471,21 @@ def test_baselines_reject_negative_budget(variant, entry):
     assert str(exc.value) == "k must be >= 0, got -1"
 
 
+@pytest.mark.parametrize("entry", ["picker", "baseline", "run_algorithm"])
+@pytest.mark.parametrize("variant", ["rand_k", "rand_i", "rand_w"])
+def test_baselines_reject_seed_none(variant, entry):
+    # random.Random(None) seeds from the OS: a pick would not be reproducible
+    g = random_dag(30, 0.2, 1)
+    with pytest.raises(ValueError) as exc:
+        if entry == "picker":
+            random_picker(g, variant)(3, None)
+        elif entry == "baseline":
+            randomized_baseline(g, 3, variant, None)
+        else:
+            run_algorithm(g, variant.replace("_", "-"), 3, None)
+    assert str(exc.value) == f"{variant} needs an integer seed, got None"
+
+
 @pytest.mark.parametrize("variant", ["rand_k", "rand_i", "rand_w"])
 def test_baselines_reproducible_from_seed(variant):
     g = g_degree_trap()
@@ -484,6 +499,25 @@ def test_baselines_reproducible_from_seed(variant):
 
 
 # --- determinism of the deterministic selectors -------------------------------
+
+
+GREEDIES = {"greedy-1": greedy_1, "greedy-all": greedy_all, "greedy-max": greedy_max,
+             "greedy-l": greedy_l}
+
+
+@pytest.mark.parametrize("name", GREEDIES)
+def test_greedy_picks_for_k_start_with_the_picks_for_smaller_k(name):
+    algo = GREEDIES[name]
+    for seed in range(200):
+        rng = random.Random(seed)
+        g = random_dag(rng.randint(2, 12), rng.uniform(0.1, 0.9), seed + 1100)
+        picks = [algo(g, k) for k in range(g.n + 2)]
+        for k, got in enumerate(picks):
+            assert type(got) is tuple, (seed, k)
+            assert len(set(got)) == len(got) <= k, (seed, k)
+            assert not set(got) & g.sources, (seed, k)
+            assert all(got[:j] == picks[j] for j in range(k + 1)), (seed, k)
+            assert frozenset(got) == run_algorithm(g, name, k), (seed, k)
 
 
 @pytest.mark.parametrize("algo", [greedy_1, greedy_all, greedy_max, greedy_l])

@@ -22,6 +22,6 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     namespace = {}
     exec(compile(_library_example(), str(README), "exec"), namespace)
     filters = namespace["filters"]
-    assert type(filters) is frozenset and filters == greedy_all(namespace["g"], 10)
+    assert type(filters) is frozenset and filters == frozenset(greedy_all(namespace["g"], 10))
     printed = capsys.readouterr().out
     assert printed.startswith(str(namespace["g"].sorted_labels(filters)) + " ")
