@@ -32,12 +32,13 @@ from .harness import (
     curve_to_csv,
     curve_to_json_obj,
     fr_curve,
+    max_objective,
     oracle,
     ratio,
     run_algorithm,
-    scoring_constants,
 )
-from .propagation import phi_total
+from .placement import eligible_nodes
+from .propagation import gains, phi_total
 
 DAG_HINT = "input graph is cyclic; run `flowfilter extract-dag` on it first"
 
@@ -97,8 +98,7 @@ def _cmd_extract_dag(args) -> int:
 def _cmd_place(args) -> int:
     g = _load_graph(args)
     filters = run_algorithm(g, args.algo, args.k, args.seed)
-    phi_empty, fv = scoring_constants(g)
-    f = phi_empty - phi_total(g, filters)
+    f, fv = gains(g, [filters, eligible_nodes(g)])
     obj = {
         "algorithm": args.algo,
         "k": args.k,
@@ -115,12 +115,12 @@ def _cmd_evaluate(args) -> int:
     g = _load_graph(args)
     labels = sorted({s for s in args.filters.split(",") if s})
     members = frozenset(g.index(lab) for lab in labels)
-    phi_empty, fv = scoring_constants(g)
-    f = phi_empty - phi_total(g, members)
+    f, fv = gains(g, [members, eligible_nodes(g)])
+    phi = phi_total(g, members)
     obj = {
         "filters": labels,
-        "phi_no_filters": phi_empty,
-        "phi": phi_empty - f,
+        "phi_no_filters": phi + f,
+        "phi": phi,
         "f": f,
         "fr": round(float(ratio(f, fv)), 6),
     }
@@ -130,8 +130,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = _load_graph(args)
-    phi_empty, fv = scoring_constants(g)
-    filters, f = oracle(g, args.k, args.budget, phi_empty=phi_empty)
+    fv = max_objective(g)  # checks the graph before the budget
+    filters, f = oracle(g, args.k, args.budget)
     obj = {
         "k": args.k,
         "filters": g.sorted_labels(filters),

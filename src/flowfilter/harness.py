@@ -2,16 +2,17 @@
 
 F(A) = φ(∅) − φ(A) scores a filter set A, and FR(A) = F(A) / F(V), an exact
 fraction that is 1 when F(V) = 0, is the share of removable redundancy it
-removes.  Callers take φ(∅), F(V) from ``scoring_constants`` once per call.
+removes.  Every F comes from ``propagation.gains``, which computes φ(∅)
+itself; F(V) is the score of ``eligible_nodes(g)``.
 
 A filter set is a frozenset of node indices.  Its provenance is kept only
 where it is reported: the algorithm and k on each ``FRRow``, the seed on
 each of the row's ``PlacementResult`` trials, and the CLI's own JSON.
 
 ``fr_curve`` sets each algorithm up once for k_max (a greedy's ordered
-picks, the tree DP's tables, rand-w's weights), picks every (k, trial), and
-scores the algorithm's filter sets in packed passes
-(``propagation.phi_totals``) of at most 256 sets each.  It returns one
+picks, the tree DP's tables, rand-w's weights) and picks every (k, trial).
+V and every pick of the curve are scored in one ``gains`` stream, which
+pulls the picks lazily, at most 256 per packed pass.  It returns one
 ``FRRow`` per (algorithm, k).
 """
 
@@ -20,8 +21,9 @@ import statistics
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import chain, combinations, islice, tee
 from math import comb, floor
+from operator import itemgetter
 
 from .graph import CGraph
 from .placement import (
@@ -36,7 +38,7 @@ from .placement import (
     random_picker,
     tree_dp_tables,
 )
-from .propagation import phi_total, phi_totals
+from .propagation import gains
 
 
 class BudgetExceededError(Exception):
@@ -80,12 +82,6 @@ def run_algorithm(g: CGraph, name: str, k: int, seed: int | None = 0) -> frozens
     return prepare(g, k)(k, seed)
 
 
-def scoring_constants(g: CGraph) -> tuple[int, int]:
-    """(φ(∅), F(V)): the two constants of ``g`` that every F and FR rests on."""
-    phi_empty = phi_total(g, ())
-    return phi_empty, phi_empty - phi_total(g, eligible_nodes(g))
-
-
 def ratio(f, fv: int) -> Fraction:
     """F / F(V) as an exact fraction; 1 when the graph has no redundancy."""
     return Fraction(1) if fv == 0 else Fraction(f, fv)
@@ -93,28 +89,15 @@ def ratio(f, fv: int) -> Fraction:
 
 def max_objective(g: CGraph) -> int:
     """F(V): the objective with filters everywhere, i.e. all removable redundancy."""
-    return scoring_constants(g)[1]
+    return next(gains(g, [eligible_nodes(g)]))
 
 
-_PASS_SETS = 256  # filter sets per packed pass, which bounds its memory
-
-
-def _packed_phis(g: CGraph, filter_sets, phi_empty: int):
-    """Yield (filter set, φ of it) for each set, in passes of at most ``_PASS_SETS``."""
-    filter_sets = iter(filter_sets)
-    while chunk := list(islice(filter_sets, _PASS_SETS)):
-        yield from zip(chunk, phi_totals(g, chunk, phi_empty))
-
-
-def oracle(
-    g: CGraph, k: int, budget: int = 10**6, *, phi_empty: int | None = None
-) -> tuple[frozenset[int], int]:
+def oracle(g: CGraph, k: int, budget: int = 10**6) -> tuple[frozenset[int], int]:
     """Exhaustively maximize the objective over all filter sets of size <= k.
 
     Among maximizers, the smallest set wins, then the lexicographically
     smallest index tuple.  Raises BudgetExceededError before starting if
-    the subset count is out of reach.  A caller that already has φ(∅),
-    ``phi_total(g, ())``, passes it as ``phi_empty`` to save a pass.
+    the subset count is out of reach.
     """
     check_k(k)
     eligible = eligible_nodes(g)
@@ -124,16 +107,11 @@ def oracle(
         raise BudgetExceededError(
             f"{total} candidate subsets exceed the budget of {budget}"
         )
-    best_members: tuple[int, ...] = ()
-    if phi_empty is None:
-        phi_empty = phi_total(g, ())
-    best_phi = phi_empty
-    candidates = (c for size in range(1, k_eff + 1) for c in combinations(eligible, size))
-    for candidate, phi in _packed_phis(g, candidates, phi_empty):
-        if phi < best_phi:  # minimizing phi maximizes F; strict keeps the first
-            best_phi = phi
-            best_members = candidate
-    return frozenset(best_members), phi_empty - best_phi
+    # the empty set, then by size and lexicographically; max keeps the
+    # first maximizer, so ties go to the earliest candidate
+    sets, scored = tee(chain.from_iterable(combinations(eligible, j) for j in range(k_eff + 1)))
+    best, f = max(zip(sets, gains(g, scored)), key=itemgetter(1))
+    return frozenset(best), f
 
 
 @dataclass(frozen=True)
@@ -184,31 +162,37 @@ def fr_curve(
             raise ValueError(f"unknown algorithm {name!r}")
         if name in algorithms[:i]:
             raise ValueError(f"repeated algorithm {name!r}")
-    phi_empty, fv = scoring_constants(g)
-    rows = []
-    for name in algorithms:
-        randomized = name in RANDOMIZED_ALGORITHMS
-        trials = runs if randomized else 1
-        args = [(k, _cell_seed(seed, name, k, t) if randomized else None)
-                for k in range(1, k_max + 1) for t in range(trials)]
-        t0 = time.perf_counter()
-        pick = _RUNNERS[name](g, k_max)
-        setup_ms = (time.perf_counter() - t0) * 1000.0 / len(args)
-        picks, wall = [], []
-        for k, s in args:
+    trials = {name: runs if name in RANDOMIZED_ALGORITHMS else 1 for name in algorithms}
+    picked = []  # (seed, filter set, wall_ms) per trial, in row order
+
+    def pick_all():
+        for name, n in trials.items():
+            args = [(k, _cell_seed(seed, name, k, t) if name in RANDOMIZED_ALGORITHMS else None)
+                    for k in range(1, k_max + 1) for t in range(n)]
             t0 = time.perf_counter()
-            picks.append(pick(k, s))
-            wall.append((time.perf_counter() - t0) * 1000.0 + setup_ms)
-        gains = [phi_empty - phi for _, phi in _packed_phis(g, picks, phi_empty)]
-        results = [
-            PlacementResult(s, tuple(g.sorted_labels(fs)), f, ratio(f, fv), ms)
-            for (_, s), fs, f, ms in zip(args, picks, gains, wall)
-        ]
-        for i in range(0, len(args), trials):  # one row per k
-            cell = tuple(results[i : i + trials])
-            mean_f = Fraction(sum(r.f for r in cell), trials)
+            pick = _RUNNERS[name](g, k_max)
+            setup_ms = (time.perf_counter() - t0) * 1000.0 / len(args)
+            for k, s in args:
+                t0 = time.perf_counter()
+                fs = pick(k, s)
+                picked.append((s, fs, (time.perf_counter() - t0) * 1000.0 + setup_ms))
+                yield fs
+
+    # gains checks the graph before any pick, then pulls the picks lazily
+    scores = gains(g, chain([eligible_nodes(g)], pick_all()))
+    fv = next(scores)
+    f_of = list(scores)  # makes every pick
+    results = iter([
+        PlacementResult(s, tuple(g.sorted_labels(fs)), f, ratio(f, fv), ms)
+        for (s, fs, ms), f in zip(picked, f_of)
+    ])
+    rows = []
+    for name, n in trials.items():
+        for k in range(1, k_max + 1):
+            cell = tuple(islice(results, n))
+            mean_f = Fraction(sum(r.f for r in cell), n)
             wall_ms = statistics.fmean(r.wall_ms for r in cell)
-            rows.append(FRRow(name, args[i][0], ratio(mean_f, fv), trials, wall_ms, cell))
+            rows.append(FRRow(name, k, ratio(mean_f, fv), n, wall_ms, cell))
     return tuple(rows)
 
 

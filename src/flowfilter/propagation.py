@@ -7,17 +7,23 @@ receive and forward counts, is the ground-truth reference the oracle tests
 compare against; no library code calls it.  Counts are plain Python ints,
 so they stay exact no matter how many paths the graph has.
 
-``phi_totals`` scores many filter sets in one topological pass by packing
-them into one Python int (SWAR, "SIMD within a register", Fisher & Dietz
-1998).  Set i owns lane i: bits [i*W, (i+1)*W) with W = bit_length(φ(∅)) + 2.
-Each in-edge then costs one big-int addition for every set at once.  No
-lane can carry into the next: a filter forwards min(x, 1) <= x, so every
-lane's count stays at or below its no-filter count, and every lane's
-running φ total stays at or below φ(∅) < 2^(W-2).  The top bit of each lane
-is the guard the min(x, 1) step tests against.
+``gains`` is the library's one scoring function: it yields the objective
+F(A) = φ(∅) − φ(A) of each filter set A, scoring up to ``_PASS_SETS`` sets
+in one topological pass by packing them into one Python int (SWAR, "SIMD
+within a register", Fisher & Dietz 1998).  Set i owns lane i: bits
+[i*W, (i+1)*W) with W = bit_length(φ(∅)) + 2.  Each in-edge then costs one
+big-int addition for every set at once.  No lane can carry into the next:
+a filter forwards min(x, 1) <= x, so every lane's count stays at or below
+its no-filter count, and every lane's running φ total stays at or below
+φ(∅) < 2^(W-2).  The top bit of each lane is the guard the min(x, 1) step
+tests against: nz = ((r + HIGH - ONES) & HIGH) >> (W - 1) is 1 in every
+nonzero lane of r, and a node with lane mask M (its lanes where it is a
+filter) forwards (r & ~M) | (nz & M).
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 from .graph import CGraph, GraphError, topological_order
 from .path_stats import compute_prefix
@@ -74,21 +80,26 @@ def phi_total(g: CGraph, filters) -> int:
     return sum(compute_prefix(g, filters)) - 1  # the source's prefix is 1
 
 
-def phi_totals(g: CGraph, filter_sets, phi_empty: int) -> list[int]:
-    """``phi_total`` of every filter set, from one packed topological pass.
+_PASS_SETS = 256  # filter sets per packed pass, which bounds its memory
 
-    ``phi_empty`` must be ``phi_total(g, ())``: it sizes the lanes (see the
-    module docstring).  A filter node v keeps each lane where it is not a
-    filter and applies min(x, 1) where it is, through its lane mask M_v:
-    nz = ((r + HIGH - ONES) & HIGH) >> (W - 1) is 1 in every lane of r that
-    is nonzero, and v forwards (r & ~M_v) | (nz & M_v).  The source forwards
-    one copy in every lane and ignores its mask.
+
+def gains(g: CGraph, filter_sets) -> Iterator[int]:
+    """Yield F(A) = φ(∅) − φ(A) for each filter set A, in order.
+
+    The graph is checked (one source, acyclic) and φ(∅) computed when
+    ``gains`` is called, so a bad graph raises before any set is read.
+    The sets are then read lazily, ``_PASS_SETS`` at a time, each batch
+    when its first score is asked for.
     """
-    source = _single_source(g)
-    sets = [filter_members(s) for s in filter_sets]
-    if not sets:
-        return []
-    w = phi_empty.bit_length() + 2
+    phi_empty = phi_total(g, ())
+    w = phi_empty.bit_length() + 2  # the lane width
+    filter_sets = iter(filter_sets)
+    batches = iter(lambda: list(islice(filter_sets, _PASS_SETS)), [])  # [] ends it
+    return (phi_empty - phi for batch in batches for phi in _packed_pass(g, batch, w))
+
+
+def _packed_pass(g: CGraph, sets: list, w: int) -> list[int]:
+    """φ of every set in ``sets``, from one packed pass with lanes of ``w`` bits."""
     lane = (1 << w) - 1
     ones = ((1 << (w * len(sets))) - 1) // lane  # the low bit of every lane
     high = ones << (w - 1)
@@ -100,7 +111,7 @@ def phi_totals(g: CGraph, filter_sets, phi_empty: int) -> list[int]:
     total = 0
     for v in topological_order(g):
         r = sum(forwarded[p] for p in g.in_adj[v])
-        if v == source:
+        if v in g.sources:
             forwarded[v] = ones
             continue
         total += r
@@ -115,4 +126,4 @@ def phi_totals(g: CGraph, filter_sets, phi_empty: int) -> list[int]:
 
 def objective_f(g: CGraph, filters) -> int:
     """Redundancy eliminated by ``filters``: receipts without them minus with."""
-    return phi_total(g, ()) - phi_total(g, filters)
+    return next(gains(g, [filters]))

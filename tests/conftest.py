@@ -1,22 +1,22 @@
 import pytest
 
-from flowfilter import harness, propagation
+from flowfilter import propagation
 
 
 @pytest.fixture
 def scoring_calls(monkeypatch) -> tuple[list, list]:
-    """Record each scalar ``phi_total`` pass and the lane count of each ``phi_totals`` pass."""
+    """Record each scalar ``phi_total`` pass and the lane count of each packed pass."""
     sims, passes = [], []
-    compute_prefix, phi_totals = propagation.compute_prefix, harness.phi_totals
+    compute_prefix, packed_pass = propagation.compute_prefix, propagation._packed_pass
 
-    def counting_totals(g, sets, phi_empty):
+    def counting_pass(g, sets, w):
         passes.append(len(sets))
-        return phi_totals(g, sets, phi_empty)
+        return packed_pass(g, sets, w)
 
     monkeypatch.setattr(
         propagation,
         "compute_prefix",
         lambda g, filters: sims.append(1) or compute_prefix(g, filters),
     )
-    monkeypatch.setattr(harness, "phi_totals", counting_totals)
+    monkeypatch.setattr(propagation, "_packed_pass", counting_pass)
     return sims, passes

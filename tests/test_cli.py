@@ -269,6 +269,41 @@ def test_place_multi_source_needs_super_source_flag(tmp_path, capsys):
     assert got["f"] == 1  # y stops receiving the duplicate
 
 
+_ONE_SOURCE = "propagation needs exactly one source, got {}; apply add_super_source first"
+_BAD_GRAPHS = {
+    "two-sources": ("a\tc\nb\tc\nc\td\n", _ONE_SOURCE.format(2)),
+    "sourceless-cycle": ("a\tb\nb\tc\nc\ta\nc\td\n", _ONE_SOURCE.format(0)),
+    "cycle-below-source": (
+        "s\ta\na\tb\nb\ta\nb\tc\n",
+        "input graph is cyclic; run `flowfilter extract-dag` on it first "
+        "(directed cycle: a -> b -> a)",
+    ),
+}
+
+
+@pytest.mark.parametrize("graph", _BAD_GRAPHS)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fr-curve", "--algos", "tree-dp", "--kmax", "2"],
+        ["fr-curve", "--algos", "greedy-all", "--kmax", "2"],
+        ["fr-curve", "--algos", "rand-k", "--kmax", "2"],
+        # the graph is checked before the budget
+        ["oracle", "--k", "3", "--budget", "1"],
+    ],
+    ids=["fr-curve-tree-dp", "fr-curve-greedy-all", "fr-curve-rand-k", "oracle"],
+)
+def test_bad_graphs_fail_on_the_graph_check_first(argv, graph, tmp_path, capsys):
+    # scoring checks the graph before any algorithm is set up or any pick made
+    text, message = _BAD_GRAPHS[graph]
+    src = tmp_path / "g.tsv"
+    src.write_text(text)
+    if argv[0] == "fr-curve":
+        argv = argv + ["--csv", str(tmp_path / "fr.csv")]
+    assert main(argv + ["--input", str(src)]) == 1
+    assert capsys.readouterr().err == f"flowfilter: error: {message}\n"
+
+
 def test_validate_reports_shape(fanin_path, capsys):
     rc = main(["validate", "--input", str(fanin_path)])
     assert rc == 0
@@ -400,12 +435,13 @@ def test_cli_outputs_pinned(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, expected",
     [
+        # expected: the distinct filter sets a command scores, the empty
+        # set and V (every eligible node) included
         (["place", "--algo", "greedy-all", "--k", "1"], 3),
         (["evaluate", "--filters", "A,B"], 3),
-        # one packed lane per candidate set (10 eligible nodes), plus
-        # phi(empty) and phi(V), shared by the search and the CLI's F(V)
-        (["oracle", "--k", "1"], 10 + 2),
-        (["oracle", "--k", "2"], 10 + 45 + 2),
+        # the empty set, V and one candidate set per lane (10 eligible nodes)
+        (["oracle", "--k", "1"], 1 + 1 + 10),
+        (["oracle", "--k", "2"], 1 + 1 + 10 + 45),
     ],
 )
 def test_cli_simulates_each_filter_set_once(
@@ -413,7 +449,12 @@ def test_cli_simulates_each_filter_set_once(
 ):
     sims, passes = scoring_calls
     assert main(argv + ["--input", str(degree_trap_path)]) == 0
-    # phi(empty), phi(V) and the placed or evaluated set; every other
-    # filter set is scored in lanes
-    assert len(sims) == (2 if argv[0] == "oracle" else 3)
-    assert len(sims) + sum(passes) == expected
+    # every gains call runs one scalar pass for phi(empty)
+    if argv[0] == "oracle":
+        # max_objective scores V in a pass of its own, then the search
+        # scores the empty set and every candidate in one pass
+        assert (len(sims), passes) == (2, [1, expected - 1])
+    else:
+        # the placed or evaluated set and V share one packed pass;
+        # evaluate adds a scalar phi of its set
+        assert (len(sims), passes) == (1 if argv[0] == "place" else 2, [expected - 1])

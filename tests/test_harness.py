@@ -200,13 +200,13 @@ def test_fr_curve_certifies_and_builds_tree_dp_tables_once(monkeypatch):
 def test_scoring_simulates_each_filter_set_once(scoring_calls):
     sims, passes = scoring_calls
     fr_curve(g_fanin(), ["greedy-all", "rand-k"], k_max=3, runs=4)
-    assert len(sims) == 2  # phi(empty) and phi(V)
-    assert passes == [3, 12]  # one packed pass per algorithm, a lane per trial
+    assert len(sims) == 1  # phi(empty)
+    assert passes == [1 + 3 + 12]  # one packed pass per curve: V and a lane per trial
     sims.clear()
     passes.clear()
     oracle(g_degree_trap(), 1)
     assert len(sims) == 1  # phi(empty)
-    assert passes == [10]  # a lane per eligible singleton
+    assert passes == [1 + 10]  # the empty set and a lane per eligible singleton
 
 
 def test_fr_curve_scores_at_most_256_sets_per_pass(scoring_calls):
@@ -214,7 +214,7 @@ def test_fr_curve_scores_at_most_256_sets_per_pass(scoring_calls):
     # --kmax x --runs asks for
     _, passes = scoring_calls
     fr_curve(g_fanin(), ["rand-k"], k_max=3, runs=100)
-    assert passes == [256, 44]
+    assert passes == [256, 1 + 300 - 256]  # V and 300 trials
 
 
 def test_greedy_curves_match_per_k_references():

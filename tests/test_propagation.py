@@ -6,7 +6,7 @@ from _oracles import count_paths
 from fixtures import g_fanin, g_degree_trap
 from flowfilter.graph import CGraph, CycleError, GraphError, build_graph
 from flowfilter.placement import eligible_nodes, optimal_unbounded
-from flowfilter.propagation import objective_f, phi_total, phi_totals, simulate
+from flowfilter.propagation import gains, objective_f, phi_total, simulate
 from flowfilter.synth import random_dag
 
 
@@ -160,8 +160,13 @@ def _random_sets(rng, g):
     return sets[: rng.randint(0, len(sets))]  # sometimes no sets at all
 
 
+def _f(g, filters):
+    return phi_total(g, ()) - phi_total(g, filters)
+
+
 @pytest.mark.parametrize("block", range(10))
 def test_phi_totals_matches_phi_total_in_every_lane(block):
+    # gains packs the sets into lanes; each lane's F must match two scalar passes
     for seed in range(block * 250, (block + 1) * 250):
         rng = random.Random(seed)
         g = random_dag(rng.randint(1, 12), rng.uniform(0.0, 1.0), seed)
@@ -170,12 +175,11 @@ def test_phi_totals_matches_phi_total_in_every_lane(block):
             # below the new source become unreachable
             g = CGraph(g.labels, g.edges, [rng.randrange(g.n)])
         sets = _random_sets(rng, g)
-        assert phi_totals(g, sets, phi_total(g, ())) == [phi_total(g, s) for s in sets]
+        assert list(gains(g, sets)) == [_f(g, s) for s in sets]
 
 
 def test_phi_totals_of_no_sets_is_empty():
-    g = g_fanin()
-    assert phi_totals(g, [], phi_total(g, ())) == []
+    assert list(gains(g_fanin(), [])) == []
 
 
 def test_phi_totals_past_64_bits():
@@ -185,10 +189,56 @@ def test_phi_totals_past_64_bits():
         for u in (f"a{i}", f"b{i}"):
             edges += [(u, f"a{i + 1}"), (u, f"b{i + 1}")]
     g = build_graph(edges)
-    phi_empty = phi_total(g, ())
-    assert phi_empty > 2**80
+    assert phi_total(g, ()) > 2**80
     rng = random.Random(5)
     sets = _random_sets(random.Random(6), g) + [
         rng.sample(range(g.n), rng.randint(1, 4)) for _ in range(30)
     ]
-    assert phi_totals(g, sets, phi_empty) == [phi_total(g, s) for s in sets]
+    assert list(gains(g, sets)) == [_f(g, s) for s in sets]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gains_matches_simulate_over_many_passes(seed):
+    # 600 sets from a generator span three packed passes; simulate is the
+    # independent reference for every F
+    rng = random.Random(seed + 31000)
+    g = random_dag(rng.randint(2, 14), rng.uniform(0.1, 0.9), seed + 31000)
+    source = next(iter(g.sources))
+    sets = [rng.sample(range(g.n), rng.randint(0, g.n)) for _ in range(600)]
+
+    def phi(filters):
+        return sum(c for v, c in enumerate(simulate(g, filters).received) if v != source)
+
+    assert list(gains(g, (s for s in sets))) == [phi(()) - phi(s) for s in sets]
+
+
+@pytest.mark.parametrize(
+    "g, error",
+    [
+        (build_graph([("a", "c"), ("b", "c")]), GraphError),
+        (CGraph(("a", "b"), ((0, 1), (1, 0)), []), GraphError),
+        (build_graph([("s", "a"), ("a", "b"), ("b", "a")], sources=["s"]), CycleError),
+    ],
+)
+def test_gains_checks_the_graph_when_called(g, error):
+    read = []
+    with pytest.raises(error):
+        gains(g, (read.append(1) or () for _ in range(3)))  # never advanced
+    assert read == []
+
+
+def test_gains_reads_sets_lazily_at_most_256_ahead():
+    g = random_dag(8, 0.5, 3)
+    read = []
+
+    def sets():
+        for i in range(700):
+            read.append(i)
+            yield [i % g.n]
+
+    scores = gains(g, sets())
+    assert read == []  # nothing is read before the first score is asked for
+    for asked, f in enumerate(scores, 1):
+        assert f == _f(g, [(asked - 1) % g.n])
+        assert asked <= len(read) <= asked + 255  # at most 256 sets ahead
+    assert len(read) == 700
