@@ -59,8 +59,8 @@ def _write_with_manifest(path: str, data: str, args: argparse.Namespace) -> None
 
 def _load_graph(args: argparse.Namespace) -> CGraph:
     text = Path(args.input).read_text()
-    g = parse_edge_list(text, source_hint=getattr(args, "source", None))
-    if getattr(args, "super_source", False):
+    g = parse_edge_list(text, source_hint=args.source)
+    if args.super_source:
         g = add_super_source(g)
     return g
 

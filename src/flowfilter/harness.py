@@ -9,8 +9,9 @@ A filter set is a frozenset of node indices.  Its provenance is kept only
 where it is reported: the algorithm and k on each ``FRRow``, the seed on
 each of the row's ``PlacementResult`` trials, and the CLI's own JSON.
 
-``fr_curve`` sets each algorithm up once for k_max (a greedy's ordered
-picks, the tree DP's tables, rand-w's weights) and picks every (k, trial).
+``fr_curve`` sets each algorithm up once for k_max, in one call of its
+selector (a greedy's ordered picks, ``tree_dp``'s tables,
+``randomized_baseline``'s weights), and picks every (k, trial) from it.
 V and every pick of the curve are scored in one ``gains`` stream, which
 pulls the picks lazily, at most 256 per packed pass.  It returns one
 ``FRRow`` per (algorithm, k).
@@ -35,8 +36,8 @@ from .placement import (
     greedy_l,
     greedy_max,
     optimal_unbounded,
-    random_picker,
-    tree_dp_tables,
+    randomized_baseline,
+    tree_dp,
 )
 from .propagation import gains
 
@@ -57,18 +58,19 @@ def _seedless(pick):
     return lambda k, seed: pick(k)
 
 
-# name -> prepare(g, k_max), which does the per-graph setup once and returns
-# pick(k, seed) for every k <= k_max; the order is the CLI's `choices` order
+# name -> prepare(g, k_max), which calls its selector once, by its public name,
+# and returns pick(k, seed) for every k <= k_max; the order is the CLI's
+# `choices` order
 _RUNNERS = {
     "greedy-1": lambda g, k: _first(greedy_1(g, k)),
     "greedy-all": lambda g, k: _first(greedy_all(g, k)),
     "greedy-max": lambda g, k: _first(greedy_max(g, k)),
     "greedy-l": lambda g, k: _first(greedy_l(g, k)),
-    "tree-dp": lambda g, k: _seedless(tree_dp_tables(as_ctree(g), k)),
+    "tree-dp": lambda g, k: _seedless(tree_dp(as_ctree(g), k)),
     "optimal-unbounded": lambda g, k: _seedless(lambda k, filters=optimal_unbounded(g): filters),
-    "rand-k": lambda g, k: random_picker(g, "rand_k"),
-    "rand-i": lambda g, k: random_picker(g, "rand_i"),
-    "rand-w": lambda g, k: random_picker(g, "rand_w"),
+    "rand-k": lambda g, k: randomized_baseline(g, "rand_k"),
+    "rand-i": lambda g, k: randomized_baseline(g, "rand_i"),
+    "rand-w": lambda g, k: randomized_baseline(g, "rand_w"),
 }
 ALGORITHMS = tuple(_RUNNERS)
 

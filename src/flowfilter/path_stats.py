@@ -27,9 +27,18 @@ class PathStats:
     suffix: tuple[int, ...]
 
 
+def check_members(g: CGraph, members) -> None:
+    """Raise ValueError on the first member that is no node index, not ignore it."""
+    nodes = range(g.n)
+    for v in members:
+        if v not in nodes:
+            raise ValueError(f"filter member {v!r} is not a node index (0 to {g.n - 1})")
+
+
 def compute_prefix(g: CGraph, filters) -> list[int]:
     """Copies received per node under ``filters``; 1 at every source."""
     members = frozenset(filters)
+    check_members(g, members)
     prefix = [0] * g.n
     sent = [0] * g.n  # copies forwarded: 1 at a source, min(prefix, 1) at a filter
     for v in topological_order(g):

@@ -4,11 +4,11 @@ Deterministic selectors (degree product, full impact with and without
 recomputation, prefix-times-out-degree), the closed-form unbounded optimum,
 an exact dynamic program for communication trees, and three seeded random
 baselines.  Selectors return node indices (``CGraph.sorted_labels`` names
-them).  The four greedies return a tuple of their picks in the order they
-make them, and the first j picks for budget k are the picks for budget j;
-every other selector returns a frozenset.  All tie-breaks go to the
-smallest dense node index, so every deterministic selector is reproducible
-bit for bit.
+them).  The greedies return their picks in order, so the first j picks
+for budget k are the picks for budget j.  ``tree_dp`` and
+``randomized_baseline`` set up once and return a function that picks a
+frozenset per budget (and seed).  All tie-breaks go to the smallest dense
+node index, so every deterministic selector is reproducible bit for bit.
 """
 
 import functools
@@ -121,7 +121,7 @@ def rand_w_weights(g: CGraph) -> list[float]:
     return [sum(inverse[u] for u in g.out_adj[v]) for v in range(g.n)]
 
 
-def random_picker(g: CGraph, variant: str) -> Callable[[int, int], frozenset[int]]:
+def randomized_baseline(g: CGraph, variant: str) -> Callable[[int, int], frozenset[int]]:
     """Set up one random baseline on ``g`` once; return ``pick(k, seed)``.
 
     rand_k draws exactly k distinct nodes uniformly; rand_i keeps each node
@@ -152,11 +152,6 @@ def random_picker(g: CGraph, variant: str) -> Callable[[int, int], frozenset[int
         return frozenset(rng.sample(range(g.n), k))
 
     return pick
-
-
-def randomized_baseline(g: CGraph, k: int, variant: str, seed: int) -> frozenset[int]:
-    """One seeded pick of a random baseline: rand_k, rand_i or rand_w (``random_picker``)."""
-    return random_picker(g, variant)(k, seed)
 
 
 # --- communication trees ----------------------------------------------------
@@ -266,23 +261,19 @@ def _split(kids: tuple, suffix: list, best: list, out: int, budget: int):
     yield kids[-1], budget
 
 
-def tree_dp(t: CTree, k: int) -> frozenset[int]:
-    """Exact optimal filter set of size <= k on a communication tree."""
-    return tree_dp_tables(t, k)(k)
-
-
-def tree_dp_tables(t: CTree, k_max: int) -> Callable[[int], frozenset[int]]:
+def tree_dp(t: CTree, k_max: int) -> Callable[[int], frozenset[int]]:
     """Build the tree DP's tables once; return ``traceback(k)`` for k <= k_max.
 
-    One bottom-up pass over the tree rooted at the source.  Node v gets a
-    table [inflow - 1][budget] of the fewest receipts in v's subtree, where
-    inflow >= 1 is the copy count its tree parent forwards.  v receives its
-    inflow, plus one copy if a source edge that is not its tree edge feeds
-    it, so its rows number 1 plus the extra source edges above it, and
-    tables grow with depth on deep chains.  Budget runs up to the number of
-    non-leaf nodes in v's subtree, capped at k_max, since more buys
-    nothing; so no table or traceback step grows with a k_max past the
-    number of non-source nodes.
+    ``traceback(k)`` is an exact optimal filter set of size <= k.  The
+    tables come from one bottom-up pass over the tree rooted at the source.
+    Node v gets a table [inflow - 1][budget] of the fewest receipts in v's
+    subtree, where inflow >= 1 is the copy count its tree parent forwards.
+    v receives its inflow, plus one copy if a source edge that is not its
+    tree edge feeds it, so its rows number 1 plus the extra source edges
+    above it, and tables grow with depth on deep chains.  Budget runs up to
+    the number of non-leaf nodes in v's subtree, capped at k_max, since
+    more buys nothing; so no table or traceback step grows with a k_max
+    past the number of non-source nodes.
 
     Every internal node joins its children's tables the same way, in
     O(rows * w^2) per child for budget widths w <= k_max + 1; one child's
@@ -294,7 +285,7 @@ def tree_dp_tables(t: CTree, k_max: int) -> Callable[[int], frozenset[int]]:
     total receipts is equivalent to maximizing the objective.
 
     A value at budget b reads only budgets <= b, so ``traceback(k)`` returns
-    exactly the set that tables built for k would.  It raises ValueError
+    exactly the set that ``tree_dp(t, k)(k)`` would.  It raises ValueError
     for k < 0 or k > k_max.
     """
     check_k(k_max)

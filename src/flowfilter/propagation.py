@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .graph import CGraph, GraphError, topological_order
-from .path_stats import compute_prefix
+from .path_stats import check_members, compute_prefix
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,7 @@ def _packed_pass(g: CGraph, sets: list, w: int) -> list[int]:
     for i, members in enumerate(sets):
         for v in members:
             masks[v] = masks.get(v, 0) | lane << (w * i)
+    check_members(g, masks)  # every member, once per batch
     forwarded = [0] * g.n
     total = 0
     for v in topological_order(g):

@@ -1,14 +1,10 @@
-"""Random graph generators: layered benchmark graphs, DAGs, and c-trees.
-
-All generators are pure functions of their config and seed.
-"""
+"""The layered benchmark generator: a pure function of its config and seed."""
 
 import random
 import sys
 from dataclasses import dataclass
 
-from .graph import CGraph, add_super_source, build_graph
-from .placement import CTree, as_ctree
+from .graph import CGraph
 
 
 @dataclass(frozen=True)
@@ -67,43 +63,3 @@ def layered_graph(cfg: LayeredConfig) -> CGraph:
     edges += [(v, u) for v, lv in enumerate(level, 1)
               for u, p in above[lv] if draw() < p]
     return CGraph(["s"] + [f"n{i}" for i in range(n)], edges, [0])
-
-
-def random_dag(n: int, edge_prob: float, seed: int) -> CGraph:
-    """Random DAG on n nodes: forward edges over a random permutation.
-
-    A super source is attached to every in-degree-zero node, so the result
-    always has a single source and every node is reachable from it.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 <= edge_prob <= 1.0:
-        raise ValueError("edge_prob must be in [0, 1]")
-    rng = random.Random(seed)
-    perm = list(range(n))
-    rng.shuffle(perm)
-    names = [f"v{i}" for i in range(n)]
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < edge_prob:
-                edges.append((names[perm[i]], names[perm[j]]))
-    g = build_graph(edges, nodes=names)
-    return add_super_source(g)
-
-
-def random_ctree(n: int, source_edge_prob: float, seed: int) -> CTree:
-    """Random communication tree: a recursive tree plus random source edges.
-
-    Node i attaches below a uniformly random earlier node; each node
-    independently gains a direct source edge with the given probability
-    (the tree root always has one, keeping the graph reachable).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = random.Random(seed)
-    names = [f"t{i}" for i in range(n)]
-    edges = [("s", names[0])]
-    edges += [(names[rng.randrange(i)], names[i]) for i in range(1, n)]
-    edges += [("s", names[i]) for i in range(1, n) if rng.random() < source_edge_prob]
-    return as_ctree(build_graph(edges, nodes=["s"] + names, sources=["s"]))

@@ -1,4 +1,4 @@
-"""Brute-force oracles shared by the tests.
+"""Brute-force oracles and seeded random-graph generators shared by the tests.
 
 Everything here is written for clarity, not speed, and stays independent
 of the recursions it is used to check.
@@ -14,10 +14,11 @@ from flowfilter.graph import (
     GraphError,
     ParseError,
     _first_repeat_or_loop,
+    add_super_source,
     build_graph,
 )
 from flowfilter.path_stats import compute_prefix, impact_table
-from flowfilter.placement import CTree, eligible_nodes
+from flowfilter.placement import CTree, as_ctree, eligible_nodes
 from flowfilter.propagation import phi_total
 
 
@@ -234,6 +235,46 @@ def random_digraph(n: int, p: float, seed: int) -> CGraph:
         if u != v and rng.random() < p
     ]
     return build_graph(edges, nodes=names)
+
+
+def random_dag(n: int, edge_prob: float, seed: int) -> CGraph:
+    """Random DAG on n nodes: forward edges over a random permutation.
+
+    A super source is attached to every in-degree-zero node, so the result
+    always has a single source and every node is reachable from it.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not 0.0 <= edge_prob <= 1.0:
+        raise ValueError("edge_prob must be in [0, 1]")
+    rng = random.Random(seed)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    names = [f"v{i}" for i in range(n)]
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < edge_prob:
+                edges.append((names[perm[i]], names[perm[j]]))
+    g = build_graph(edges, nodes=names)
+    return add_super_source(g)
+
+
+def random_ctree(n: int, source_edge_prob: float, seed: int) -> CTree:
+    """Random communication tree: a recursive tree plus random source edges.
+
+    Node i attaches below a uniformly random earlier node; each node
+    independently gains a direct source edge with the given probability
+    (the tree root always has one, keeping the graph reachable).
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    rng = random.Random(seed)
+    names = [f"t{i}" for i in range(n)]
+    edges = [("s", names[0])]
+    edges += [(names[rng.randrange(i)], names[i]) for i in range(1, n)]
+    edges += [("s", names[i]) for i in range(1, n) if rng.random() < source_edge_prob]
+    return as_ctree(build_graph(edges, nodes=["s"] + names, sources=["s"]))
 
 
 def layered_analytic_mean(cfg) -> float:

@@ -15,6 +15,8 @@ from _oracles import (
     is_acyclic_edge_set,
     layered_analytic_mean,
     layered_sigma,
+    random_ctree,
+    random_dag,
     random_digraph,
     reachable_from,
 )
@@ -33,7 +35,7 @@ from flowfilter.placement import (
     tree_dp,
 )
 from flowfilter.propagation import objective_f, phi_total
-from flowfilter.synth import LayeredConfig, layered_graph, random_ctree, random_dag
+from flowfilter.synth import LayeredConfig, layered_graph
 
 REFERENCE_EDGE_COUNT = 32_427  # reported (x, y) = (1, 4) corpus realization
 
@@ -117,7 +119,7 @@ def test_tree_dp_exactness():
             rng = random.Random(seed)
             t = random_ctree(rng.randint(1, 12), rng.uniform(0.0, 0.9), seed + 3000)
             for k in (1, 2, 3):
-                value = objective_f(t.graph, tree_dp(t, k))
+                value = objective_f(t.graph, tree_dp(t, k)(k))
                 _, best = oracle(t.graph, k)
                 assert value == best, (seed, k, value, best)
 

@@ -5,11 +5,11 @@ import time
 
 import pytest
 
+from _oracles import random_dag
 from flowfilter.cli import main
 from fixtures import FANIN_TSV, DEGREE_TRAP_TSV, g_tree1
 from flowfilter.graph import serialize_edge_list
 from flowfilter.harness import ALGORITHMS, RANDOMIZED_ALGORITHMS
-from flowfilter.synth import random_dag
 
 
 @pytest.fixture

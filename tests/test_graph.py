@@ -6,6 +6,7 @@ import pytest
 from _oracles import (
     build_graph_reference,
     parse_edge_list_reference,
+    random_dag,
     random_digraph,
     reachable_from,
 )
@@ -23,7 +24,6 @@ from flowfilter.graph import (
     serialize_edge_list,
     topological_order,
 )
-from flowfilter.synth import random_dag
 
 
 def test_parse_fan_out_with_hint():

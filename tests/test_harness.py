@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import exhaustive_best, greedy_all_reference, greedy_l_reference
+from _oracles import exhaustive_best, greedy_all_reference, greedy_l_reference, random_dag
 from flowfilter import harness, placement
 from fixtures import g_diamond, g_fanin, g_degree_trap, g_tree1
 from flowfilter.graph import build_graph
@@ -22,7 +22,6 @@ from flowfilter.harness import (
     run_algorithm,
 )
 from flowfilter.propagation import objective_f
-from flowfilter.synth import random_dag
 
 
 def _fr(g, filters):
@@ -187,14 +186,14 @@ def test_rand_w_weights_computed_once_per_curve(monkeypatch):
 
 def test_fr_curve_certifies_and_builds_tree_dp_tables_once(monkeypatch):
     calls = []
-    for name in ("as_ctree", "tree_dp_tables"):
+    for name in ("as_ctree", "tree_dp"):
         real = getattr(harness, name)
         monkeypatch.setattr(
             harness, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
         )
     curve = fr_curve(g_tree1(), ["tree-dp"], k_max=4, runs=3)
     assert len(curve) == 4
-    assert calls == ["as_ctree", "tree_dp_tables"]
+    assert calls == ["as_ctree", "tree_dp"]
 
 
 def test_scoring_simulates_each_filter_set_once(scoring_calls):

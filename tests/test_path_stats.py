@@ -2,13 +2,17 @@ import random
 
 import pytest
 
-from _oracles import count_nonempty_paths_from, enumerate_paths, rooted_at_sources
+from _oracles import (
+    count_nonempty_paths_from,
+    enumerate_paths,
+    random_dag,
+    rooted_at_sources,
+)
 from fixtures import g_diamond, g_fanin, g_degree_trap
 from flowfilter.graph import CGraph, build_graph
 from flowfilter.path_stats import compute_prefix, compute_stats, impact_table
 from flowfilter.placement import eligible_nodes
 from flowfilter.propagation import objective_f, phi_total, simulate
-from flowfilter.synth import random_dag
 
 
 def test_fanin_prefix_matches_received_counts():

@@ -17,15 +17,12 @@ from flowfilter.placement import (
     greedy_max,
     optimal_unbounded,
     rand_w_weights,
-    random_picker,
     randomized_baseline,
     tree_dp,
-    tree_dp_tables,
 )
 from flowfilter.propagation import objective_f
-from flowfilter.synth import random_ctree, random_dag
 
-from _oracles import tree_dp_reference
+from _oracles import random_ctree, random_dag, tree_dp_reference
 
 
 # --- greedy_1 ----------------------------------------------------------------
@@ -188,7 +185,7 @@ def test_greedy_all_suboptimal_witness():
 def test_tree_dp_tree1():
     g = g_tree1()
     t = as_ctree(g)
-    fs = tree_dp(t, 1)
+    fs = tree_dp(t, 1)(1)
     assert g.sorted_labels(fs) == ["a"]
     assert objective_f(g, fs) == 1  # receipts drop 6 -> 5
 
@@ -197,13 +194,13 @@ def test_tree_dp_star_no_redundancy():
     g = build_graph(
         [("s", "r"), ("r", "c1"), ("r", "c2"), ("r", "c3"), ("r", "c4")]
     )
-    fs = tree_dp(as_ctree(g), 1)
+    fs = tree_dp(as_ctree(g), 1)(1)
     assert objective_f(g, fs) == 0
 
 
 def test_tree_dp_k_zero():
     t = as_ctree(g_tree1())
-    assert tree_dp(t, 0) == frozenset()
+    assert tree_dp(t, 0)(0) == frozenset()
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -211,7 +208,7 @@ def test_tree_dp_matches_oracle(seed):
     rng = random.Random(seed)
     t = random_ctree(rng.randint(1, 12), rng.uniform(0.0, 0.8), seed + 800)
     for k in (1, 2, 3):
-        got = objective_f(t.graph, tree_dp(t, k))
+        got = objective_f(t.graph, tree_dp(t, k)(k))
         _, best = oracle(t.graph, k)
         assert got == best
 
@@ -224,7 +221,7 @@ def test_tree_dp_wide_node():
     t = as_ctree(g)
     for k in (1, 2, 3):
         _, best = oracle(g, k)
-        fs = tree_dp(t, k)
+        fs = tree_dp(t, k)(k)
         assert objective_f(g, fs) == best
         assert all(0 <= v < g.n for v in fs)
 
@@ -238,7 +235,7 @@ def test_tree_dp_tie_breaks_pinned():
         rng = random.Random(seed)
         t = random_ctree(rng.randint(1, 40), rng.uniform(0.0, 0.9), seed + 4000)
         for k in (0, 1, 2, 3, 5):
-            h.update(" ".join(t.graph.sorted_labels(tree_dp(t, k))).encode() + b"\n")
+            h.update(" ".join(t.graph.sorted_labels(tree_dp(t, k)(k))).encode() + b"\n")
     assert h.hexdigest() == (
         "5d14e5293ba595ea73551c24fef96eaf2c8b4b26a0b8283204afb30a3ba2cc7a"
     )
@@ -253,7 +250,7 @@ def test_tree_dp_deep_chain_without_recursion(monkeypatch):
     edges = [("s", "t0")] + [(f"t{i}", f"t{i + 1}") for i in range(n - 1)]
     edges += [("s", f"t{i}") for i in (10, 2_000, 5_000, 7_500, 9_990)]
     g = build_graph(edges, sources=["s"])
-    fs = tree_dp(as_ctree(g), 3)
+    fs = tree_dp(as_ctree(g), 3)(3)
     assert len(fs) <= 3
     assert objective_f(g, fs) >= objective_f(g, greedy_all(g, 3))
 
@@ -264,7 +261,7 @@ def test_tree_dp_random_ctree_of_100k_nodes(monkeypatch):
 
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     t = random_ctree(100_000, 0.05, 2024)
-    fs = tree_dp(t, 3)
+    fs = tree_dp(t, 3)(3)
     assert len(fs) <= 3
     assert objective_f(t.graph, fs) >= objective_f(t.graph, greedy_1(t.graph, 3))
 
@@ -275,7 +272,7 @@ def test_tree_dp_matches_reference_on_random_ctrees():
         rng = random.Random(seed)
         t = random_ctree(rng.randint(1, 60), rng.uniform(0.0, 0.9), seed + 9000)
         k = (0, 1, 2, 3, 5, 8)[seed % 6]
-        assert tree_dp(t, k) == tree_dp_reference(t, k), (seed, k)
+        assert tree_dp(t, k)(k) == tree_dp_reference(t, k), (seed, k)
 
 
 def test_tree_dp_matches_reference_on_random_forests():
@@ -296,9 +293,9 @@ def test_tree_dp_matches_reference_on_random_forests():
                 edges.append(("s", f"t{i}"))
         t = as_ctree(build_graph(edges, sources=["s"]))
         assert len(t.roots) == len(roots)
-        traceback = tree_dp_tables(t, 8)
+        traceback = tree_dp(t, 8)
         for k in (0, 1, 2, 3, 5, 8):
-            want = tree_dp(t, k)
+            want = tree_dp(t, k)(k)
             assert want == tree_dp_reference(t, k), (seed, k)
             assert traceback(k) == want, (seed, k)
 
@@ -310,15 +307,15 @@ def test_tree_dp_tables_trace_back_every_smaller_budget():
         rng = random.Random(seed)
         t = random_ctree(rng.randint(1, 60), rng.uniform(0.0, 0.9), seed + 9000)
         k_max = (0, 1, 2, 3, 5, 8)[seed % 6]
-        traceback = tree_dp_tables(t, k_max)
+        traceback = tree_dp(t, k_max)
         for k in range(k_max + 1):
-            assert traceback(k) == tree_dp(t, k), (seed, k)
+            assert traceback(k) == tree_dp(t, k)(k), (seed, k)
 
 
 def test_tree_dp_tables_reject_budgets_outside_0_to_k_max():
     # past k_max the tables are capped, so a traceback would silently
     # return a worse set; a negative budget would return an oversized one
-    traceback = tree_dp_tables(random_ctree(60, 0.3, 5), 1)
+    traceback = tree_dp(random_ctree(60, 0.3, 5), 1)
     with pytest.raises(ValueError, match="k must be <= k_max = 1, got 3"):
         traceback(3)
     with pytest.raises(ValueError, match="k must be >= 0, got -1"):
@@ -335,7 +332,7 @@ def test_tree_dp_saturated_budgets_on_exhaustive_small_chains():
             edges = [("s", "t0")] + [(f"t{i}", f"t{i + 1}") for i in range(n - 1)]
             edges += [("s", f"t{i}") for i in range(1, n) if mask >> (i - 1) & 1]
             t = as_ctree(build_graph(edges, sources=["s"]))
-            traceback = tree_dp_tables(t, n)
+            traceback = tree_dp(t, n)
             for k in range(n + 1):
                 assert traceback(k) == tree_dp_reference(t, k), (n, mask, k)
                 cases += 1
@@ -356,7 +353,7 @@ def test_tree_dp_matches_reference_on_deep_chains(seed):
             edges.append(("s", f"x{i}"))
     t = as_ctree(build_graph(edges, sources=["s"]))
     for k in (0, 1, 2, 3, 5, 8):
-        assert tree_dp(t, k) == tree_dp_reference(t, k), k
+        assert tree_dp(t, k)(k) == tree_dp_reference(t, k), k
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -375,7 +372,7 @@ def test_tree_dp_matches_reference_on_wide_stars(seed):
                 edges.append(("s", f"g{c}_{g}"))
     t = as_ctree(build_graph(edges, sources=["s"]))
     for k in (0, 1, 2, 3, 5, 8):
-        assert tree_dp(t, k) == tree_dp_reference(t, k), k
+        assert tree_dp(t, k)(k) == tree_dp_reference(t, k), k
 
 
 def test_tree_dp_budget_past_the_node_count_changes_nothing():
@@ -383,14 +380,14 @@ def test_tree_dp_budget_past_the_node_count_changes_nothing():
         rng = random.Random(seed)
         t = random_ctree(rng.randint(1, 12), rng.uniform(0.0, 0.9), seed + 6000)
         n = t.graph.n
-        want = tree_dp(t, n - 1)
+        want = tree_dp(t, n - 1)(n - 1)
         for k in range(n - 1, n + 4):
-            assert tree_dp(t, k) == want, (seed, k)
-        assert tree_dp(t, 10**6) == want, seed
+            assert tree_dp(t, k)(k) == want, (seed, k)
+        assert tree_dp(t, 10**6)(10**6) == want, seed
 
 
 def test_tree_dp_source_only_graph():
-    assert tree_dp(as_ctree(CGraph(["s"], [], [0])), 3) == frozenset()
+    assert tree_dp(as_ctree(CGraph(["s"], [], [0])), 3)(3) == frozenset()
 
 
 def test_as_ctree_rejects_non_trees():
@@ -418,24 +415,24 @@ def test_as_ctree_rejects_non_trees():
 
 def test_rand_k_draws_exactly_k():
     g = g_fanin()
-    fs = randomized_baseline(g, 3, "rand_k", 123)
+    fs = randomized_baseline(g, "rand_k")(3, 123)
     assert len(fs) == 3
 
 
 def test_rand_k_all_nodes_when_k_equals_n():
     g = g_fanin()
-    fs = randomized_baseline(g, g.n, "rand_k", 3)
+    fs = randomized_baseline(g, "rand_k")(g.n, 3)
     assert fs == frozenset(range(g.n))
 
 
 def test_rand_k_rejects_k_above_n():
     with pytest.raises(ValueError):
-        randomized_baseline(g_fanin(), 8, "rand_k", 0)
+        randomized_baseline(g_fanin(), "rand_k")(8, 0)
 
 
 def test_rand_i_golden_set():
     g = g_fanin()
-    fs = randomized_baseline(g, 3, "rand_i", 0)
+    fs = randomized_baseline(g, "rand_i")(3, 0)
     assert g.sorted_labels(fs) == ["y", "z1", "z3"]  # generated once, frozen
 
 
@@ -450,24 +447,25 @@ def test_rand_w_weights_fanin():
 def test_rand_w_clamps_probabilities():
     g = g_fanin()
     # k = n pushes w(s)*k/n = 2.0 past 1; must clamp, not crash
-    fs = randomized_baseline(g, g.n, "rand_w", 5)
+    fs = randomized_baseline(g, "rand_w")(g.n, 5)
     assert g.index("s") in fs  # probability clamped to exactly 1
 
 
 def test_unknown_variant_rejected():
     with pytest.raises(ValueError):
-        randomized_baseline(g_fanin(), 1, "rand_x", 0)
+        randomized_baseline(g_fanin(), "rand_x")
 
 
+# "picker" picks from a fresh setup, "baseline" from one that has already picked
 @pytest.mark.parametrize("entry", ["picker", "baseline"])
 @pytest.mark.parametrize("variant", ["rand_k", "rand_i", "rand_w"])
 def test_baselines_reject_negative_budget(variant, entry):
     g = random_dag(10, 0.3, 1)
+    pick = randomized_baseline(g, variant)
+    if entry == "baseline":
+        pick(2, 0)
     with pytest.raises(ValueError) as exc:
-        if entry == "picker":
-            random_picker(g, variant)(-1, 0)
-        else:
-            randomized_baseline(g, -1, variant, 0)
+        pick(-1, 0)
     assert str(exc.value) == "k must be >= 0, got -1"
 
 
@@ -476,11 +474,12 @@ def test_baselines_reject_negative_budget(variant, entry):
 def test_baselines_reject_seed_none(variant, entry):
     # random.Random(None) seeds from the OS: a pick would not be reproducible
     g = random_dag(30, 0.2, 1)
+    pick = randomized_baseline(g, variant)
+    if entry == "baseline":
+        pick(3, 1)
     with pytest.raises(ValueError) as exc:
-        if entry == "picker":
-            random_picker(g, variant)(3, None)
-        elif entry == "baseline":
-            randomized_baseline(g, 3, variant, None)
+        if entry != "run_algorithm":
+            pick(3, None)
         else:
             run_algorithm(g, variant.replace("_", "-"), 3, None)
     assert str(exc.value) == f"{variant} needs an integer seed, got None"
@@ -489,11 +488,12 @@ def test_baselines_reject_seed_none(variant, entry):
 @pytest.mark.parametrize("variant", ["rand_k", "rand_i", "rand_w"])
 def test_baselines_reproducible_from_seed(variant):
     g = g_degree_trap()
-    a = randomized_baseline(g, 3, variant, 2)
-    b = randomized_baseline(g, 3, variant, 2)
-    assert a == b
-    c = randomized_baseline(g, 3, variant, 4)
-    d = randomized_baseline(g, 3, variant, 7)
+    pick = randomized_baseline(g, variant)
+    a = pick(3, 2)
+    b = randomized_baseline(g, variant)(3, 2)
+    assert a == b == pick(3, 2)
+    c = pick(3, 4)
+    d = pick(3, 7)
     # different seeds should not all collapse to one draw
     assert len({a, c, d}) > 1
 

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from _oracles import count_paths
+from _oracles import count_paths, random_dag
 from fixtures import g_fanin, g_degree_trap
 from flowfilter.graph import CGraph, CycleError, GraphError, build_graph
+from flowfilter.path_stats import compute_prefix, impact_table
 from flowfilter.placement import eligible_nodes, optimal_unbounded
 from flowfilter.propagation import gains, objective_f, phi_total, simulate
-from flowfilter.synth import random_dag
 
 
 def by_label(g, counts):
@@ -50,6 +50,22 @@ def test_objective_examples():
     assert objective_f(g2, {g2.index("B")}) == 0
     assert objective_f(g1, {g1.index("z2")}) == 1
     assert objective_f(g1, ()) == 0
+
+
+@pytest.mark.parametrize("member", ["z2", 7, -1])
+def test_scoring_rejects_members_that_are_no_node_index(member):
+    # a label, n or -1 matches no node, so a pass would score the set as if
+    # the member were absent: F({"z2"}) would read 0 where F({z2}) is 1
+    g = g_fanin()
+    message = f"filter member {member!r} is not a node index (0 to 6)"
+    passes = [objective_f, phi_total, compute_prefix, impact_table,
+              lambda g, filters: list(gains(g, [(), filters]))]
+    for score in passes:
+        with pytest.raises(ValueError) as exc:
+            score(g, {member})
+        assert str(exc.value) == message, score
+        with pytest.raises(ValueError):
+            score(g, [g.index("z2"), member])
 
 
 def test_simulate_accepts_filter_set_objects():

@@ -9,12 +9,14 @@ from _oracles import (
     layered_analytic_mean,
     layered_graph_reference,
     layered_sigma,
+    random_ctree,
+    random_dag,
 )
 from flowfilter.graph import serialize_edge_list, topological_order
 from flowfilter.path_stats import compute_stats
 from flowfilter.placement import eligible_nodes
 from flowfilter.propagation import objective_f
-from flowfilter.synth import LayeredConfig, layered_graph, random_ctree, random_dag
+from flowfilter.synth import LayeredConfig, layered_graph
 
 
 # --- layered generator ---------------------------------------------------------

@@ -15,6 +15,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from fixtures import g_tree1
 from flowfilter import cli
 from flowfilter.graph import serialize_edge_list
 from flowfilter.synth import LayeredConfig, layered_graph
@@ -56,3 +57,22 @@ def test_tracer_sees_the_greedies_of_an_fr_curve(tmp_path):
     for name in ("greedy_1", "greedy_max", "greedy_l", "greedy_all"):
         assert got[f"placement.{name}.calls"] >= 1, name
     assert got["placement.greedy_all.rounds"] >= 1
+
+
+def test_tracer_sees_the_tree_dp_and_the_random_baselines(tmp_path):
+    # the harness sets up tree_dp and randomized_baseline once per run and
+    # picks from what they return, so each must be called by its traced name
+    tracer = _load_tracer()
+    tree, graph = tmp_path / "tree.tsv", tmp_path / "g.tsv"
+    tree.write_text(serialize_edge_list(g_tree1()))
+    graph.write_text(serialize_edge_list(layered_graph(LayeredConfig(4, 8, 1.0, 4.0, seed=3))))
+    with tracer.Tracer() as t:
+        t.tag = "deep"
+        assert cli.main(["place", "--input", str(tree), "--algo", "tree-dp", "--k", "2",
+                         "--json", str(tmp_path / "place.json")]) == 0
+        assert cli.main(["fr-curve", "--input", str(graph), "--source", "s",
+                         "--algos", "rand-k,rand-i,rand-w", "--kmax", "2", "--runs", "3",
+                         "--csv", str(tmp_path / "fr.csv")]) == 0
+    got = tracer.summarize(t.spans)
+    assert got["placement.tree_dp.deep.calls"] >= 1
+    assert got["placement.randomized_baseline.calls"] >= 1
