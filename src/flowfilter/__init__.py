@@ -14,8 +14,8 @@ from .graph import (
     serialize_edge_list,
     topological_order,
 )
-from .propagation import CountTable, objective_f, phi_total, simulate
-from .path_stats import PathStats, compute_stats, impact_table
+from .propagation import objective_f, phi_total, simulate
+from .path_stats import compute_stats, impact_table
 from .placement import (
     CTree,
     NotACTreeError,
@@ -33,14 +33,12 @@ from .harness import fr_curve, oracle
 
 __all__ = [
     "CGraph",
-    "CountTable",
     "CTree",
     "CycleError",
     "GraphError",
     "NoSourceError",
     "NotACTreeError",
     "ParseError",
-    "PathStats",
     "add_super_source",
     "as_ctree",
     "best_dag",

@@ -287,9 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-DAG_COMMANDS = {"place", "evaluate", "oracle", "fr-curve"}
-
-
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -299,10 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except CycleError as exc:
-        if args.command in DAG_COMMANDS:
-            print(f"flowfilter: error: {DAG_HINT} ({exc})", file=sys.stderr)
-        else:
-            print(f"flowfilter: error: {exc}", file=sys.stderr)
+        print(f"flowfilter: error: {DAG_HINT} ({exc})", file=sys.stderr)
         return 1
     except (GraphError, BudgetExceededError, ValueError, OSError) as exc:
         print(f"flowfilter: error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Path statistics under a filter set: prefix, suffix and impact.
+"""Per-node lists under a filter set: prefix, suffix and impact.
 
 prefix(v)    -- copies of the item reaching v (= source->v paths, with every
                 filter collapsed to a single forwarded copy).
@@ -16,15 +16,7 @@ forward pass: ``propagation.phi_total`` sums it too.  The master property
 difference measured by the reference simulator, ``propagation.simulate``.
 """
 
-from dataclasses import dataclass
-
 from .graph import CGraph, topological_order
-
-
-@dataclass(frozen=True)
-class PathStats:
-    prefix: tuple[int, ...]
-    suffix: tuple[int, ...]
 
 
 def check_members(g: CGraph, members) -> None:
@@ -50,8 +42,8 @@ def compute_prefix(g: CGraph, filters) -> list[int]:
     return prefix
 
 
-def compute_stats(g: CGraph, filters) -> PathStats:
-    """Prefix and suffix tables for ``g`` under ``filters``.
+def compute_stats(g: CGraph, filters) -> tuple[list[int], list[int]]:
+    """``(prefix, suffix)`` for ``g`` under ``filters``: two lists indexed by node.
 
     suffix(v) is the sum over v's children w of what one copy arriving at w
     causes: 0 if w is a source, which counts no receipt and emits one copy
@@ -65,14 +57,14 @@ def compute_stats(g: CGraph, filters) -> PathStats:
     for v in reversed(topological_order(g)):
         s = suffix[v] = sum(map(caused.__getitem__, g.out_adj[v]))
         caused[v] = 0 if v in g.sources else 1 if v in members else s + 1
-    return PathStats(tuple(compute_prefix(g, members)), tuple(suffix))
+    return compute_prefix(g, members), suffix
 
 
 def impact_table(g: CGraph, filters) -> list[int]:
     """Impact per node under ``filters``: 0 at sources, filters and unreached nodes."""
     members = frozenset(filters)
-    stats = compute_stats(g, members)
+    prefix, suffix = compute_stats(g, members)
     return [
         (p - 1) * s if p > 1 and v not in g.sources and v not in members else 0
-        for v, (p, s) in enumerate(zip(stats.prefix, stats.suffix))
+        for v, (p, s) in enumerate(zip(prefix, suffix))
     ]

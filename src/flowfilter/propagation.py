@@ -2,10 +2,10 @@
 
 ``phi_total`` sums ``path_stats.compute_prefix``, the library's one forward
 pass: a non-source node receives its prefix in copies, so on a
-single-source graph φ(A) = Σ prefix − 1.  ``simulate``, with per-node
-receive and forward counts, is the ground-truth reference the oracle tests
-compare against; no library code calls it.  Counts are plain Python ints,
-so they stay exact no matter how many paths the graph has.
+single-source graph φ(A) = Σ prefix − 1.  ``simulate`` returns the
+per-node receive and forward counts as two lists: the ground-truth
+reference the oracle tests compare against (no library code calls it).
+Counts are plain Python ints, exact however many paths the graph has.
 
 ``gains`` is the library's one scoring function: it yields the objective
 F(A) = φ(∅) − φ(A) of each filter set A, scoring up to ``_PASS_SETS`` sets
@@ -22,19 +22,10 @@ filter) forwards (r & ~M) | (nz & M).
 """
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import islice
 
 from .graph import CGraph, GraphError, topological_order
 from .path_stats import check_members, compute_prefix
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """Receive/forward counts from one propagation run, indexed by node."""
-
-    received: tuple[int, ...]
-    forwarded: tuple[int, ...]
 
 
 def filter_members(filters) -> frozenset[int]:
@@ -51,16 +42,17 @@ def _single_source(g: CGraph) -> int:
     return next(iter(g.sources))
 
 
-def simulate(g: CGraph, filters) -> CountTable:
-    """Propagate one item from the source through an acyclic graph.
+def simulate(g: CGraph, filters) -> tuple[list[int], list[int]]:
+    """``(received, forwarded)``: the copies each node receives and forwards.
 
-    Every node forwards each copy it receives to all out-neighbours; a
-    filter forwards at most one copy total.  The source always emits
-    exactly one copy per out-edge, so a filter placed on it is inert.
-    Raises CycleError on cyclic input (the counts would diverge).
+    One item leaves the source of an acyclic graph; every node forwards
+    each copy it receives to all out-neighbours, a filter at most one copy
+    total, and the source one copy per out-edge (a filter on it is inert).
+    Raises CycleError on a cycle, ValueError on a member that is no node.
     """
     source = _single_source(g)
     members = filter_members(filters)
+    check_members(g, members)
     received = [0] * g.n
     forwarded = [0] * g.n
     for v in topological_order(g):
@@ -71,7 +63,7 @@ def simulate(g: CGraph, filters) -> CountTable:
             forwarded[v] = min(received[v], 1)
         else:
             forwarded[v] = received[v]
-    return CountTable(tuple(received), tuple(forwarded))
+    return received, forwarded
 
 
 def phi_total(g: CGraph, filters) -> int:

@@ -13,7 +13,6 @@ from flowfilter.graph import (
     CGraph,
     GraphError,
     ParseError,
-    _first_repeat_or_loop,
     add_super_source,
     build_graph,
 )
@@ -106,8 +105,14 @@ def build_graph_reference(edge_labels, nodes=(), sources=None) -> CGraphReferenc
 
 
 def parse_edge_list_reference(text: str, source_hint=None) -> CGraphReference:
-    """``parse_edge_list`` one line, and one label pair, at a time."""
+    """``parse_edge_list`` one line, and one label pair, at a time.
+
+    Every line's format is checked first, then that the graph has an edge,
+    then the first self-loop or repeated edge (noted, with its line, as the
+    lines are read), and only then what building the graph reports.
+    """
     edge_labels: list[tuple[str, str]] = []
+    fault = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -115,16 +120,23 @@ def parse_edge_list_reference(text: str, source_hint=None) -> CGraphReference:
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected 'u<TAB>v', got {raw!r}")
-        edge_labels.append((parts[0], parts[1]))
+        u, v = parts
+        if fault is None and u == v:
+            fault = f"line {lineno}: self-loop at node {u!r}"
+        elif fault is None and (u, v) in edge_labels:
+            fault = f"line {lineno}: duplicate edge {u!r} -> {v!r}"
+        edge_labels.append((u, v))
     if not edge_labels:
         raise ParseError("empty graph: no edges found")
+    if fault is not None:
+        raise ParseError(fault)
     try:
         return build_graph_reference(
             edge_labels,
             sources=[source_hint] if source_hint is not None else None,
         )
     except GraphError as exc:
-        raise ParseError(_first_repeat_or_loop(text) or str(exc)) from None
+        raise ParseError(str(exc)) from None
 
 
 def reachable_from(g: CGraph, v: int) -> set[int]:

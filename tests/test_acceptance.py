@@ -73,7 +73,7 @@ def test_fanin_semantics_exact():
     with criterion("fan-in fixture semantics", budget_s=1.0):
         g = g_fanin()
         stats = compute_stats(g, ())
-        assert stats.prefix[g.index("w")] == 4  # the 1 + 2 + 1 copies
+        assert stats[0][g.index("w")] == 4  # the 1 + 2 + 1 copies
         assert g.sorted_labels(optimal_unbounded(g)) == ["z2"]
         z2 = {g.index("z2")}
         assert ratio(objective_f(g, z2), max_objective(g)) == 1

@@ -187,6 +187,14 @@ def test_add_super_source_no_source():
         add_super_source(g)
 
 
+def test_add_super_source_rejects_the_reserved_label():
+    # three sources, one of them already named like the node it would add
+    g = build_graph([("a", "c"), ("b", "c"), ("__super__", "d")])
+    with pytest.raises(GraphError) as exc:
+        add_super_source(g)
+    assert str(exc.value) == "node label '__super__' is reserved"
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_add_super_source_preserves_reachability(seed):
     rng = random.Random(seed)

@@ -18,7 +18,7 @@ from flowfilter.propagation import objective_f, phi_total, simulate
 def test_fanin_prefix_matches_received_counts():
     g = g_fanin()
     stats = compute_stats(g, ())
-    got = {g.labels[v]: p for v, p in enumerate(stats.prefix)}
+    got = {g.labels[v]: p for v, p in enumerate(stats[0])}
     assert got == {"s": 1, "x": 1, "y": 1, "z1": 1, "z2": 2, "z3": 1, "w": 4}
 
 
@@ -26,24 +26,24 @@ def test_fanin_suffix_against_path_enumeration():
     g = g_fanin()
     stats = compute_stats(g, ())
     for v in range(g.n):
-        assert stats.suffix[v] == count_nonempty_paths_from(g, v), g.labels[v]
+        assert stats[1][v] == count_nonempty_paths_from(g, v), g.labels[v]
     # frozen expectations from the enumeration: x has 4 nonempty paths
     # (x->z1, x->z2, x->z1->w, x->z2->w)
-    assert stats.suffix[g.index("x")] == 4
-    assert stats.suffix[g.index("z2")] == 1
-    assert stats.suffix[g.index("w")] == 0
+    assert stats[1][g.index("x")] == 4
+    assert stats[1][g.index("z2")] == 1
+    assert stats[1][g.index("w")] == 0
 
 
 def test_fanin_prefix_with_filter_reset():
     g = g_fanin()
     stats = compute_stats(g, {g.index("z2")})
-    assert stats.prefix[g.index("w")] == 3
+    assert stats[0][g.index("w")] == 3
 
 
 def test_compute_prefix_agrees_with_full_stats():
     g = g_degree_trap()
     for filters in [(), {g.index("A")}, {g.index("B"), g.index("u1")}]:
-        assert compute_prefix(g, filters) == list(compute_stats(g, filters).prefix)
+        assert compute_prefix(g, filters) == compute_stats(g, filters)[0]
 
 
 def _with_extra_sources(seed: int) -> tuple[CGraph, set[int]]:
@@ -61,9 +61,9 @@ def test_prefix_with_extra_sources_matches_simulator():
     # as cutting each source's in-edges and feeding it from one new root
     for seed in range(300):
         g, filters = _with_extra_sources(seed)
-        want = list(simulate(rooted_at_sources(g), filters).received[: g.n])
+        want = simulate(rooted_at_sources(g), filters)[0][: g.n]
         assert compute_prefix(g, filters) == want, (seed, filters)
-        assert list(compute_stats(g, filters).prefix) == want, (seed, filters)
+        assert compute_stats(g, filters)[0] == want, (seed, filters)
 
 
 @pytest.mark.parametrize("seed", range(100))
@@ -79,7 +79,7 @@ def test_suffix_counts_paths_stopped_by_filters_and_sources(seed):
             if not g.sources & set(path[1:])
             and not filters & set(path[1:-1])
         )
-        assert stats.suffix[v] == expected, (v, filters, g.sources)
+        assert stats[1][v] == expected, (v, filters, g.sources)
 
 
 def test_impact_examples():
@@ -143,9 +143,9 @@ def test_prefix_sums_match_phi(seed):
     elig = eligible_nodes(g)
     members = frozenset(rng.sample(elig, rng.randint(0, len(elig))))
     stats = compute_stats(g, members)
-    total = sum(stats.prefix[v] for v in range(g.n) if v not in g.sources)
+    total = sum(stats[0][v] for v in range(g.n) if v not in g.sources)
     assert total == phi_total(g, members)
     # and prefix agrees with the simulator node by node
-    assert list(stats.prefix[v] for v in elig) == [
-        simulate(g, members).received[v] for v in elig
+    assert list(stats[0][v] for v in elig) == [
+        simulate(g, members)[0][v] for v in elig
     ]

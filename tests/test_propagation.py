@@ -16,16 +16,16 @@ def by_label(g, counts):
 
 def test_fanin_received_no_filters():
     g = g_fanin()
-    got = by_label(g, simulate(g, ()).received)
+    got = by_label(g, simulate(g, ())[0])
     assert got == {"s": 0, "x": 1, "y": 1, "z1": 1, "z2": 2, "z3": 1, "w": 4}
 
 
 def test_fanin_filter_reduces_forwarding_not_receipt():
     g = g_fanin()
     counts = simulate(g, {g.index("z2")})
-    assert counts.received[g.index("w")] == 3
-    assert counts.received[g.index("z2")] == 2
-    assert counts.forwarded[g.index("z2")] == 1
+    assert counts[0][g.index("w")] == 3
+    assert counts[0][g.index("z2")] == 2
+    assert counts[1][g.index("z2")] == 1
 
 
 def test_chain_every_node_receives_one():
@@ -33,7 +33,7 @@ def test_chain_every_node_receives_one():
     for filters in [(), {g.index("a")}, {g.index("a"), g.index("b")}]:
         counts = simulate(g, filters)
         assert all(
-            counts.received[v] == 1 for v in range(g.n) if v != g.index("s")
+            counts[0][v] == 1 for v in range(g.n) if v != g.index("s")
         )
 
 
@@ -58,7 +58,7 @@ def test_scoring_rejects_members_that_are_no_node_index(member):
     # the member were absent: F({"z2"}) would read 0 where F({z2}) is 1
     g = g_fanin()
     message = f"filter member {member!r} is not a node index (0 to 6)"
-    passes = [objective_f, phi_total, compute_prefix, impact_table,
+    passes = [objective_f, phi_total, compute_prefix, impact_table, simulate,
               lambda g, filters: list(gains(g, [(), filters]))]
     for score in passes:
         with pytest.raises(ValueError) as exc:
@@ -85,8 +85,8 @@ def test_unreachable_nodes_receive_nothing():
     # a has no in-edges but is not the source; nothing flows through it
     g = build_graph([("s", "b"), ("a", "b")], sources=["s"])
     counts = simulate(g, ())
-    assert counts.received[g.index("a")] == 0
-    assert counts.received[g.index("b")] == 1
+    assert counts[0][g.index("a")] == 0
+    assert counts[0][g.index("b")] == 1
     assert objective_f(g, {g.index("a")}) == 0
 
 
@@ -112,7 +112,7 @@ def test_path_identity_on_random_dags(seed):
     for v in range(g.n):
         if v == source:
             continue
-        assert counts.received[v] == count_paths(g, source, v)
+        assert counts[0][v] == count_paths(g, source, v)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -147,7 +147,7 @@ def test_phi_total_matches_simulate(block):
         source = next(iter(g.sources))
         for _ in range(3):
             filters = rng.sample(range(g.n), rng.randint(0, g.n))
-            received = simulate(g, filters).received
+            received = simulate(g, filters)[0]
             want = sum(c for v, c in enumerate(received) if v != source)
             assert phi_total(g, filters) == want, (seed, filters)
 
@@ -223,7 +223,7 @@ def test_gains_matches_simulate_over_many_passes(seed):
     sets = [rng.sample(range(g.n), rng.randint(0, g.n)) for _ in range(600)]
 
     def phi(filters):
-        return sum(c for v, c in enumerate(simulate(g, filters).received) if v != source)
+        return sum(c for v, c in enumerate(simulate(g, filters)[0]) if v != source)
 
     assert list(gains(g, (s for s in sets))) == [phi(()) - phi(s) for s in sets]
 

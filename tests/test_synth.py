@@ -158,10 +158,10 @@ def test_random_dag_complete_path_counts():
     g = random_dag(5, 1.0, 123)
     stats = compute_stats(g, ())
     src = next(iter(g.sources))
-    assert max(stats.prefix) == 2 ** (5 - 2)
+    assert max(stats[0]) == 2 ** (5 - 2)
     for v in range(g.n):
         if v != src:
-            assert stats.prefix[v] == count_paths(g, src, v)
+            assert stats[0][v] == count_paths(g, src, v)
 
 
 @pytest.mark.parametrize("seed", range(6))
