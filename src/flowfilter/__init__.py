@@ -17,7 +17,6 @@ from .graph import (
 from .propagation import objective_f, phi_total, simulate
 from .path_stats import compute_stats, impact_table
 from .placement import (
-    CTree,
     NotACTreeError,
     as_ctree,
     greedy_1,
@@ -33,7 +32,6 @@ from .harness import fr_curve, oracle
 
 __all__ = [
     "CGraph",
-    "CTree",
     "CycleError",
     "GraphError",
     "NoSourceError",

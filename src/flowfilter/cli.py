@@ -44,7 +44,7 @@ DAG_HINT = "input graph is cyclic; run `flowfilter extract-dag` on it first"
 
 
 def _write_with_manifest(path: str, data: str, args: argparse.Namespace) -> None:
-    Path(path).write_text(data)
+    Path(path).write_text(data, encoding="utf-8")
     manifest = {
         "tool": "flowfilter",
         "version": __version__,
@@ -53,12 +53,12 @@ def _write_with_manifest(path: str, data: str, args: argparse.Namespace) -> None
         "output": path,
     }
     Path(path + ".manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
 
 def _load_graph(args: argparse.Namespace) -> CGraph:
-    text = Path(args.input).read_text()
+    text = Path(args.input).read_text(encoding="utf-8-sig")  # drops a leading BOM
     g = parse_edge_list(text, source_hint=args.source)
     if args.super_source:
         g = add_super_source(g)
@@ -143,6 +143,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_fr_curve(args) -> int:
+    if args.json and Path(args.json).resolve() == Path(args.csv).resolve():
+        args.usage_error(f"argument --json: names the same file as --csv: {args.json}")
     g = _load_graph(args)
     curve = fr_curve(g, args.algos, args.kmax, args.runs, args.seed)
     _write_with_manifest(args.csv, curve_to_csv(curve), args)
@@ -278,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", required=True, help="output CSV path")
     p.add_argument("--json", help="also write full per-cell results")
-    p.set_defaults(func=_cmd_fr_curve)
+    p.set_defaults(func=_cmd_fr_curve, usage_error=p.error)
 
     p = sub.add_parser("validate", help="parse a graph and report its shape")
     _add_input_opts(p)

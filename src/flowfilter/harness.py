@@ -28,7 +28,6 @@ from operator import itemgetter
 
 from .graph import CGraph
 from .placement import (
-    as_ctree,
     check_k,
     eligible_nodes,
     greedy_1,
@@ -66,7 +65,7 @@ _RUNNERS = {
     "greedy-all": lambda g, k: _first(greedy_all(g, k)),
     "greedy-max": lambda g, k: _first(greedy_max(g, k)),
     "greedy-l": lambda g, k: _first(greedy_l(g, k)),
-    "tree-dp": lambda g, k: _seedless(tree_dp(as_ctree(g), k)),
+    "tree-dp": lambda g, k: _seedless(tree_dp(g, k)),
     "optimal-unbounded": lambda g, k: _seedless(lambda k, filters=optimal_unbounded(g): filters),
     "rand-k": lambda g, k: randomized_baseline(g, "rand_k"),
     "rand-i": lambda g, k: randomized_baseline(g, "rand_i"),

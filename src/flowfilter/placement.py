@@ -7,14 +7,15 @@ baselines.  Selectors return node indices (``CGraph.sorted_labels`` names
 them).  The greedies return their picks in order, so the first j picks
 for budget k are the picks for budget j.  ``tree_dp`` and
 ``randomized_baseline`` set up once and return a function that picks a
-frozenset per budget (and seed).  All tie-breaks go to the smallest dense
-node index, so every deterministic selector is reproducible bit for bit.
+frozenset per budget (and seed).  Every selector takes the graph, and
+``tree_dp`` certifies it as a communication tree itself.  All tie-breaks
+go to the smallest dense node index, so every deterministic selector is
+reproducible bit for bit.
 """
 
 import functools
 import random
 from collections.abc import Callable
-from dataclasses import dataclass
 from operator import add, mul
 
 from .graph import CGraph, GraphError, topological_order
@@ -157,25 +158,16 @@ def randomized_baseline(g: CGraph, variant: str) -> Callable[[int, int], frozens
 # --- communication trees ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CTree:
-    """A certified communication tree, rooted at its source.
+def as_ctree(g: CGraph) -> tuple[tuple, tuple]:
+    """Certify that ``g`` is a communication tree, or raise NotACTreeError.
 
     The graph minus its source is a forest of out-trees; the source feeds
     each root of the forest, so with the source as their parent the whole
-    graph is one tree.  Any other node may carry an extra source edge on
-    top of the one from its tree parent.
+    graph is one tree.  Returns two per-node tuples ``(children, extra)``:
+    ``children[v]`` lists v's tree children, the source's being the roots,
+    and ``extra[v]`` is True when a source edge feeds v on top of its tree
+    edge (never at a root or at the source).
     """
-
-    graph: CGraph
-    source: int
-    children: tuple  # tree child indices, per node; the source's are the roots
-    roots: tuple
-    has_source_edge: tuple  # bool per node
-
-
-def as_ctree(g: CGraph) -> CTree:
-    """Certify that ``g`` is a communication tree, or raise NotACTreeError."""
     if len(g.sources) != 1:
         raise NotACTreeError(f"expected exactly one source, got {len(g.sources)}")
     source = next(iter(g.sources))
@@ -185,6 +177,7 @@ def as_ctree(g: CGraph) -> CTree:
         raise NotACTreeError(f"graph is cyclic: {exc}") from None
 
     children: list[list[int]] = [[] for _ in range(g.n)]
+    extra = [False] * g.n
     for v in range(g.n):
         if v == source:
             continue
@@ -196,13 +189,8 @@ def as_ctree(g: CGraph) -> CTree:
         if not tree_parents and source not in g.in_adj[v]:
             raise NotACTreeError(f"node {g.labels[v]!r} is not reachable from the source")
         children[tree_parents[0] if tree_parents else source].append(v)
-    return CTree(
-        g,
-        source,
-        tuple(map(tuple, children)),
-        tuple(children[source]),
-        tuple(source in g.in_adj[v] for v in range(g.n)),
-    )
+        extra[v] = bool(tree_parents) and source in g.in_adj[v]
+    return tuple(map(tuple, children)), tuple(extra)
 
 
 def _at(row: list, b: int) -> int:
@@ -261,7 +249,7 @@ def _split(kids: tuple, suffix: list, best: list, out: int, budget: int):
     yield kids[-1], budget
 
 
-def tree_dp(t: CTree, k_max: int) -> Callable[[int], frozenset[int]]:
+def tree_dp(g: CGraph, k_max: int) -> Callable[[int], frozenset[int]]:
     """Build the tree DP's tables once; return ``traceback(k)`` for k <= k_max.
 
     ``traceback(k)`` is an exact optimal filter set of size <= k.  The
@@ -284,25 +272,25 @@ def tree_dp(t: CTree, k_max: int) -> Callable[[int], frozenset[int]]:
     so never the source, which forwards one copy either way.  Minimizing
     total receipts is equivalent to maximizing the objective.
 
-    A value at budget b reads only budgets <= b, so ``traceback(k)`` returns
-    exactly the set that ``tree_dp(t, k)(k)`` would.  It raises ValueError
+    ``g`` is certified by ``as_ctree`` first, so a graph that is not a
+    communication tree raises NotACTreeError before k_max is checked.  A
+    value at budget b reads only budgets <= b, so ``traceback(k)`` returns
+    exactly the set that ``tree_dp(g, k)(k)`` would.  It raises ValueError
     for k < 0 or k > k_max.
     """
+    children, extra = as_ctree(g)
     check_k(k_max)
-    n = t.graph.n
-    extra = list(t.has_source_edge)  # a source edge besides v's tree edge
-    for r in t.roots:
-        extra[r] = False
-    order = topological_order(t.graph)
+    n = g.n
+    order = topological_order(g)
     top = [0] * n  # extra source edges above v: v's largest inflow - 1
     for v in order:
-        for c in t.children[v]:
+        for c in children[v]:
             top[c] = top[v] + extra[v]
 
     best: list = [None] * n  # v's [inflow - 1][budget] table
     suffix: list = [None] * n  # ``_fold`` of v's children, if it has any
     for v in reversed(order):
-        kids, recvs = t.children[v], range(1 + extra[v], top[v] + extra[v] + 2)
+        kids, recvs = children[v], range(1 + extra[v], top[v] + extra[v] + 2)
         if not kids:
             best[v] = [[recv] for recv in recvs]
             continue
@@ -323,10 +311,10 @@ def tree_dp(t: CTree, k_max: int) -> Callable[[int], frozenset[int]]:
         if k > k_max:
             raise ValueError(f"k must be <= k_max = {k_max}, got {k}")
         chosen: set[int] = set()
-        stack = [(t.source, 0, k)]  # (node, inflow - 1, budget)
+        stack = [(next(iter(g.sources)), 0, k)]  # (node, inflow - 1, budget)
         while stack:
             v, row, budget = stack.pop()
-            kids = t.children[v]
+            kids = children[v]
             if not kids:
                 continue  # a leaf filter removes nothing
             table = suffix[v][0]

@@ -17,7 +17,7 @@ from flowfilter.graph import (
     build_graph,
 )
 from flowfilter.path_stats import compute_prefix, impact_table
-from flowfilter.placement import CTree, as_ctree, eligible_nodes
+from flowfilter.placement import as_ctree, eligible_nodes
 from flowfilter.propagation import phi_total
 
 
@@ -272,7 +272,7 @@ def random_dag(n: int, edge_prob: float, seed: int) -> CGraph:
     return add_super_source(g)
 
 
-def random_ctree(n: int, source_edge_prob: float, seed: int) -> CTree:
+def random_ctree(n: int, source_edge_prob: float, seed: int) -> CGraph:
     """Random communication tree: a recursive tree plus random source edges.
 
     Node i attaches below a uniformly random earlier node; each node
@@ -286,7 +286,7 @@ def random_ctree(n: int, source_edge_prob: float, seed: int) -> CTree:
     edges = [("s", names[0])]
     edges += [(names[rng.randrange(i)], names[i]) for i in range(1, n)]
     edges += [("s", names[i]) for i in range(1, n) if rng.random() < source_edge_prob]
-    return as_ctree(build_graph(edges, nodes=["s"] + names, sources=["s"]))
+    return build_graph(edges, nodes=["s"] + names, sources=["s"])
 
 
 def layered_analytic_mean(cfg) -> float:
@@ -443,28 +443,32 @@ def _split_reference(children: tuple, picks: list, out: int, budget: int):
         yield children[-1], budget
 
 
-def tree_dp_reference(t: CTree, k: int) -> frozenset[int]:
+def tree_dp_reference(g: CGraph, k: int) -> frozenset[int]:
     """``tree_dp`` joining every node's children over full k + 1 budgets.
 
     Leaves and single children get the same O(rows * k^2) join as any
     other node, against an all-zero table, and every join stores its
     argmin picks for the traceback.  Every table is k + 1 budgets wide.
+    ``se[v]`` is True for every node a source edge feeds, roots included.
     """
-    n, se = t.graph.n, t.has_source_edge
+    children, _ = as_ctree(g)
+    source = next(iter(g.sources))
+    n, roots = g.n, children[source]
+    se = [source in parents for parents in g.in_adj]
     top = [0] * n
     order = []
-    stack = list(t.roots)
+    stack = list(roots)
     while stack:
         v = stack.pop()
         order.append(v)
-        for c in t.children[v]:
+        for c in children[v]:
             top[c] = top[v] + se[v]
-        stack.extend(t.children[v])
+        stack.extend(children[v])
 
     best: list = [None] * n
     joined: list = [None] * n
     for v in reversed(order):
-        kids = t.children[v]
+        kids = children[v]
         joined[v] = _join_reference([best[c] for c in kids], top[v] + se[v] + 1, k)
         table = joined[v][0]
         best[v] = []
@@ -475,9 +479,9 @@ def tree_dp_reference(t: CTree, k: int) -> frozenset[int]:
                 + [recv + min(keep[b], cut[b - 1]) for b in range(1, k + 1)]
             )
 
-    _, root_picks = _join_reference([best[r] for r in t.roots], 1, k)
+    _, root_picks = _join_reference([best[r] for r in roots], 1, k)
     chosen: set[int] = set()
-    stack = [(r, 0, j) for r, j in _split_reference(t.roots, root_picks, 0, k)]
+    stack = [(r, 0, j) for r, j in _split_reference(roots, root_picks, 0, k)]
     while stack:
         v, inflow, budget = stack.pop()
         table, picks = joined[v]
@@ -486,7 +490,7 @@ def tree_dp_reference(t: CTree, k: int) -> frozenset[int]:
             chosen.add(v)
             out, budget = min(out, 1), budget - 1
         stack.extend(
-            (c, out, j) for c, j in _split_reference(t.children[v], picks, out, budget)
+            (c, out, j) for c, j in _split_reference(children[v], picks, out, budget)
         )
     return frozenset(chosen)
 

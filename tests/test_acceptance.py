@@ -119,8 +119,8 @@ def test_tree_dp_exactness():
             rng = random.Random(seed)
             t = random_ctree(rng.randint(1, 12), rng.uniform(0.0, 0.9), seed + 3000)
             for k in (1, 2, 3):
-                value = objective_f(t.graph, tree_dp(t, k)(k))
-                _, best = oracle(t.graph, k)
+                value = objective_f(t, tree_dp(t, k)(k))
+                _, best = oracle(t, k)
                 assert value == best, (seed, k, value, best)
 
 

@@ -130,6 +130,19 @@ def test_evaluate_reports_phi_and_f(fanin_path, capsys):
     }
 
 
+def test_leading_bom_is_not_part_of_the_first_label(fanin_path, tmp_path, capsys):
+    # read with the locale's codec, a BOM would make the first label
+    # "\ufeffs", a second source that silently takes the edge s -> x
+    bom = tmp_path / "fanin-bom.tsv"
+    bom.write_bytes(b"\xef\xbb\xbf" + fanin_path.read_bytes())
+    for argv in (["validate"], ["evaluate", "--source", "s", "--filters", "z2"]):
+        outs = []
+        for path in (fanin_path, bom):
+            assert main(argv + ["--input", str(path)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1], argv
+
+
 def test_evaluate_reports_each_label_once(fanin_path, capsys):
     argv = ["evaluate", "--input", str(fanin_path), "--filters"]
     assert main(argv + ["z2,z2"]) == 0
@@ -364,9 +377,11 @@ def test_usage_error_exits_2():
         ["generate", "--x", "nan"],
         ["generate", "--y", "inf"],
         ["fr-curve", "--algos", "greedy-1,greedy-1", "--kmax", "1"],
+        ["fr-curve", "--algos", "greedy-1", "--kmax", "1", "--json", "./curve.csv"],
     ],
 )
-def test_out_of_range_arguments_exit_2(argv, degree_trap_path, tmp_path, capsys):
+def test_out_of_range_arguments_exit_2(argv, degree_trap_path, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # so a relative path can name a file in tmp_path
     if argv[0] == "generate":
         extra = ["--out", str(tmp_path / "g.tsv")]
     else:

@@ -186,14 +186,14 @@ def test_rand_w_weights_computed_once_per_curve(monkeypatch):
 
 def test_fr_curve_certifies_and_builds_tree_dp_tables_once(monkeypatch):
     calls = []
-    for name in ("as_ctree", "tree_dp"):
-        real = getattr(harness, name)
+    for module, name in ((harness, "tree_dp"), (placement, "as_ctree")):
+        real = getattr(module, name)
         monkeypatch.setattr(
-            harness, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+            module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
         )
     curve = fr_curve(g_tree1(), ["tree-dp"], k_max=4, runs=3)
     assert len(curve) == 4
-    assert calls == ["as_ctree", "tree_dp"]
+    assert calls == ["tree_dp", "as_ctree"]
 
 
 def test_scoring_simulates_each_filter_set_once(scoring_calls):

@@ -14,7 +14,7 @@ from _oracles import (
 )
 from flowfilter.graph import serialize_edge_list, topological_order
 from flowfilter.path_stats import compute_stats
-from flowfilter.placement import eligible_nodes
+from flowfilter.placement import as_ctree, eligible_nodes
 from flowfilter.propagation import objective_f
 from flowfilter.synth import LayeredConfig, layered_graph
 
@@ -188,15 +188,13 @@ def test_random_dag_validation():
 
 
 def test_random_ctree_single_node():
-    t = random_ctree(1, 0.5, 0)
-    g = t.graph
+    g = random_ctree(1, 0.5, 0)
     assert g.n == 2  # source + the node
     assert g.m == 1
 
 
 def test_random_ctree_no_extra_source_edges_means_no_redundancy():
-    t = random_ctree(10, 0.0, 3)
-    g = t.graph
+    g = random_ctree(10, 0.0, 3)
     assert all(g.in_degree(v) == 1 for v in range(g.n) if v not in g.sources)
     assert objective_f(g, eligible_nodes(g)) == 0
 
@@ -204,15 +202,15 @@ def test_random_ctree_no_extra_source_edges_means_no_redundancy():
 def test_random_ctree_reproducible():
     a = random_ctree(9, 0.5, 21)
     b = random_ctree(9, 0.5, 21)
-    assert a.graph.edges == b.graph.edges
+    assert a.edges == b.edges
 
 
 def test_random_ctree_certified():
-    # construction went through the certifier; spot-check the annotations
-    t = random_ctree(12, 0.6, 5)
-    g = t.graph
-    for p, kids in enumerate(t.children):
+    # the generator's output certifies; spot-check the annotations
+    g = random_ctree(12, 0.6, 5)
+    children, extra = as_ctree(g)
+    source = next(iter(g.sources))
+    for p, kids in enumerate(children):
         assert all(c in g.out_adj[p] for c in kids)
-    assert t.children[t.source] == t.roots
-    for r in t.roots:
-        assert t.has_source_edge[r]
+    for r in children[source]:
+        assert source in g.in_adj[r] and not extra[r]

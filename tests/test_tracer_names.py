@@ -75,4 +75,5 @@ def test_tracer_sees_the_tree_dp_and_the_random_baselines(tmp_path):
                          "--csv", str(tmp_path / "fr.csv")]) == 0
     got = tracer.summarize(t.spans)
     assert got["placement.tree_dp.deep.calls"] >= 1
+    assert got["placement.as_ctree.calls"] >= 1
     assert got["placement.randomized_baseline.calls"] >= 1
