@@ -58,8 +58,8 @@ def _write_with_manifest(path: str, data: str, args: argparse.Namespace) -> None
 
 
 def _load_graph(args: argparse.Namespace) -> CGraph:
-    text = Path(args.input).read_text(encoding="utf-8-sig")  # drops a leading BOM
-    g = parse_edge_list(text, source_hint=args.source)
+    text = Path(args.input).read_text(encoding="utf-8")
+    g = parse_edge_list(text, source_hint=args.source)  # drops a leading BOM
     if args.super_source:
         g = add_super_source(g)
     return g

@@ -10,9 +10,15 @@ node is kept.
 A dropped edge (v, w) closes a cycle with the tree path w -> v, which is
 kept, so re-adding any dropped edge makes the result cyclic: it is maximal.
 
-``best_dag`` ranks every root by what its DFS alone gives: the nodes it
-reaches, then the edges out of them that are not back edges, then the
-smallest index.  It builds a graph only for the winner.
+``best_dag`` ranks roots by what their DFS alone gives: the nodes reached,
+then the edges out of them that are not back edges, then the smallest
+index.  It builds a graph only for the winner, and it ranks only the roots
+in source SCCs: strongly connected components with no edge in from another
+component.  Any other root r has an edge into its component from outside,
+so walking such edges backwards through the (acyclic) condensation ends in
+a source SCC whose members s reach r.  r cannot reach s, or s would be in
+r's component, so r reaches a strict subset of what s reaches and ranks
+below it.  The source SCCs are found in one linear pass (Tarjan 1972).
 """
 
 from .graph import CGraph, GraphError, topological_order
@@ -76,13 +82,55 @@ def extract_dag(g: CGraph, root: int) -> CGraph:
     return out
 
 
+def _source_scc_members(out_adj: tuple[tuple[int, ...], ...]) -> list[int]:
+    """The nodes of source SCCs, ascending: one iterative Tarjan (1972) pass."""
+    n = len(out_adj)
+    index, low, comp = [-1] * n, [0] * n, [-1] * n  # comp -1: unassigned
+    stack, clock, ncomp = [], 0, 0
+    for start in range(n):
+        if index[start] >= 0:
+            continue
+        index[start] = low[start] = clock
+        clock += 1
+        stack.append(start)
+        work = [(start, iter(out_adj[start]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] < 0:
+                    index[w] = low[w] = clock
+                    clock += 1
+                    stack.append(w)
+                    work.append((w, iter(out_adj[w])))
+                    break
+                if comp[w] < 0 and index[w] < low[v]:  # w is on the stack
+                    low[v] = index[w]
+            else:  # every edge out of v seen
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:  # v roots a component: pop it
+                    while comp[v] < 0:
+                        comp[stack.pop()] = ncomp
+                    ncomp += 1
+    fed = [False] * ncomp  # fed[c]: an edge enters component c from another
+    for u, heads in enumerate(out_adj):
+        for w in heads:
+            if comp[w] != comp[u]:
+                fed[comp[w]] = True
+    return [v for v in range(n) if not fed[comp[v]]]
+
+
 def best_dag(g: CGraph) -> CGraph:
     """The largest ``extract_dag`` over every root.
 
     Roots are ranked by (-reached nodes, -kept edges, root), read off one
     DFS per root, and only the winner's DAG is built: ties break toward
-    more edges, then the smallest root index.  The child lists are sorted
-    once for all roots.
+    more edges, then the smallest root index.  Only roots in source SCCs
+    are ranked, in ascending index order: every other root reaches a strict
+    subset of what some source-SCC root reaches (see the module docstring),
+    so it cannot win, and the winner and its tie-break are those of ranking
+    every root.  The child lists are sorted once for all roots.
     """
     children = [sorted(a) for a in g.out_adj]
 
@@ -90,4 +138,4 @@ def best_dag(g: CGraph) -> CGraph:
         order, back = _dfs(children, root)
         return (-len(order), len(back) - sum(len(children[v]) for v in order), root)
 
-    return extract_dag(g, min(range(g.n), key=rank))
+    return extract_dag(g, min(_source_scc_members(g.out_adj), key=rank))

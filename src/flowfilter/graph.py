@@ -176,8 +176,9 @@ def parse_edge_list(text: str, source_hint: str | None = None) -> CGraph:
     ``#`` starts a comment (whole-line or trailing); blank lines are
     skipped.  Each line declares one edge, u propagating to v.  Sources
     default to the in-degree-zero nodes unless ``source_hint`` names one
-    explicitly.
+    explicitly.  One leading byte-order mark (U+FEFF) is dropped.
     """
+    text = text.removeprefix("\ufeff")
     lines = text.splitlines()
     if "#" in text:
         fields = (line.split("#", 1)[0].split() for line in lines)

@@ -113,6 +113,8 @@ def parse_edge_list_reference(text: str, source_hint=None) -> CGraphReference:
     """
     edge_labels: list[tuple[str, str]] = []
     fault = None
+    if text.startswith("\ufeff"):  # a leading byte-order mark is no label
+        text = text[1:]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -150,6 +152,14 @@ def reachable_from(g: CGraph, v: int) -> set[int]:
                 seen.add(w)
                 queue.append(w)
     return seen
+
+
+def source_scc_members_reference(g: CGraph) -> list[int]:
+    """The nodes of source SCCs, ascending, by brute force: r is one iff
+    every node that reaches r is also reached from r."""
+    reach = [reachable_from(g, v) for v in range(g.n)]
+    return [r for r in range(g.n)
+            if all(u in reach[r] for u in range(g.n) if r in reach[u])]
 
 
 def extract_dag_reference(g: CGraph, root: int) -> CGraph:

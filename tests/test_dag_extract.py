@@ -9,6 +9,7 @@ from _oracles import (
     is_acyclic_edge_set,
     random_digraph,
     reachable_from,
+    source_scc_members_reference,
 )
 from flowfilter import dag_extract
 from flowfilter.dag_extract import RootNotFoundError, best_dag, dfs_annotate, extract_dag
@@ -168,10 +169,47 @@ def _giant_scc_digraph(seed):
     return build_graph([(names[u], names[v]) for u, v in edges], nodes=names)
 
 
+def _sparse_digraph(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 40)
+    return random_digraph(n, rng.uniform(0.2, 3.0) / n, seed + 7000)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [_sparse_digraph(seed) for seed in range(300)]
+    + [_giant_scc_digraph(seed) for seed in range(10)],
+)
+def test_source_scc_members_match_reference(g):
+    assert dag_extract._source_scc_members(g.out_adj) == source_scc_members_reference(g)
+
+
+def _fed_giant_scc_digraph(seed):
+    """Three in-degree-0 nodes feeding a giant SCC: three source SCCs."""
+    g = _giant_scc_digraph(seed)
+    feeders = [(f"f{i}", g.labels[(7 * i + seed) % g.n]) for i in range(3)]
+    return build_graph(feeders + [(g.labels[u], g.labels[v]) for u, v in g.edges])
+
+
+def _two_cycle_copies():
+    """Two disjoint copies of one cycle: the tie goes to the smaller root."""
+    edges = [("a1", "a2"), ("a2", "a3"), ("a3", "a1"), ("a2", "a4")]
+    copy = [(u.replace("a", "b"), v.replace("a", "b")) for u, v in edges]
+    return build_graph(copy + edges)
+
+
+def _cycle_fed_by_a_chain():
+    chain = [(f"h{i}", f"h{i + 1}") for i in range(5)]
+    cycle = [("h5", "k1"), ("k1", "k2"), ("k2", "h5"), ("k1", "h3")]
+    return build_graph(cycle + chain)
+
+
 @pytest.mark.parametrize(
     "g",
     [_seeded_digraph(seed)[0] for seed in range(30)]
     + [_giant_scc_digraph(seed) for seed in range(10)]
+    + [_fed_giant_scc_digraph(seed) for seed in range(5)]
+    + [_two_cycle_copies(), _cycle_fed_by_a_chain()]
     + [
         random_digraph(60, 0.03, 1),
         random_digraph(80, 0.02, 2),
@@ -199,3 +237,37 @@ def test_best_dag_builds_one_graph(monkeypatch):
     g = random_digraph(40, 0.08, 7)
     best_dag(g)
     assert len(built) == 1
+
+
+def test_best_dag_ranks_only_the_source_scc_root(monkeypatch):
+    calls = []
+
+    def counting_dfs(children, root):
+        calls.append(root)
+        return real(children, root)
+
+    real = dag_extract._dfs
+    monkeypatch.setattr(dag_extract, "_dfs", counting_dfs)
+    # one in-degree-0 node "s" feeding a ring with chords: 30 nodes, one
+    # source SCC {s}, so one ranking DFS plus the one extract_dag runs
+    ring = [(f"r{i}", f"r{(i + 1) % 29}") for i in range(29)]
+    chords = [(f"r{i}", f"r{(i + 10) % 29}") for i in range(0, 29, 4)]
+    g = build_graph(ring + chords + [("s", "r7")])
+    assert [v for v in range(g.n) if not g.in_adj[v]] == [g.index("s")]
+    dag = best_dag(g)
+    assert calls == [g.index("s")] * 2
+    assert dag.n == g.n
+
+
+def test_long_path_closing_into_its_middle():
+    # a 10^5-node path whose last node has an edge back to its middle: one
+    # source SCC {p0}, so one ranking DFS where every root would take 10^5
+    n = 100_000
+    limit = sys.getrecursionlimit()
+    edges = [(i, i + 1) for i in range(n - 1)] + [(n - 1, n // 2)]
+    g = CGraph([f"p{i}" for i in range(n)], edges)
+    dag = best_dag(g)
+    assert (dag.n, dag.m) == (n, n - 1)
+    assert dag.edges == g.edges[:-1]
+    assert dag.labels[next(iter(dag.sources))] == "p0"
+    assert sys.getrecursionlimit() == limit

@@ -66,6 +66,14 @@ def test_parse_errors(text, fragment):
         parse_edge_list(text)
 
 
+def test_parse_drops_one_leading_bom():
+    text = "s\ta\ns\tb\na\tc\nb\tc\nc\td\n"
+    for parse in (parse_edge_list, parse_edge_list_reference):
+        assert _loaded(parse, "\ufeff" + text) == _loaded(parse, text)
+        # only the first is a byte-order mark; a second one is part of the label
+        assert parse("\ufeff\ufeff" + text).labels[0] == "\ufeffs"
+
+
 def test_parse_unknown_source_hint():
     with pytest.raises(ParseError, match="not a node"):
         parse_edge_list("a\tb", source_hint="zzz")
