@@ -15,6 +15,7 @@ reproducible bit for bit.
 
 import functools
 import random
+from bisect import bisect_right
 from collections.abc import Callable
 from operator import add, mul
 
@@ -193,56 +194,63 @@ def as_ctree(g: CGraph) -> tuple[tuple, tuple]:
     return tuple(map(tuple, children)), tuple(extra)
 
 
-def _at(row: list, b: int) -> int:
-    """``row``'s value at budget b: rows stop where more budget buys nothing."""
-    return row[b] if b < len(row) else row[-1]
+def _at(table: list, rows: int, budget: int, row: int) -> int:
+    """``table``'s entry at (budget, row): past its last column, the last one's."""
+    return table[min(budget, len(table) // rows - 1) * rows + row]
 
 
-def _fold(tables: list, k: int) -> list:
-    """Min-plus joins of one or more [row][budget] tables, folded right to left.
+def _join(a: list, b: list, rows: int, k: int) -> list:
+    """Min-plus join of two budget-major tables with ``rows`` rows each.
+
+    Entry (budget, row) of the result is the fewest receipts when the two
+    parts share that budget.  It is as wide as its parts allow, up to k + 1
+    budgets.  Min-plus is commutative, so the loop runs over the budgets j
+    of the narrower part: its column j, tiled, plus the wider part's
+    leading columns gives every split that hands j to the narrower part.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    wa, wb = len(a) // rows, len(b) // rows
+    width = min(k + 1, wa + wb - 1)
+    out = list(map(add, a[:rows] * wb, b))
+    for j in range(1, wa):
+        # budgets j .. j + wb - 1, capped at width; only the last is new
+        at = j * rows
+        sums = list(map(add, a[at : at + rows] * min(width - j, wb), b))
+        out[at:] = map(min, out[at:], sums)
+        out += sums[len(out) - at :]
+    return out
+
+
+def _fold(tables: list, rows: int, k: int) -> list:
+    """``_join`` of one or more budget-major tables, folded right to left.
 
     Entry i of the result is the join of ``tables[i:]``: the fewest
     receipts when those children share each budget.  Entry 0 is the whole
     join, and one table's join is the table itself; the others are what
-    ``_split`` needs to pick each child's budget.  A join is as wide as its
-    parts allow, up to k + 1 budgets, and each budget looks only at splits
-    inside both parts' widths.
+    ``_split`` needs to pick each child's budget.
     """
     suffix = [tables[-1]]
     for table in tables[-2::-1]:
-        acc = suffix[-1]
-        w, wa = len(table[0]), len(acc[0])
-        # budget b splits as j + (b - j), j < w and b - j < wa; the smallest
-        # j is lo, and acc[b - lo] is at index lo + wa - 1 - b when reversed
-        starts = [
-            (lo, lo + wa - 1 - b)
-            for b in range(min(k + 1, w + wa - 1))
-            for lo in (max(0, b - wa + 1),)
-        ]
-        suffix.append([
-            [min(map(add, row[lo:], rev[at:])) for lo, at in starts]
-            for row, rev in zip(table, (acc_row[::-1] for acc_row in acc))
-        ])
+        suffix.append(_join(table, suffix[-1], rows, k))
     suffix.reverse()
     return suffix
 
 
-def _split(kids: tuple, suffix: list, best: list, out: int, budget: int):
+def _split(kids: tuple, suffix: list, best: list, rows: int, out: int, budget: int):
     """Yield (child, budget) pairs for ``kids`` in their tables' row ``out``.
 
     Each child but the last gets the smallest budget that reaches the
     minimum, and the last takes what is left, as in the chain (c1, (c2,
     (... c_m))), so a single child takes the whole budget.  Budget past
-    where a child's row stops falling buys its subtree nothing, and there
+    where a child's table stops falling buys its subtree nothing, and there
     the strict filter test picks the same filters as at the smallest budget.
     """
     for i, c in enumerate(kids[:-1]):
-        # past its row's width a child's value stops falling while the
+        # past its table's width a child's value stops falling while the
         # rest's can only rise, so larger budgets never reach the minimum first
-        row, rest = best[c][out], suffix[i + 1][out]
-        sums = [
-            row[j] + _at(rest, budget - j) for j in range(min(budget + 1, len(row)))
-        ]
+        row, rest = best[c][out : (budget + 1) * rows : rows], suffix[i + 1]
+        sums = [v + _at(rest, rows, budget - j, out) for j, v in enumerate(row)]
         j = sums.index(min(sums))
         budget -= j
         yield c, j
@@ -254,23 +262,34 @@ def tree_dp(g: CGraph, k_max: int) -> Callable[[int], frozenset[int]]:
 
     ``traceback(k)`` is an exact optimal filter set of size <= k.  The
     tables come from one bottom-up pass over the tree rooted at the source.
-    Node v gets a table [inflow - 1][budget] of the fewest receipts in v's
-    subtree, where inflow >= 1 is the copy count its tree parent forwards.
-    v receives its inflow, plus one copy if a source edge that is not its
-    tree edge feeds it, so its rows number 1 plus the extra source edges
-    above it, and tables grow with depth on deep chains.  Budget runs up to
-    the number of non-leaf nodes in v's subtree, capped at k_max, since
-    more buys nothing; so no table or traceback step grows with a k_max
-    past the number of non-source nodes.
+    Node v gets a table of the fewest receipts in v's subtree per budget
+    and inflow, where inflow >= 1 is the copy count its tree parent
+    forwards.  v receives its inflow, plus one copy if a source edge that
+    is not its tree edge feeds it, so its rows number 1 plus the extra
+    source edges above it, and tables grow with depth on deep chains.
+    Budget runs up to the number of non-leaf nodes in v's subtree, capped
+    at k_max, since more buys nothing; so no table or traceback step grows
+    with a k_max past the number of non-source nodes.
 
-    Every internal node joins its children's tables the same way, in
-    O(rows * w^2) per child for budget widths w <= k_max + 1; one child's
-    join is its own table, at no cost.  A leaf's subtree receives just its
-    own copies.  No argmin tables are stored: the top-down traceback
-    recomputes each budget split (``_split``) at the one (row, budget) cell
-    it visits.  A node becomes a filter only when that is strictly better,
-    so never the source, which forwards one copy either way.  Minimizing
-    total receipts is equivalent to maximizing the objective.
+    Each table is one flat list in budget-major order: entry
+    ``b * rows + inflow - 1`` is the value at budget b, so a budget's
+    column is one slice, and every update and join is a few list
+    operations per budget over a whole column.  Filtering v at budget b
+    caps each inflow's value at the budget b - 1 value of inflow 1, and a
+    column is nondecreasing in inflow, so the cap is a bisect, a slice and
+    a repeat.  Joining two children costs, per budget of the narrower
+    child, one pass over the wider child's leading columns: O(rows * w_a
+    * w_b) for widths w_a <= w_b <= k_max + 1, run in ``map``.  One child's
+    join is its own table, at no cost.  The rows still grow with depth, so
+    a chain of n nodes with extra source edges at a fixed fraction of its
+    nodes costs O(n^2 * k_max) in time and memory.
+
+    A leaf's subtree receives just its own copies.  No argmin tables are
+    stored: the top-down traceback recomputes each budget split
+    (``_split``) at the one (budget, row) entry it visits.  A node becomes
+    a filter only when that is strictly better, so never the source, which
+    forwards one copy either way.  Minimizing total receipts is equivalent
+    to maximizing the objective.
 
     ``g`` is certified by ``as_ctree`` first, so a graph that is not a
     communication tree raises NotACTreeError before k_max is checked.  A
@@ -287,24 +306,32 @@ def tree_dp(g: CGraph, k_max: int) -> Callable[[int], frozenset[int]]:
         for c in children[v]:
             top[c] = top[v] + extra[v]
 
-    best: list = [None] * n  # v's [inflow - 1][budget] table
+    best: list = [None] * n  # v's budget-major table, top[v] + 1 rows
     suffix: list = [None] * n  # ``_fold`` of v's children, if it has any
     for v in reversed(order):
-        kids, recvs = children[v], range(1 + extra[v], top[v] + extra[v] + 2)
+        kids, e = children[v], extra[v]
+        recvs = list(range(1 + e, top[v] + e + 2))
         if not kids:
-            best[v] = [[recv] for recv in recvs]
+            best[v] = recvs
             continue
-        suffix[v] = _fold([best[c] for c in kids], k_max)
+        rows = top[v] + e + 1  # the children's rows: v forwards what it receives
+        suffix[v] = _fold([best[c] for c in kids], rows, k_max)
         table = suffix[v][0]
-        # at budget b >= 1, keep with b or filter with b - 1; v's rows are
-        # one budget wider than the join's, up to k_max + 1
-        cut = table[0]  # a filter forwards one copy
-        full = len(cut) > k_max
-        best[v] = []
-        for recv in recvs:
-            keep = table[recv - 1]
-            more = keep[1:] if full else keep[1:] + keep[-1:]
-            best[v].append([recv + keep[0]] + [recv + m for m in map(min, more, cut)])
+        width = len(table) // rows
+        wide = min(width + 1, k_max + 1)  # v's table is one budget wider
+        # at budget b >= 1, keep with b or filter with b - 1, when v forwards
+        # one copy (row 0)
+        fewest = table[e:rows]  # below v, per budget and row, before v's copies
+        for b in range(1, wide):
+            cut, lo = table[(b - 1) * rows], min(b, width - 1) * rows + e
+            hi = lo - e + rows
+            # with the filters below v fixed, receipts are nondecreasing in
+            # inflow, and a minimum of nondecreasing functions is too: each
+            # column is sorted, so min(column, cut) is a prefix, then cut
+            at = bisect_right(table, cut, lo, hi)
+            fewest += table[lo:at]
+            fewest += [cut] * (hi - at)
+        best[v] = list(map(add, fewest, recvs * wide))
 
     def traceback(k: int) -> frozenset[int]:
         check_k(k)
@@ -315,14 +342,16 @@ def tree_dp(g: CGraph, k_max: int) -> Callable[[int], frozenset[int]]:
         while stack:
             v, row, budget = stack.pop()
             kids = children[v]
-            if not kids:
-                continue  # a leaf filter removes nothing
-            table = suffix[v][0]
+            if not kids or not budget:
+                continue  # a leaf filter removes nothing; no budget, no filter
+            table, rows = suffix[v][0], top[v] + extra[v] + 1
             out = row + extra[v]  # the children's row unless v filters
-            if budget and _at(table[0], budget - 1) < _at(table[out], budget):
+            if _at(table, rows, budget - 1, 0) < _at(table, rows, budget, out):
                 chosen.add(v)
                 out, budget = 0, budget - 1
-            stack.extend((c, out, j) for c, j in _split(kids, suffix[v], best, out, budget))
+            stack.extend(
+                (c, out, j) for c, j in _split(kids, suffix[v], best, rows, out, budget)
+            )
         return frozenset(chosen)
 
     return traceback

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -20,7 +21,7 @@ from flowfilter.placement import (
     randomized_baseline,
     tree_dp,
 )
-from flowfilter.propagation import objective_f
+from flowfilter.propagation import objective_f, simulate
 
 from _oracles import random_ctree, random_dag, tree_dp_reference
 
@@ -352,6 +353,67 @@ def test_tree_dp_matches_reference_on_deep_chains(seed):
     t = build_graph(edges, sources=["s"])
     for k in (0, 1, 2, 3, 5, 8):
         assert tree_dp(t, k)(k) == tree_dp_reference(t, k), k
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tree_dp_matches_reference_on_caterpillars(seed):
+    # a long spine, much of it source-fed, so the tables have dozens of
+    # inflow rows and the filter's cap cuts a column deep inside it; leaves
+    # and short branches hung off the spine make spine nodes join
+    rng = random.Random(seed)
+    n, fed = rng.randint(40, 80), rng.uniform(0.3, 0.9)
+    edges = [("s", "t0")] + [(f"t{i}", f"t{i + 1}") for i in range(n - 1)]
+    edges += [("s", f"t{i}") for i in range(1, n) if rng.random() < fed]
+    for b in range(rng.randint(n // 8, n // 3)):
+        parent = f"t{rng.randrange(n)}"
+        for d in range(rng.choice((1, 1, 2, 3))):
+            edges.append((parent, f"b{b}_{d}"))
+            if rng.random() < fed:
+                edges.append(("s", f"b{b}_{d}"))
+            parent = f"b{b}_{d}"
+    t = build_graph(edges, sources=["s"])
+    k_max = (3, 8)[seed % 2]
+    traceback = tree_dp(t, k_max)
+    for k in range(k_max + 1):
+        assert traceback(k) == tree_dp_reference(t, k), (seed, k)
+
+
+def test_fewest_receipts_in_a_subtree_never_fall_as_its_inflow_rises():
+    # tree_dp caps each table column by bisecting it, which is exact only
+    # because a column is nondecreasing in inflow.  Brute force: a copy of
+    # a small subtree whose root x feeders each forward one copy, x = 1..4
+    for seed in range(150):
+        rng = random.Random(seed)
+        t = random_ctree(rng.randint(3, 10), rng.uniform(0.0, 0.9), seed + 7000)
+        children, extra = as_ctree(t)
+        v = rng.randrange(1, 4)  # t0, t1 or t2: early nodes own larger subtrees
+        sub, stack = [], [v]
+        while stack:
+            sub.append(stack.pop())
+            stack.extend(children[sub[-1]])
+        names = [t.labels[u] for u in sub]
+        edges = [(t.labels[u], t.labels[c]) for u in sub for c in children[u]]
+        edges += [("s", t.labels[u]) for u in sub if extra[u] and u != v]
+        fewest = []  # fewest[x - 1][b]: over filter sets of size <= b
+        for x in range(1, 5):
+            feeders = [f"f{i}" for i in range(x)]
+            g = build_graph(
+                edges + [("s", f) for f in feeders] + [(f, names[0]) for f in feeders],
+                nodes=["s", *names],
+                sources=["s"],
+            )
+            inside = range(1, len(names) + 1)  # the copy's nodes, by index
+            per_size = [
+                min(
+                    sum(simulate(g, fs)[0][1 : len(names) + 1])
+                    for fs in combinations(inside, size)
+                )
+                for size in range(min(3, len(names)) + 1)
+            ]
+            fewest.append([min(per_size[: b + 1]) for b in range(4)])
+        for b in range(4):
+            column = [row[b] for row in fewest]
+            assert column == sorted(column), (seed, b, column)
 
 
 @pytest.mark.parametrize("seed", range(6))
