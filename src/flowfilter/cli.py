@@ -23,6 +23,7 @@ from .graph import (
     add_super_source,
     parse_edge_list,
     serialize_edge_list,
+    single_source,
     topological_order,
 )
 from .harness import (
@@ -41,6 +42,7 @@ from .placement import eligible_nodes
 from .propagation import gains, phi_total
 
 DAG_HINT = "input graph is cyclic; run `flowfilter extract-dag` on it first"
+MANIFEST = ".manifest.json"  # each output's manifest is its path plus this
 
 
 def _write_with_manifest(path: str, data: str, args: argparse.Namespace) -> None:
@@ -52,9 +54,15 @@ def _write_with_manifest(path: str, data: str, args: argparse.Namespace) -> None
         "argv": args._argv,
         "output": path,
     }
-    Path(path + ".manifest.json").write_text(
+    Path(path + MANIFEST).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
+
+
+def _write_graph(path: str, g: CGraph, args: argparse.Namespace) -> None:
+    if not g.m:  # the parser rejects a file without an edge
+        raise GraphError(f"an edge list cannot hold a graph with no edges; not writing {path}")
+    _write_with_manifest(path, serialize_edge_list(g), args)
 
 
 def _load_graph(args: argparse.Namespace) -> CGraph:
@@ -78,7 +86,7 @@ def _cmd_generate(args) -> int:
 
     cfg = LayeredConfig(args.levels, args.width, args.x, args.y, args.seed)
     g = layered_graph(cfg)
-    _write_with_manifest(args.out, serialize_edge_list(g), args)
+    _write_graph(args.out, g, args)
     print(f"wrote {args.out}: {g.n} nodes, {g.m} edges (source 's')")
     return 0
 
@@ -89,7 +97,7 @@ def _cmd_extract_dag(args) -> int:
         dag = best_dag(g)
     else:
         dag = extract_dag(g, g.index(args.root))
-    _write_with_manifest(args.out, serialize_edge_list(dag), args)
+    _write_graph(args.out, dag, args)
     root_label = dag.labels[next(iter(dag.sources))]
     print(f"wrote {args.out}: {dag.n} nodes, {dag.m} edges, root {root_label!r}")
     return 0
@@ -97,6 +105,7 @@ def _cmd_extract_dag(args) -> int:
 
 def _cmd_place(args) -> int:
     g = _load_graph(args)
+    single_source(g)  # the check scoring makes, before any algorithm runs
     filters = run_algorithm(g, args.algo, args.k, args.seed)
     f, fv = gains(g, [filters, eligible_nodes(g)])
     obj = {
@@ -143,8 +152,12 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_fr_curve(args) -> int:
-    if args.json and Path(args.json).resolve() == Path(args.csv).resolve():
-        args.usage_error(f"argument --json: names the same file as --csv: {args.json}")
+    if args.json:  # no output may overwrite the other or its manifest
+        csv, js = Path(args.csv).resolve(), Path(args.json).resolve()
+        if js == csv:
+            args.usage_error(f"argument --json: names the same file as --csv: {args.json}")
+        if js == Path(args.csv + MANIFEST).resolve() or csv == Path(args.json + MANIFEST).resolve():
+            args.usage_error(f"argument --json: --json or --csv names the other's manifest: {args.json}")
     g = _load_graph(args)
     curve = fr_curve(g, args.algos, args.kmax, args.runs, args.seed)
     _write_with_manifest(args.csv, curve_to_csv(curve), args)
@@ -289,11 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # built once: every default is immutable, so calls share nothing
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     args._argv = list(argv)
     try:
         return args.func(args)

@@ -5,7 +5,6 @@ A graph is a set of labelled nodes and directed edges (u, v), read as
 other node relays what it receives.  Graphs are immutable once built.
 """
 
-import heapq
 from itertools import chain, starmap
 from operator import eq
 from typing import Iterable, Sequence
@@ -42,9 +41,11 @@ class CGraph:
 
     Node labels are interned to dense indices 0..n-1 in first-seen order;
     all other modules work on the dense indices.  Edges are (u, v) index
-    pairs; out-of-range indices, self-loops and duplicate edges are
-    rejected, naming the first offending edge.  The topological order is
-    computed once here; read it through ``topological_order``.
+    pairs.  No node, repeated labels, out-of-range indices or sources,
+    self-loops and duplicate edges raise GraphError, naming the first
+    offending one.  Sources default to the in-degree-0 nodes.  The
+    topological order is computed once here; read it through
+    ``topological_order`` (CycleError on a cycle) or ``single_source``.
     """
 
     __slots__ = (
@@ -93,27 +94,19 @@ class CGraph:
         self.out_adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, out_lists))
         self.in_adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, in_lists))
 
-        if sources is None:
-            self.sources = frozenset(i for i in range(n) if not in_lists[i])
-        else:
-            src = frozenset(sources)
-            for s in src:
-                if not (0 <= s < n):
-                    raise GraphError(f"source index {s} out of range")
-            self.sources = src
-
-        # Kahn's algorithm, smallest ready index first; on a cyclic graph it
-        # stops short of every node on or downstream of a cycle
+        # Kahn's algorithm; the order is its own FIFO queue, seeded with the
+        # default sources.  It stops short of every node on or below a cycle
+        order = [v for v in range(n) if not in_lists[v]]
+        self.sources = frozenset(order if sources is None else sources)
+        for s in self.sources:
+            if not 0 <= s < n:
+                raise GraphError(f"source index {s} out of range")
         indeg = [len(l) for l in in_lists]
-        ready = [v for v in range(n) if indeg[v] == 0]  # ascending: a heap
-        order: list[int] = []
-        while ready:
-            v = heapq.heappop(ready)
-            order.append(v)
+        for v in order:
             for w in out_lists[v]:
                 indeg[w] -= 1
-                if indeg[w] == 0:
-                    heapq.heappush(ready, w)
+                if not indeg[w]:
+                    order.append(w)
         self._order: tuple[int, ...] = tuple(order)
 
     @property
@@ -133,12 +126,6 @@ class CGraph:
     def sorted_labels(self, nodes: Iterable[int]) -> list[str]:
         """The labels of ``nodes``, sorted: the inverse of ``index``."""
         return sorted(self.labels[v] for v in nodes)
-
-    def in_degree(self, v: int) -> int:
-        return len(self.in_adj[v])
-
-    def out_degree(self, v: int) -> int:
-        return len(self.out_adj[v])
 
     def __repr__(self) -> str:
         return f"CGraph(n={self.n}, m={self.m}, sources={sorted(self.labels[s] for s in self.sources)})"
@@ -232,14 +219,28 @@ def serialize_edge_list(g: CGraph) -> str:
 def topological_order(g: CGraph) -> tuple[int, ...]:
     """Topological order of the node indices, or CycleError.
 
-    Deterministic: among simultaneously-ready nodes the smallest dense
-    index goes first.  The order is computed once when the graph is built,
-    so every call returns the same tuple.
+    Deterministic: Kahn's algorithm, its FIFO queue seeded with the
+    in-degree-0 nodes in index order.  It runs once when the graph is
+    built, so every call returns the same tuple.
     """
     if len(g._order) < g.n:
         done = set(g._order)
         raise CycleError(_find_cycle(g, {v for v in range(g.n) if v not in done}))
     return g._order
+
+
+def single_source(g: CGraph) -> int:
+    """The one source of an acyclic ``g``, the precondition of every scorer.
+
+    GraphError unless ``g`` has exactly one source, then CycleError on a cycle.
+    """
+    if len(g.sources) != 1:
+        raise GraphError(
+            f"propagation needs exactly one source, got {len(g.sources)}; "
+            "apply add_super_source first"
+        )
+    topological_order(g)
+    return next(iter(g.sources))
 
 
 def _find_cycle(g: CGraph, remaining: set[int]) -> list[str]:

@@ -19,7 +19,7 @@ from bisect import bisect_right
 from collections.abc import Callable
 from operator import add, mul
 
-from .graph import CGraph, GraphError, topological_order
+from .graph import CGraph, GraphError, single_source, topological_order
 from .path_stats import compute_prefix, impact_table
 
 
@@ -67,7 +67,7 @@ def greedy_1(g: CGraph, k: int) -> tuple[int, ...]:
 
     A ranking, so the picks for budget j are the first j of any larger k's.
     """
-    return _ranked(g, [g.in_degree(v) * g.out_degree(v) for v in range(g.n)], k)
+    return _ranked(g, [len(i) * len(o) for i, o in zip(g.in_adj, g.out_adj)], k)
 
 
 def greedy_max(g: CGraph, k: int) -> tuple[int, ...]:
@@ -107,11 +107,7 @@ def optimal_unbounded(g: CGraph) -> frozenset[int]:
     Exactly the non-source nodes with in-degree above one and at least one
     out-edge: every other node forwards at most one copy anyway.
     """
-    return frozenset(
-        v
-        for v in eligible_nodes(g)
-        if g.in_degree(v) > 1 and g.out_degree(v) > 0
-    )
+    return frozenset(v for v in eligible_nodes(g) if len(g.in_adj[v]) > 1 and g.out_adj[v])
 
 
 # --- random baselines -------------------------------------------------------
@@ -160,23 +156,18 @@ def randomized_baseline(g: CGraph, variant: str) -> Callable[[int, int], frozens
 
 
 def as_ctree(g: CGraph) -> tuple[tuple, tuple]:
-    """Certify that ``g`` is a communication tree, or raise NotACTreeError.
+    """Certify that ``g`` is a communication tree.
 
     The graph minus its source is a forest of out-trees; the source feeds
     each root of the forest, so with the source as their parent the whole
     graph is one tree.  Returns two per-node tuples ``(children, extra)``:
     ``children[v]`` lists v's tree children, the source's being the roots,
     and ``extra[v]`` is True when a source edge feeds v on top of its tree
-    edge (never at a root or at the source).
+    edge (never at a root or at the source).  After ``single_source``'s
+    checks (GraphError, then CycleError), a node with no parent or with
+    more than one non-source parent raises NotACTreeError.
     """
-    if len(g.sources) != 1:
-        raise NotACTreeError(f"expected exactly one source, got {len(g.sources)}")
-    source = next(iter(g.sources))
-    try:
-        topological_order(g)
-    except GraphError as exc:
-        raise NotACTreeError(f"graph is cyclic: {exc}") from None
-
+    source = single_source(g)
     children: list[list[int]] = [[] for _ in range(g.n)]
     extra = [False] * g.n
     for v in range(g.n):
@@ -291,8 +282,9 @@ def tree_dp(g: CGraph, k_max: int) -> Callable[[int], frozenset[int]]:
     forwards one copy either way.  Minimizing total receipts is equivalent
     to maximizing the objective.
 
-    ``g`` is certified by ``as_ctree`` first, so a graph that is not a
-    communication tree raises NotACTreeError before k_max is checked.  A
+    ``g`` is certified by ``as_ctree`` first, so a graph without exactly
+    one source raises GraphError, a cyclic one CycleError, and one that is
+    not a communication tree NotACTreeError, all before k_max is checked.  A
     value at budget b reads only budgets <= b, so ``traceback(k)`` returns
     exactly the set that ``tree_dp(g, k)(k)`` would.  It raises ValueError
     for k < 0 or k > k_max.

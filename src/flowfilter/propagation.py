@@ -24,7 +24,7 @@ filter) forwards (r & ~M) | (nz & M).
 from collections.abc import Iterator
 from itertools import islice
 
-from .graph import CGraph, GraphError, topological_order
+from .graph import CGraph, single_source, topological_order
 from .path_stats import check_members, compute_prefix
 
 
@@ -33,24 +33,15 @@ def filter_members(filters) -> frozenset[int]:
     return frozenset(filters)
 
 
-def _single_source(g: CGraph) -> int:
-    if len(g.sources) != 1:
-        raise GraphError(
-            f"propagation needs exactly one source, got {len(g.sources)}; "
-            "apply add_super_source first"
-        )
-    return next(iter(g.sources))
-
-
 def simulate(g: CGraph, filters) -> tuple[list[int], list[int]]:
     """``(received, forwarded)``: the copies each node receives and forwards.
 
     One item leaves the source of an acyclic graph; every node forwards
     each copy it receives to all out-neighbours, a filter at most one copy
     total, and the source one copy per out-edge (a filter on it is inert).
-    Raises CycleError on a cycle, ValueError on a member that is no node.
+    Raises as ``single_source`` does, or ValueError on a non-node member.
     """
-    source = _single_source(g)
+    source = single_source(g)
     members = filter_members(filters)
     check_members(g, members)
     received = [0] * g.n
@@ -68,7 +59,7 @@ def simulate(g: CGraph, filters) -> tuple[list[int], list[int]]:
 
 def phi_total(g: CGraph, filters) -> int:
     """Total number of copies received across all non-source nodes."""
-    _single_source(g)
+    single_source(g)
     return sum(compute_prefix(g, filters)) - 1  # the source's prefix is 1
 
 
@@ -78,7 +69,7 @@ _PASS_SETS = 256  # filter sets per packed pass, which bounds its memory
 def gains(g: CGraph, filter_sets) -> Iterator[int]:
     """Yield F(A) = φ(∅) − φ(A) for each filter set A, in order.
 
-    The graph is checked (one source, acyclic) and φ(∅) computed when
+    The graph is checked (``single_source``) and φ(∅) computed when
     ``gains`` is called, so a bad graph raises before any set is read.
     The sets are then read lazily, ``_PASS_SETS`` at a time, each batch
     when its first score is asked for.

@@ -4,7 +4,6 @@ Everything here is written for clarity, not speed, and stays independent
 of the recursions it is used to check.
 """
 
-import heapq
 import random
 from collections import deque
 from itertools import combinations
@@ -64,15 +63,15 @@ class CGraphReference:
                     raise GraphError(f"source index {s} out of range")
             self.sources = src
         indeg = [len(l) for l in in_lists]
-        ready = [v for v in range(n) if indeg[v] == 0]
+        ready = deque(v for v in range(n) if indeg[v] == 0)
         order = []
         while ready:
-            v = heapq.heappop(ready)
+            v = ready.popleft()
             order.append(v)
             for w in out_lists[v]:
                 indeg[w] -= 1
                 if indeg[w] == 0:
-                    heapq.heappush(ready, w)
+                    ready.append(w)
         self._order = tuple(order)
 
     @property
@@ -531,7 +530,7 @@ def greedy_l_reference(g: CGraph, k: int) -> frozenset[int]:
         for v in range(g.n):
             if v in g.sources or v in members:
                 continue
-            score = prefix[v] * g.out_degree(v)
+            score = prefix[v] * len(g.out_adj[v])
             if score > best_score:
                 best, best_score = v, score
         if best is None:

@@ -251,6 +251,28 @@ def test_extract_dag_best_root(tmp_path):
     assert out.read_text() == "a\tb\n"
 
 
+_NO_EDGES = "flowfilter: error: an edge list cannot hold a graph with no edges; not writing "
+
+
+@pytest.mark.parametrize("seed", [0, 5, 9])
+def test_generate_without_edges_writes_nothing(seed, tmp_path, capsys):
+    # both nodes land on level 1: no edge leaves s, and no pair spans two levels
+    out = tmp_path / "g.tsv"
+    argv = ["generate", "--levels", "2", "--width", "1", "--seed", str(seed), "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"{_NO_EDGES}{out}\n"
+    assert list(tmp_path.iterdir()) == []  # no file, no manifest
+
+
+def test_extract_dag_from_a_sink_writes_nothing(tmp_path, capsys):
+    src = tmp_path / "g.tsv"
+    src.write_text("s\ta\ns\tb\na\tc\nb\tc\nc\td\n")
+    out = tmp_path / "dag.tsv"
+    assert main(["extract-dag", "--input", str(src), "--root", "d", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"{_NO_EDGES}{out}\n"
+    assert list(tmp_path.iterdir()) == [src]
+
+
 def test_place_on_cyclic_input_hints_extract_dag(tmp_path, capsys):
     src = tmp_path / "cyc.tsv"
     src.write_text("s\ta\na\tb\nb\ta\n")
@@ -303,8 +325,13 @@ _BAD_GRAPHS = {
         ["fr-curve", "--algos", "rand-k", "--kmax", "2"],
         # the graph is checked before the budget
         ["oracle", "--k", "3", "--budget", "1"],
+        # and before any algorithm runs
+        *(["place", "--algo", name, "--k", "1"] for name in ALGORITHMS),
     ],
-    ids=["fr-curve-tree-dp", "fr-curve-greedy-all", "fr-curve-rand-k", "oracle"],
+    ids=[
+        "fr-curve-tree-dp", "fr-curve-greedy-all", "fr-curve-rand-k", "oracle",
+        *(f"place-{name}" for name in ALGORITHMS),
+    ],
 )
 def test_bad_graphs_fail_on_the_graph_check_first(argv, graph, tmp_path, capsys):
     # scoring checks the graph before any algorithm is set up or any pick made
@@ -378,6 +405,9 @@ def test_usage_error_exits_2():
         ["generate", "--y", "inf"],
         ["fr-curve", "--algos", "greedy-1,greedy-1", "--kmax", "1"],
         ["fr-curve", "--algos", "greedy-1", "--kmax", "1", "--json", "./curve.csv"],
+        # neither output may name the other's manifest
+        ["fr-curve", "--algos", "greedy-1", "--kmax", "1", "--json", "./curve.csv.manifest.json"],
+        ["fr-curve", "--algos", "greedy-1", "--kmax", "1", "--csv", "x.manifest.json", "--json", "x"],
     ],
 )
 def test_out_of_range_arguments_exit_2(argv, degree_trap_path, tmp_path, capsys, monkeypatch):
@@ -386,7 +416,7 @@ def test_out_of_range_arguments_exit_2(argv, degree_trap_path, tmp_path, capsys,
         extra = ["--out", str(tmp_path / "g.tsv")]
     else:
         extra = ["--input", str(degree_trap_path)]
-        if argv[0] == "fr-curve":
+        if argv[0] == "fr-curve" and "--csv" not in argv:
             extra += ["--csv", str(tmp_path / "curve.csv")]
     with pytest.raises(SystemExit) as exc:
         main(argv + extra)

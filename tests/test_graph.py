@@ -134,9 +134,11 @@ def test_topological_order_fanin_positions():
 
 
 def test_topological_order_deterministic_tie_break():
-    g = build_graph([("s", "b"), ("s", "a")])
-    # a and b are both ready after s; the smaller dense index (b) wins
-    assert [g.labels[v] for v in topological_order(g)] == ["s", "b", "a"]
+    g = build_graph([("s", "a"), ("a", "b"), ("s", "c")])
+    # FIFO: a and c become ready together, in s's out-edge order, and b only
+    # after a, so c leaves before b; smallest-ready-first would take b (index 2)
+    # before c (index 3)
+    assert [g.labels[v] for v in topological_order(g)] == ["s", "a", "c", "b"]
 
 
 def test_cycle_detected_with_cycle_report():

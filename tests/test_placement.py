@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from fixtures import g_diamond, g_fanin, g_degree_trap, g_mergers, g_tree1
-from flowfilter.graph import CGraph, build_graph
+from flowfilter.graph import CGraph, CycleError, GraphError, build_graph
 from flowfilter.harness import oracle, run_algorithm
 from flowfilter.placement import (
     NotACTreeError,
@@ -451,22 +451,30 @@ def test_tree_dp_source_only_graph():
 
 
 def test_as_ctree_rejects_non_trees():
-    # the CLI prints these messages when it exits 1
+    # the CLI prints these messages when it exits 1; the source and cycle
+    # checks are the scorers' own (graph.single_source)
     cases = [
-        (build_graph([("a", "c"), ("b", "c")]), "expected exactly one source, got 2"),
+        (
+            build_graph([("a", "c"), ("b", "c")]),
+            GraphError,
+            "propagation needs exactly one source, got 2; apply add_super_source first",
+        ),
         (
             build_graph([("s", "a"), ("a", "b"), ("b", "a")], sources=["s"]),
-            "graph is cyclic: directed cycle: a -> b -> a",
+            CycleError,
+            "directed cycle: a -> b -> a",
         ),
-        (g_diamond(), "node 'c' has 2 non-source parents"),
+        (g_diamond(), NotACTreeError, "node 'c' has 2 non-source parents"),
         (
             build_graph([("s", "a"), ("x", "b")], sources=["s"]),
+            NotACTreeError,
             "node 'x' is not reachable from the source",
         ),
     ]
-    for g, message in cases:
-        with pytest.raises(NotACTreeError) as exc:
+    for g, error, message in cases:
+        with pytest.raises(error) as exc:
             as_ctree(g)
+        assert type(exc.value) is error
         assert str(exc.value) == message
 
 

@@ -195,7 +195,7 @@ def test_random_ctree_single_node():
 
 def test_random_ctree_no_extra_source_edges_means_no_redundancy():
     g = random_ctree(10, 0.0, 3)
-    assert all(g.in_degree(v) == 1 for v in range(g.n) if v not in g.sources)
+    assert all(len(g.in_adj[v]) == 1 for v in range(g.n) if v not in g.sources)
     assert objective_f(g, eligible_nodes(g)) == 0
 
 
