@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 data/processing error, 2 usage error.
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -65,7 +66,36 @@ def _write_graph(path: str, g: CGraph, args: argparse.Namespace) -> None:
     _write_with_manifest(path, serialize_edge_list(g), args)
 
 
-def _load_graph(args: argparse.Namespace) -> CGraph:
+def _same_file(path: str, st: os.stat_result) -> bool:
+    try:
+        return os.path.samestat(os.stat(path), st)
+    except OSError:  # nothing there yet, so writing it replaces nothing
+        return False
+
+
+def _load_graph(args: argparse.Namespace, *outputs: str) -> CGraph:
+    """Read ``--input``, once no file the command writes can replace another.
+
+    Each of the ``outputs`` options names a file the command writes, next
+    to its manifest.  None of these may be the input file, under any path
+    or link to it, and in ``fr-curve`` neither output may be the other or
+    its manifest (compared after resolving the paths): a usage error (exit
+    2) before anything is read or written.
+    """
+    try:
+        source = os.stat(args.input)
+    except OSError:
+        source = None  # reading it fails below, with exit 1
+    for opt in outputs:
+        path = getattr(args, opt)
+        if source and path and (_same_file(path, source) or _same_file(path + MANIFEST, source)):
+            args.usage_error(f"argument --{opt}: it or its manifest is the --input file: {path}")
+    if "csv" in outputs and args.json:  # fr-curve writes both
+        csv, js = Path(args.csv).resolve(), Path(args.json).resolve()
+        if js == csv:
+            args.usage_error(f"argument --json: names the same file as --csv: {args.json}")
+        if js == Path(args.csv + MANIFEST).resolve() or csv == Path(args.json + MANIFEST).resolve():
+            args.usage_error(f"argument --json: --json or --csv names the other's manifest: {args.json}")
     text = Path(args.input).read_text(encoding="utf-8")
     g = parse_edge_list(text, source_hint=args.source)  # drops a leading BOM
     if args.super_source:
@@ -92,7 +122,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_extract_dag(args) -> int:
-    g = _load_graph(args)
+    g = _load_graph(args, "out")
     if args.best_root:
         dag = best_dag(g)
     else:
@@ -104,7 +134,7 @@ def _cmd_extract_dag(args) -> int:
 
 
 def _cmd_place(args) -> int:
-    g = _load_graph(args)
+    g = _load_graph(args, "json")
     single_source(g)  # the check scoring makes, before any algorithm runs
     filters = run_algorithm(g, args.algo, args.k, args.seed)
     f, fv = gains(g, [filters, eligible_nodes(g)])
@@ -121,7 +151,7 @@ def _cmd_place(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    g = _load_graph(args)
+    g = _load_graph(args, "json")
     labels = sorted({s for s in args.filters.split(",") if s})
     members = frozenset(g.index(lab) for lab in labels)
     f, fv = gains(g, [members, eligible_nodes(g)])
@@ -138,7 +168,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    g = _load_graph(args)
+    g = _load_graph(args, "json")
     fv = max_objective(g)  # checks the graph before the budget
     filters, f = oracle(g, args.k, args.budget)
     obj = {
@@ -152,13 +182,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_fr_curve(args) -> int:
-    if args.json:  # no output may overwrite the other or its manifest
-        csv, js = Path(args.csv).resolve(), Path(args.json).resolve()
-        if js == csv:
-            args.usage_error(f"argument --json: names the same file as --csv: {args.json}")
-        if js == Path(args.csv + MANIFEST).resolve() or csv == Path(args.json + MANIFEST).resolve():
-            args.usage_error(f"argument --json: --json or --csv names the other's manifest: {args.json}")
-    g = _load_graph(args)
+    g = _load_graph(args, "csv", "json")
     curve = fr_curve(g, args.algos, args.kmax, args.runs, args.seed)
     _write_with_manifest(args.csv, curve_to_csv(curve), args)
     if args.json:
@@ -229,6 +253,7 @@ def _add_input_opts(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="join multiple sources under one synthetic source",
     )
+    p.set_defaults(usage_error=p.error)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", required=True, help="output CSV path")
     p.add_argument("--json", help="also write full per-cell results")
-    p.set_defaults(func=_cmd_fr_curve, usage_error=p.error)
+    p.set_defaults(func=_cmd_fr_curve)
 
     p = sub.add_parser("validate", help="parse a graph and report its shape")
     _add_input_opts(p)

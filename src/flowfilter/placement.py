@@ -17,7 +17,7 @@ import functools
 import random
 from bisect import bisect_right
 from collections.abc import Callable
-from operator import add, mul
+from operator import add, mul, sub
 
 from .graph import CGraph, GraphError, single_source, topological_order
 from .path_stats import compute_prefix, impact_table
@@ -185,9 +185,76 @@ def as_ctree(g: CGraph) -> tuple[tuple, tuple]:
     return tuple(map(tuple, children)), tuple(extra)
 
 
+# a node with more rows (inflows) than this keeps its columns as breakpoints;
+# at least 1, since a column kept that way spans two inflows or more
+_FLAT_ROWS = 24
+
+
 def _at(table: list, rows: int, budget: int, row: int) -> int:
     """``table``'s entry at (budget, row): past its last column, the last one's."""
     return table[min(budget, len(table) // rows - 1) * rows + row]
+
+
+def _expand(xs: list, ys: list) -> list:
+    """A column kept as breakpoints, at every inflow 1 .. ``xs[-1]``."""
+    column = []
+    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
+        step = (y1 - y0) // (x1 - x0)
+        column += range(y0, y1, step) if step else [y0] * (x1 - x0)
+    column.append(ys[-1])
+    return column
+
+
+def _breakpoints(column: list) -> tuple[list, list]:
+    """A column's first and last inflow and each inflow where its slope changes."""
+    d = list(map(sub, column[1:], column))
+    xs = [1, *[x + 1 for x in range(1, len(d)) if d[x] != d[x - 1]], len(column)]
+    return xs, [column[x - 1] for x in xs]
+
+
+def _step(cols: list, e: int, k: int) -> tuple[list, list]:
+    """A one-child node's columns, as breakpoints, from its child's ``cols``.
+
+    Per budget b the node's column is its child's at b, read at inflow + e;
+    at b >= 1 capped at the child's budget b - 1 value at inflow 1, where
+    the node filters; plus the node's own receipts, inflow + e.  Each is a
+    few list operations over the breakpoints, however many inflows there
+    are.  Also returns, per budget, how many inflows from 1 up the cap
+    leaves alone: at those the node does not filter.
+    """
+    out, kept = [], []
+    for b in range(min(len(cols) + 1, k + 1)):
+        xs, ys = cols[min(b, len(cols) - 1)]
+        if e:  # the child receives inflow + 1: drop its inflow 1, shift left
+            y2 = ys[0] + (ys[1] - ys[0]) // (xs[1] - 1)  # inflow 2 is on the first piece
+            i = bisect_right(xs, 2)
+            xs, ys = [1, *[x - 1 for x in xs[i:]]], [y2, *ys[i:]]
+        end = keep = xs[-1]
+        if b:
+            # the column is nondecreasing, so the cap keeps its values up
+            # to the last inflow at or below cut, then cut
+            cut = cols[b - 1][1][0]
+            i = bisect_right(ys, cut)
+            if not i:
+                keep, xs, ys = 0, [1, end], [cut, cut]
+            elif i < len(ys):
+                x, y = xs[i - 1], ys[i - 1]
+                step = (ys[i] - y) // (xs[i] - x)
+                at = x + (cut - y) // step
+                xs, ys = xs[:i], ys[:i]
+                if at > x:
+                    xs.append(at)
+                    ys.append(y + step * (at - x))
+                if ys[-1] < cut:
+                    xs.append(at + 1)
+                    ys.append(cut)
+                if xs[-1] < end:
+                    xs.append(end)
+                    ys.append(cut)
+                keep = at
+        kept.append(keep)
+        out.append((xs, [x + y + e for x, y in zip(xs, ys)]))
+    return out, kept
 
 
 def _join(a: list, b: list, rows: int, k: int) -> list:
@@ -228,19 +295,21 @@ def _fold(tables: list, rows: int, k: int) -> list:
     return suffix
 
 
-def _split(kids: tuple, suffix: list, best: list, rows: int, out: int, budget: int):
+def _split(kids: tuple, heads: list, suffix: list, rows: int, out: int, budget: int):
     """Yield (child, budget) pairs for ``kids`` in their tables' row ``out``.
 
-    Each child but the last gets the smallest budget that reaches the
-    minimum, and the last takes what is left, as in the chain (c1, (c2,
-    (... c_m))), so a single child takes the whole budget.  Budget past
-    where a child's table stops falling buys its subtree nothing, and there
-    the strict filter test picks the same filters as at the smallest budget.
+    ``heads`` are the children's flat tables and ``suffix`` their
+    ``_fold``; neither is read for a single child.  Each child but the last
+    gets the smallest budget that reaches the minimum, and the last takes
+    what is left, as in the chain (c1, (c2, (... c_m))), so a single child
+    takes the whole budget.  Budget past where a child's table stops
+    falling buys its subtree nothing, and there the strict filter test
+    picks the same filters as at the smallest budget.
     """
     for i, c in enumerate(kids[:-1]):
         # past its table's width a child's value stops falling while the
         # rest's can only rise, so larger budgets never reach the minimum first
-        row, rest = best[c][out : (budget + 1) * rows : rows], suffix[i + 1]
+        row, rest = heads[i][out : (budget + 1) * rows : rows], suffix[i + 1]
         sums = [v + _at(rest, rows, budget - j, out) for j, v in enumerate(row)]
         j = sums.index(min(sums))
         budget -= j
@@ -257,30 +326,42 @@ def tree_dp(g: CGraph, k_max: int) -> Callable[[int], frozenset[int]]:
     and inflow, where inflow >= 1 is the copy count its tree parent
     forwards.  v receives its inflow, plus one copy if a source edge that
     is not its tree edge feeds it, so its rows number 1 plus the extra
-    source edges above it, and tables grow with depth on deep chains.
+    source edges above it, and rows grow with depth on deep chains.
     Budget runs up to the number of non-leaf nodes in v's subtree, capped
     at k_max, since more buys nothing; so no table or traceback step grows
     with a k_max past the number of non-source nodes.
 
-    Each table is one flat list in budget-major order: entry
-    ``b * rows + inflow - 1`` is the value at budget b, so a budget's
-    column is one slice, and every update and join is a few list
-    operations per budget over a whole column.  Filtering v at budget b
-    caps each inflow's value at the budget b - 1 value of inflow 1, and a
-    column is nondecreasing in inflow, so the cap is a bisect, a slice and
-    a repeat.  Joining two children costs, per budget of the narrower
-    child, one pass over the wider child's leading columns: O(rows * w_a
-    * w_b) for widths w_a <= w_b <= k_max + 1, run in ``map``.  One child's
-    join is its own table, at no cost.  The rows still grow with depth, so
-    a chain of n nodes with extra source edges at a fixed fraction of its
-    nodes costs O(n^2 * k_max) in time and memory.
+    Read along inflow, each budget's column is nondecreasing and concave:
+    with the filters below v fixed, v's subtree receipts are affine in
+    inflow, and the column is the minimum of those lines.  A node with at
+    most ``_FLAT_ROWS`` rows keeps one flat list in budget-major order:
+    entry ``b * rows + inflow - 1`` is the value at budget b, so a column
+    is one slice.  Filtering v at budget b caps each inflow's value at the
+    budget b - 1 value of inflow 1, and a column is nondecreasing, so the
+    cap is a bisect, a slice and a repeat.  Joining two children costs,
+    per budget of the narrower child, one pass over the wider child's
+    leading columns: O(rows * w_a * w_b) for widths w_a <= w_b <= k_max +
+    1, run in ``map``.  A node with more rows keeps each column as its
+    breakpoints: both ends and the inflows where its slope changes, with
+    their exact int values.  With one child it updates the child's columns
+    in O(breakpoints) per budget (``_step``); with several, it expands
+    their columns at every inflow, joins them flat and cuts the result
+    back to breakpoints.  Rows only grow with depth, so a root-to-leaf
+    path changes layout at most once.  On a chain with 3 of every 10 nodes
+    source-fed, a column has about 7 breakpoints at 500 nodes and 50 at
+    5000, against up to 150 and 1500 rows.
 
     A leaf's subtree receives just its own copies.  No argmin tables are
     stored: the top-down traceback recomputes each budget split
-    (``_split``) at the one (budget, row) entry it visits.  A node becomes
-    a filter only when that is strictly better, so never the source, which
-    forwards one copy either way.  Minimizing total receipts is equivalent
-    to maximizing the objective.
+    (``_split``) at the one (budget, row) entry it visits, and filters v
+    where its children's join at (budget - 1, row 0) is strictly below the
+    join at (budget, v's row).  A one-child node with breakpoints keeps
+    instead, per budget, how many rows from inflow 1 up its cap left
+    alone, the same test, and its child's table is dropped: so a deep
+    chain's memory is O(n * k_max), not its tables.  A node becomes a
+    filter only when that is strictly better, so never the source, which
+    forwards one copy either way.  Minimizing total receipts is
+    equivalent to maximizing the objective.
 
     ``g`` is certified by ``as_ctree`` first, so a graph without exactly
     one source raises GraphError, a cyclic one CycleError, and one that is
@@ -298,16 +379,28 @@ def tree_dp(g: CGraph, k_max: int) -> Callable[[int], frozenset[int]]:
         for c in children[v]:
             top[c] = top[v] + extra[v]
 
-    best: list = [None] * n  # v's budget-major table, top[v] + 1 rows
-    suffix: list = [None] * n  # ``_fold`` of v's children, if it has any
+    best: list = [None] * n  # v's table, flat or in breakpoints
+    kept: list = [None] * n  # where ``_step`` built best[v]: per budget, rows that keep
+    heads: list = [None] * n  # where v joins its children: their flat tables
+    suffix: list = [None] * n  # and their ``_fold``
     for v in reversed(order):
         kids, e = children[v], extra[v]
-        recvs = list(range(1 + e, top[v] + e + 2))
-        if not kids:
-            best[v] = recvs
+        span = top[v] + 1  # v's rows
+        rows = span + e  # the children's rows: v forwards what it receives
+        if not kids:  # v receives inflow + e
+            flat = span <= _FLAT_ROWS
+            best[v] = list(range(1 + e, rows + 1)) if flat else [([1, span], [1 + e, rows])]
             continue
-        rows = top[v] + e + 1  # the children's rows: v forwards what it receives
-        suffix[v] = _fold([best[c] for c in kids], rows, k_max)
+        if span > _FLAT_ROWS and len(kids) == 1:  # breakpoints are read by v alone
+            best[v], kept[v] = _step(best[kids[0]], e, k_max)
+            best[kids[0]] = None
+            continue
+        heads[v] = [best[c] for c in kids]
+        if rows > _FLAT_ROWS:  # the children keep breakpoints: expand them
+            heads[v] = [[y for xs, ys in cols for y in _expand(xs, ys)] for cols in heads[v]]
+            for c in kids:
+                best[c] = None
+        suffix[v] = _fold(heads[v], rows, k_max)
         table = suffix[v][0]
         width = len(table) // rows
         wide = min(width + 1, k_max + 1)  # v's table is one budget wider
@@ -323,7 +416,10 @@ def tree_dp(g: CGraph, k_max: int) -> Callable[[int], frozenset[int]]:
             at = bisect_right(table, cut, lo, hi)
             fewest += table[lo:at]
             fewest += [cut] * (hi - at)
-        best[v] = list(map(add, fewest, recvs * wide))
+        best[v] = list(map(add, fewest, list(range(1 + e, rows + 1)) * wide))
+        if span > _FLAT_ROWS:
+            table = best[v]
+            best[v] = [_breakpoints(table[at : at + span]) for at in range(0, len(table), span)]
 
     def traceback(k: int) -> frozenset[int]:
         check_k(k)
@@ -336,13 +432,18 @@ def tree_dp(g: CGraph, k_max: int) -> Callable[[int], frozenset[int]]:
             kids = children[v]
             if not kids or not budget:
                 continue  # a leaf filter removes nothing; no budget, no filter
-            table, rows = suffix[v][0], top[v] + extra[v] + 1
+            rows = top[v] + extra[v] + 1
             out = row + extra[v]  # the children's row unless v filters
-            if _at(table, rows, budget - 1, 0) < _at(table, rows, budget, out):
+            if kept[v]:  # v filters where the cap cut its column
+                filters = row >= kept[v][min(budget, len(kept[v]) - 1)]
+            else:
+                table = suffix[v][0]
+                filters = _at(table, rows, budget - 1, 0) < _at(table, rows, budget, out)
+            if filters:
                 chosen.add(v)
                 out, budget = 0, budget - 1
             stack.extend(
-                (c, out, j) for c, j in _split(kids, suffix[v], best, rows, out, budget)
+                (c, out, j) for c, j in _split(kids, heads[v], suffix[v], rows, out, budget)
             )
         return frozenset(chosen)
 

@@ -425,6 +425,44 @@ def test_out_of_range_arguments_exit_2(argv, degree_trap_path, tmp_path, capsys,
     assert list(tmp_path.iterdir()) == [degree_trap_path]  # nothing written
 
 
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("g.tsv", ["extract-dag", "--best-root", "--out", "g.tsv"]),
+        ("g.tsv", ["place", "--algo", "greedy-1", "--k", "1", "--json", "g.tsv"]),
+        ("g.tsv", ["evaluate", "--filters", "x", "--json", "./g.tsv"]),
+        ("g.tsv", ["oracle", "--k", "1", "--json", "sub/../g.tsv"]),
+        ("g.tsv", ["fr-curve", "--algos", "greedy-1", "--kmax", "1", "--csv", "g.tsv"]),
+        ("g.tsv", ["fr-curve", "--algos", "greedy-1", "--kmax", "1", "--csv", "c", "--json", "g.tsv"]),
+        # the manifest written next to an output may not replace the input either
+        ("o.json.manifest.json", ["place", "--algo", "tree-dp", "--k", "1", "--json", "o.json"]),
+    ],
+)
+def test_no_output_may_replace_the_input(name, argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the outputs are relative paths
+    (tmp_path / "sub").mkdir()
+    source = tmp_path / name
+    source.write_text(FANIN_TSV)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--input", str(source)])
+    assert exc.value.code == 2
+    assert "it or its manifest is the --input file" in capsys.readouterr().err
+    assert source.read_text() == FANIN_TSV  # byte for byte: nothing was written
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([name, "sub"])
+
+
+def test_no_output_may_replace_the_input_through_a_link(tmp_path, capsys):
+    source = tmp_path / "g.tsv"
+    source.write_text(FANIN_TSV)
+    (tmp_path / "link.json").symlink_to(source)
+    argv = ["place", "--input", str(source), "--algo", "greedy-1", "--k", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--json", str(tmp_path / "link.json")])
+    assert exc.value.code == 2
+    assert "argument --json: it or its manifest is the --input file" in capsys.readouterr().err
+    assert source.read_text() == FANIN_TSV
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

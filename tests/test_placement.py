@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from fixtures import g_diamond, g_fanin, g_degree_trap, g_mergers, g_tree1
+from flowfilter import placement
 from flowfilter.graph import CGraph, CycleError, GraphError, build_graph
 from flowfilter.harness import oracle, run_algorithm
 from flowfilter.placement import (
@@ -378,10 +379,46 @@ def test_tree_dp_matches_reference_on_caterpillars(seed):
         assert traceback(k) == tree_dp_reference(t, k), (seed, k)
 
 
+@pytest.mark.parametrize("flat_rows", [1, 3])
+def test_tree_dp_breakpoint_layout_matches_reference_at_any_threshold(flat_rows, monkeypatch):
+    # the layout follows a node's row count alone; with a low threshold most
+    # nodes of small random c-trees keep breakpoints, so one-child updates,
+    # joins of expanded children and a layout change inside a forest all run
+    monkeypatch.setattr(placement, "_FLAT_ROWS", flat_rows)
+    for seed in range(300):
+        rng = random.Random(seed)
+        t = random_ctree(rng.randint(1, 60), rng.uniform(0.3, 0.9), seed + 9000)
+        k_max = (1, 2, 3, 5, 8)[seed % 5]
+        traceback = tree_dp(t, k_max)
+        for k in range(k_max + 1):
+            assert traceback(k) == tree_dp_reference(t, k), (seed, k)
+
+
+def test_tree_dp_pinned_on_a_5000_node_chain():
+    # past tree_dp_reference's reach: the ctree-dp benchmark's deep chain
+    # shape at 5000 nodes, 3 of every 10 source-fed, so the deepest tables
+    # have 1500 inflow rows; the sets at every k <= 10 are pinned
+    rng = random.Random("ctree-dp:deep:11")
+    n = 5000
+    edges = [("s", "t0")] + [(f"t{i - 1}", f"t{i}") for i in range(1, n)]
+    fed = {b + j for b in range(0, n, 10) for j in rng.sample(range(10), 3)}
+    edges += [("s", f"t{i}") for i in sorted(fed) if i]
+    g = build_graph(edges, sources=["s"])
+    traceback = tree_dp(g, 10)
+    h = hashlib.sha256()
+    for k in range(11):
+        h.update(" ".join(g.sorted_labels(traceback(k))).encode() + b"\n")
+    assert h.hexdigest() == (
+        "a96ef363a6cb04708777958f6f4b650125d01a8631e959023ff3a689e4ab4a72"
+    )
+
+
 def test_fewest_receipts_in_a_subtree_never_fall_as_its_inflow_rises():
     # tree_dp caps each table column by bisecting it, which is exact only
-    # because a column is nondecreasing in inflow.  Brute force: a copy of
-    # a small subtree whose root x feeders each forward one copy, x = 1..4
+    # because a column is nondecreasing in inflow, and keeps a deep node's
+    # columns as breakpoints, fewer than its rows because a column is also
+    # concave: its differences never rise.  Brute force: a copy of a small
+    # subtree whose root x feeders each forward one copy, x = 1..4
     for seed in range(150):
         rng = random.Random(seed)
         t = random_ctree(rng.randint(3, 10), rng.uniform(0.0, 0.9), seed + 7000)
@@ -414,6 +451,8 @@ def test_fewest_receipts_in_a_subtree_never_fall_as_its_inflow_rises():
         for b in range(4):
             column = [row[b] for row in fewest]
             assert column == sorted(column), (seed, b, column)
+            steps = [y - x for x, y in zip(column, column[1:])]
+            assert steps == sorted(steps, reverse=True), (seed, b, column)
 
 
 @pytest.mark.parametrize("seed", range(6))
