@@ -73,24 +73,17 @@ class CGraph:
             min(ids, default=0) < 0
             or max(ids, default=0) >= n
             or any(starmap(eq, self.edges))
-            or len(set(self.edges)) < len(self.edges)
         ):
-            seen = set()
-            for u, v in self.edges:
-                if not (0 <= u < n and 0 <= v < n):
-                    raise GraphError(f"edge ({u}, {v}) references unknown node index")
-                if u == v:
-                    raise GraphError(f"self-loop at node {self.labels[u]!r}")
-                if (u, v) in seen:
-                    raise GraphError(
-                        f"duplicate edge {self.labels[u]!r} -> {self.labels[v]!r}"
-                    )
-                seen.add((u, v))
+            _raise_first_bad_edge(self.labels, self.edges)
         out_lists: list[list[int]] = [[] for _ in range(n)]
         in_lists: list[list[int]] = [[] for _ in range(n)]
         for u, v in self.edges:
             out_lists[u].append(v)
             in_lists[v].append(u)
+        # an edge repeats iff some node lists one head twice: small sets, one
+        # at a time, instead of a set of all m edges
+        if any(len(set(heads)) < len(heads) for heads in out_lists if len(heads) > 1):
+            _raise_first_bad_edge(self.labels, self.edges)
         self.out_adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, out_lists))
         self.in_adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, in_lists))
 
@@ -131,6 +124,21 @@ class CGraph:
         return f"CGraph(n={self.n}, m={self.m}, sources={sorted(self.labels[s] for s in self.sources)})"
 
 
+def _raise_first_bad_edge(labels: tuple[str, ...], edges: Iterable[tuple[int, int]]) -> None:
+    """Raise GraphError naming the first out-of-range, self-loop or repeated
+    edge, in edge order.  Called only once some edge is known to be bad."""
+    n = len(labels)
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u}, {v}) references unknown node index")
+        if u == v:
+            raise GraphError(f"self-loop at node {labels[u]!r}")
+        if (u, v) in seen:
+            raise GraphError(f"duplicate edge {labels[u]!r} -> {labels[v]!r}")
+        seen.add((u, v))
+
+
 def build_graph(
     edge_labels: Iterable[tuple[str, str]],
     nodes: Sequence[str] = (),
@@ -146,7 +154,11 @@ def build_graph(
     tokens = list(chain.from_iterable(edge_labels))
     labels = list(dict.fromkeys(chain(nodes, tokens)))
     index = dict(zip(labels, range(len(labels))))
-    ids = map(index.__getitem__, tokens)
+    # ids replace the token strings before any edge exists, so only the
+    # labels' own strings outlive the del; the iterator holds the only
+    # reference to the ids, so they die as the edges pair them up
+    ids = iter(list(map(index.__getitem__, tokens)))
+    del tokens
     edges = tuple(zip(ids, ids))  # consecutive ids pair up as (u, v)
     src = None
     if sources is not None:
@@ -179,9 +191,11 @@ def parse_edge_list(text: str, source_hint: str | None = None) -> CGraph:
             raise ParseError(
                 f"line {lineno}: expected 'u<TAB>v', got {lines[lineno - 1]!r}"
             )
+    del lines, fields  # every line is tokenized: the split lines die here
     if not tokens:
         raise ParseError("empty graph: no edges found")
     pairs = iter(tokens)  # zip(pairs, pairs) yields (u, v) label pairs
+    del tokens  # the iterator holds the only reference: build_graph frees them
     try:
         return build_graph(
             zip(pairs, pairs),

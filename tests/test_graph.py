@@ -1,9 +1,12 @@
 import hashlib
 import random
+import tracemalloc
+from itertools import permutations
 
 import pytest
 
 from _oracles import (
+    CGraphReference,
     build_graph_reference,
     parse_edge_list_reference,
     random_dag,
@@ -24,6 +27,7 @@ from flowfilter.graph import (
     serialize_edge_list,
     topological_order,
 )
+from flowfilter.synth import LayeredConfig, layered_graph
 
 
 def test_parse_fan_out_with_hint():
@@ -331,3 +335,65 @@ def test_build_graph_matches_reference():
         sources = rng.choice([None, rng.choices(pool + ["zzz"], k=rng.randint(0, 2))])
         got = _loaded(build_graph, pairs, nodes, sources)
         assert got == _loaded(build_graph_reference, pairs, nodes, sources), seed
+
+
+def _random_index_edges(rng: random.Random) -> tuple[list[str], list[tuple[int, int]]]:
+    """Labels and raw index edges; in about half of the graphs each edge is,
+    with odds 1 in 5, out of range (negative or n and past), a self-loop or
+    a repeat of an earlier edge, so faults come in every order."""
+    n = rng.randint(1, 6)
+    faulty = rng.random() < 0.5
+    edges: list[tuple[int, int]] = []
+    for _ in range(rng.randint(0, 12)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if faulty and rng.random() < 0.2:
+            kind = rng.choice(["range", "loop", "repeat"])
+            if kind == "range":
+                bad = rng.choice([-rng.randint(1, 3), n + rng.randint(0, 2)])
+                u, v = rng.choice([(bad, v), (u, bad)])
+            elif kind == "loop":
+                v = u
+            elif edges:
+                u, v = rng.choice(edges)
+        elif u == v or (u, v) in edges:
+            continue
+        edges.append((u, v))
+    return [f"v{i}" for i in range(n)], edges
+
+
+def test_cgraph_matches_reference_on_raw_edges():
+    outcomes = dict.fromkeys(
+        ["unknown node index", "self-loop", "duplicate edge", "out of range", "built"], 0
+    )
+    cases = []
+    for seed in range(600):
+        rng = random.Random(seed)
+        labels, edges = _random_index_edges(rng)
+        n = len(labels)
+        sources = rng.choice([None, [rng.randint(-1, n) for _ in range(rng.randint(0, 2))]])
+        cases.append((labels, edges, sources))
+    # one out-of-range edge, one self-loop and one repeat, in all six orders
+    faults = [(0, 3), (1, 1), (0, 1)]
+    for order in permutations(faults):
+        for sources in (None, [0], [5]):
+            cases.append((["a", "b", "c"], [(0, 1), (1, 2), *order], sources))
+    for labels, edges, sources in cases:
+        got = _loaded(CGraph, labels, edges, sources)
+        assert got == _loaded(CGraphReference, labels, edges, sources), (labels, edges, sources)
+        kind = next((k for k in outcomes if len(got) == 2 and k in got[1]), "built")
+        outcomes[kind] += 1
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+def test_parse_peak_memory_is_at_most_three_graphs():
+    """Loading frees each transient at its last use: the split lines, the
+    token strings and the repeat check never all live at once."""
+    text = serialize_edge_list(layered_graph(LayeredConfig(10, 60, 1, 4, seed=11)))
+    tracemalloc.start()
+    try:
+        g = parse_edge_list(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (g.n, g.m) == (601, 10257)
+    assert peak <= 3 * kept, (peak, kept)
