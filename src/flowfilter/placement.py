@@ -14,7 +14,9 @@ reproducible bit for bit.
 """
 
 import functools
+import math
 import random
+import struct
 from bisect import bisect_right
 from collections.abc import Callable
 from operator import add, mul, sub
@@ -126,17 +128,19 @@ def randomized_baseline(g: CGraph, variant: str) -> Callable[[int, int], frozens
     independently with probability k/n; rand_w keeps node v with probability
     w(v) * k/n capped at 1, where w >= 0 favours nodes feeding low-in-degree
     children.  All three draw over every node; a source picked as a filter
-    is inert during propagation.  rand_i (w = 1) and rand_w share one draw
-    loop; the weights are computed here, the probabilities once per k.
+    is inert during propagation.  rand_i (w = 1) and rand_w compute their
+    weights here and, once per k, pack the probabilities into the bounds
+    that ``_draws_below`` tests all n draws of a pick against at once; the
+    picks are those of one ``rng.random() < p`` per node, in node order.
     """
     if variant not in ("rand_k", "rand_i", "rand_w"):
         raise ValueError(f"unknown baseline variant {variant!r}")
     weights = rand_w_weights(g) if variant == "rand_w" else [1.0] * g.n
 
     @functools.cache
-    def probs(k: int) -> list[float]:
+    def bounds(k: int) -> int:
         scale = k / g.n
-        return [min(1.0, w * scale) for w in weights]
+        return _pack_bounds([min(1.0, w * scale) for w in weights])
 
     def pick(k: int, seed: int) -> frozenset[int]:
         check_k(k)
@@ -144,12 +148,50 @@ def randomized_baseline(g: CGraph, variant: str) -> Callable[[int, int], frozens
             raise ValueError(f"{variant} needs an integer seed, got None")
         rng = random.Random(seed)
         if variant != "rand_k":
-            return frozenset([v for v, p in enumerate(probs(k)) if rng.random() < p])
+            return frozenset(_draws_below(rng, bounds(k), g.n))
         if k > g.n:
             raise ValueError(f"rand_k needs k <= n, got k={k}, n={g.n}")
         return frozenset(rng.sample(range(g.n), k))
 
     return pick
+
+
+def _pack_bounds(probs: list[float]) -> int:
+    """One 64-bit lane per probability p: 2**63 - 1 + ceil(p * 2**53)."""
+    return int.from_bytes(
+        struct.pack(f"<{len(probs)}Q", *[(1 << 63) - 1 + math.ceil(p * (1 << 53)) for p in probs]),
+        "little",
+    )
+
+
+@functools.lru_cache(maxsize=4)
+def _lane_masks(n: int) -> tuple[int, int, int]:
+    """Bits 0..26, bits 0..25 and bit 63 of each of n 64-bit lanes."""
+    ones = ((1 << (64 * n)) - 1) // ((1 << 64) - 1)
+    return ones * ((1 << 27) - 1), ones * ((1 << 26) - 1), ones << 63
+
+
+def _draws_below(rng: random.Random, bounds: int, n: int) -> list[int]:
+    """Each v < n whose draw, the v-th ``rng.random()``, is below lane v's p.
+
+    ``bounds`` comes from ``_pack_bounds``.  ``getrandbits(64 * n)`` holds
+    the 32-bit words that n ``random()`` calls would read, least significant
+    first, so lane v holds draw v's two words w0 (low) and w1 (high), and
+    ``random()`` would return a / 2**53 with a = (w0 >> 5) << 26 | w1 >> 6.
+    Scaling by 2**53 is exact, so a / 2**53 < p exactly when a < ceil(p *
+    2**53), which is when lane v of bounds - a reaches bit 63.  Every lane
+    of bounds - a lies in [0, 2**64), so no lane borrows from the next.
+    """
+    low27, low26, guard = _lane_masks(n)
+    x = rng.getrandbits(64 * n)
+    a = (x >> 5 & low27) << 26 | x >> 38 & low26
+    hits = ((bounds - a) & guard).to_bytes(8 * n, "little")
+    picked = []
+    i = hits.find(128, 7)  # bit 63 of lane v is 128 in byte 8v + 7
+    while i >= 0:
+        picked.append(i >> 3)
+        i = hits.find(128, i + 8)
+    return picked
 
 
 # --- communication trees ----------------------------------------------------

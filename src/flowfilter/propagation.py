@@ -94,7 +94,7 @@ def _packed_pass(g: CGraph, sets: list, w: int) -> list[int]:
     forwarded = [0] * g.n
     total = 0
     for v in topological_order(g):
-        r = sum(forwarded[p] for p in g.in_adj[v])
+        r = sum(map(forwarded.__getitem__, g.in_adj[v]))
         if v in g.sources:
             forwarded[v] = ones
             continue

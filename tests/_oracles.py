@@ -393,6 +393,11 @@ def layered_graph_reference(cfg) -> CGraph:
     return build_graph(source_edges + edges, nodes=["s"] + names, sources=["s"])
 
 
+def draws_below(rng: random.Random, probs) -> list[int]:
+    """Each v whose draw, the v-th ``rng.random()``, is below ``probs[v]``."""
+    return [v for v, p in enumerate(probs) if rng.random() < p]
+
+
 def is_acyclic_edge_set(n: int, edges: set[tuple[int, int]]) -> bool:
     """Kahn's check over a raw edge set on nodes 0..n-1."""
     indeg = [0] * n

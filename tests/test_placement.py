@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import sys
 from itertools import combinations
@@ -24,7 +25,7 @@ from flowfilter.placement import (
 )
 from flowfilter.propagation import objective_f, simulate
 
-from _oracles import random_ctree, random_dag, tree_dp_reference
+from _oracles import draws_below, random_ctree, random_dag, tree_dp_reference
 
 
 # --- greedy_1 ----------------------------------------------------------------
@@ -541,6 +542,81 @@ def test_rand_i_golden_set():
     g = g_fanin()
     fs = randomized_baseline(g, "rand_i")(3, 0)
     assert g.sorted_labels(fs) == ["y", "z1", "z3"]  # generated once, frozen
+
+
+def _bulk_draws(seed, probs):
+    """``placement._draws_below`` on ``probs``, and the generator's state after it."""
+    rng = random.Random(seed)
+    picked = placement._draws_below(rng, placement._pack_bounds(probs), len(probs))
+    return picked, rng.getstate()
+
+
+def _reference_draws(seed, probs):
+    rng = random.Random(seed)
+    return draws_below(rng, probs), rng.getstate()
+
+
+_EDGE_PROBS = [0.0, 1.0, 2.0**-53, 1.0 - 2.0**-53, 5e-324, 0.5]
+
+
+def test_bulk_draws_match_one_draw_per_node():
+    rng = random.Random(2024)
+    cases = []
+    for n in (1, 2, 3, 7, 64, 65, 1001):
+        for p in _EDGE_PROBS:
+            cases.append([p] * n)
+        for k in (0, 1, 3, n, n + 1, 2 * n + 5):  # rand-i's min(1, k/n), k > n included
+            cases.append([min(1.0, k / n)] * n)
+    while len(cases) < 400:
+        n = rng.randrange(1, 90)
+        kind = len(cases) % 3
+        if kind == 0:
+            probs = [rng.random() for _ in range(n)]
+        elif kind == 1:
+            probs = [rng.choice(_EDGE_PROBS) for _ in range(n)]
+        else:  # rand-w's shape: a weight times k/n, capped at 1
+            scale = rng.randrange(0, 2 * n) / n
+            probs = [min(1.0, rng.choice([0.0, rng.random(), 3 * rng.random()]) * scale)
+                     for _ in range(n)]
+        cases.append(probs)
+    for i, probs in enumerate(cases):
+        assert _bulk_draws(i, probs) == _reference_draws(i, probs), (i, probs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 40, 257])
+def test_bulk_draws_at_each_draws_own_value(n):
+    # p equal to the draw must miss and the next float up must hit; random
+    # probabilities cannot tell ceil from floor or < from <= in the bound
+    for seed in range(12):
+        rng = random.Random(seed)
+        draws = [rng.random() for _ in range(n)]
+        assert _bulk_draws(seed, draws)[0] == []
+        above = [math.nextafter(d, 2) for d in draws]
+        assert _bulk_draws(seed, above)[0] == list(range(n))
+        mixed = [a if v % 2 else d for v, (d, a) in enumerate(zip(draws, above))]
+        got = _bulk_draws(seed, mixed)
+        assert got == _reference_draws(seed, mixed) and got[0] == list(range(1, n, 2))
+
+
+@pytest.mark.parametrize("variant", ["rand_i", "rand_w"])
+def test_picks_do_not_depend_on_other_budgets_cached(variant):
+    g = random_dag(60, 0.1, 3)
+    weights = rand_w_weights(g) if variant == "rand_w" else [1.0] * g.n
+
+    def reference(k, seed):
+        probs = [min(1.0, w * (k / g.n)) for w in weights]
+        return frozenset(draws_below(random.Random(seed), probs))
+
+    pick = randomized_baseline(g, variant)
+    for s in range(20):
+        assert pick(3, s) == reference(3, s)
+        assert pick(7, s + 100) == reference(7, s + 100)
+    for s in range(20):
+        assert pick(3, s) == randomized_baseline(g, variant)(3, s) == reference(3, s)
+    assert pick(0, 1) == frozenset()
+    assert pick(g.n + 3, 1) == reference(g.n + 3, 1)
+    if variant == "rand_i":
+        assert pick(g.n + 3, 1) == frozenset(range(g.n))
 
 
 def test_rand_w_weights_fanin():
