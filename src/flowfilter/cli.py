@@ -21,6 +21,7 @@ from .graph import (
     CGraph,
     CycleError,
     GraphError,
+    ParseError,
     add_super_source,
     parse_edge_list,
     serialize_edge_list,
@@ -96,7 +97,17 @@ def _load_graph(args: argparse.Namespace, *outputs: str) -> CGraph:
             args.usage_error(f"argument --json: names the same file as --csv: {args.json}")
         if js == Path(args.csv + MANIFEST).resolve() or csv == Path(args.json + MANIFEST).resolve():
             args.usage_error(f"argument --json: --json or --csv names the other's manifest: {args.json}")
-    text = Path(args.input).read_text(encoding="utf-8")
+    data = Path(args.input).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # number the line as the parser would: the "x" stands in for the bad
+        # byte, so a break just before it still opens a new line
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(
+            f"line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        ) from None
+    del data  # only the text goes on to the parser
     g = parse_edge_list(text, source_hint=args.source)  # drops a leading BOM
     if args.super_source:
         g = add_super_source(g)

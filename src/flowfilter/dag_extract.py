@@ -68,15 +68,15 @@ def extract_dag(g: CGraph, root: int) -> CGraph:
     """Maximal acyclic subgraph of ``g`` spanning the nodes reachable from root.
 
     The result keeps the reached nodes in index order and every edge out of
-    them except the back edges, in ``g.edges`` order; it is connected from
-    the root and verified acyclic before being returned.
+    them except the back edges, each node's heads in ``g.out_adj`` order; it
+    is connected from the root and verified acyclic before being returned.
     """
     order, back = dfs_annotate(g, root)
     keep = sorted(order)
     remap = {v: i for i, v in enumerate(keep)}
     dropped = set(back)
-    edges = [(remap[u], remap[v]) for u, v in g.edges
-             if u in remap and (u, v) not in dropped]
+    edges = [(remap[u], remap[v]) for u in keep for v in g.out_adj[u]
+             if (u, v) not in dropped]
     out = CGraph([g.labels[v] for v in keep], edges, [remap[root]])
     topological_order(out)  # independent acyclicity assertion
     return out

@@ -40,17 +40,17 @@ class CGraph:
     """Immutable directed graph with designated sources.
 
     Node labels are interned to dense indices 0..n-1 in first-seen order;
-    all other modules work on the dense indices.  Edges are (u, v) index
-    pairs.  No node, repeated labels, out-of-range indices or sources,
-    self-loops and duplicate edges raise GraphError, naming the first
-    offending one.  Sources default to the in-degree-0 nodes.  The
+    all other modules work on the dense indices.  Edges are given as (u, v)
+    index pairs and stored only as adjacency: ``out_adj[u]`` lists u's heads
+    and ``in_adj[v]`` v's tails, each in the order the edges were given;
+    ``m`` counts them.  No node, repeated labels, out-of-range indices or
+    sources, self-loops and duplicate edges raise GraphError, naming the
+    first offending one.  Sources default to the in-degree-0 nodes.  The
     topological order is computed once here; read it through
     ``topological_order`` (CycleError on a cycle) or ``single_source``.
     """
 
-    __slots__ = (
-        "labels", "edges", "out_adj", "in_adj", "sources", "_index", "_order"
-    )
+    __slots__ = ("labels", "m", "out_adj", "in_adj", "sources", "_index", "_order")
 
     def __init__(
         self,
@@ -66,24 +66,25 @@ class CGraph:
         if len(self._index) != n:
             raise GraphError("node labels must be unique")
 
+        edges = tuple(edges)  # dies on return: only the adjacency lists stay
         # check all edges at once; walk them only to name the first bad one
-        self.edges: tuple[tuple[int, int], ...] = tuple(edges)
-        ids = set(chain.from_iterable(self.edges))
+        ids = set(chain.from_iterable(edges))
         if (
             min(ids, default=0) < 0
             or max(ids, default=0) >= n
-            or any(starmap(eq, self.edges))
+            or any(starmap(eq, edges))
         ):
-            _raise_first_bad_edge(self.labels, self.edges)
+            _raise_first_bad_edge(self.labels, edges)
         out_lists: list[list[int]] = [[] for _ in range(n)]
         in_lists: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
+        for u, v in edges:
             out_lists[u].append(v)
             in_lists[v].append(u)
         # an edge repeats iff some node lists one head twice: small sets, one
         # at a time, instead of a set of all m edges
         if any(len(set(heads)) < len(heads) for heads in out_lists if len(heads) > 1):
-            _raise_first_bad_edge(self.labels, self.edges)
+            _raise_first_bad_edge(self.labels, edges)
+        self.m = len(edges)
         self.out_adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, out_lists))
         self.in_adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, in_lists))
 
@@ -107,8 +108,11 @@ class CGraph:
         return len(self.labels)
 
     @property
-    def m(self) -> int:
-        return len(self.edges)
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge (u, v), tail by tail in index order, each tail's heads
+        in ``out_adj`` order.  Rebuilt from ``out_adj`` on each read: no
+        library code reads it."""
+        return tuple((u, v) for u, heads in enumerate(self.out_adj) for v in heads)
 
     def index(self, label: str) -> int:
         try:
@@ -226,7 +230,10 @@ def _first_repeat_or_loop(text: str) -> str | None:
 
 def serialize_edge_list(g: CGraph) -> str:
     """Render a graph in the edge-list format, edges sorted by node label."""
-    lines = sorted(f"{g.labels[u]}\t{g.labels[v]}" for u, v in g.edges)
+    labels = g.labels
+    lines = sorted(
+        f"{labels[u]}\t{labels[v]}" for u, heads in enumerate(g.out_adj) for v in heads
+    )
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -291,5 +298,6 @@ def add_super_source(g: CGraph) -> CGraph:
         raise GraphError(f"node label {SUPER_SOURCE_LABEL!r} is reserved")
     labels = list(g.labels) + [SUPER_SOURCE_LABEL]
     super_idx = len(g.labels)
-    edges = list(g.edges) + [(super_idx, s) for s in sorted(g.sources)]
+    edges = [(u, v) for u, heads in enumerate(g.out_adj) for v in heads]
+    edges += [(super_idx, s) for s in sorted(g.sources)]
     return CGraph(labels, edges, [super_idx])

@@ -8,7 +8,7 @@ import pytest
 from _oracles import random_dag
 from flowfilter.cli import main
 from fixtures import FANIN_TSV, DEGREE_TRAP_TSV, g_tree1
-from flowfilter.graph import serialize_edge_list
+from flowfilter.graph import CGraph, serialize_edge_list
 from flowfilter.harness import ALGORITHMS, RANDOMIZED_ALGORITHMS
 
 
@@ -378,6 +378,44 @@ def test_unknown_filter_label_is_data_error(fanin_path, capsys):
 def test_missing_input_file_is_data_error(tmp_path, capsys):
     rc = main(["validate", "--input", str(tmp_path / "absent.tsv")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r\n", "\r"])
+def test_undecodable_input_names_its_line(brk, tmp_path, capsys):
+    src = tmp_path / "bad.tsv"
+    src.write_bytes(f"s\ta{brk}a\tb{brk}".encode() + b"\xffb\tc" + brk.encode())
+    assert main(["validate", "--input", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert err == "flowfilter: error: line 3: byte 0xff is not UTF-8 (invalid start byte)\n"
+
+
+def test_no_command_reads_the_edges_property(tmp_path, capsys, monkeypatch):
+    """Every command reads a graph's edges from its adjacency lists."""
+
+    def unread(g):
+        raise AssertionError("CGraph.edges was read")
+
+    monkeypatch.setattr(CGraph, "edges", property(unread))
+    gen, cyclic, two = tmp_path / "gen.tsv", tmp_path / "cyclic.tsv", tmp_path / "two.tsv"
+    cyclic.write_text("a\tb\nb\tc\nc\ta\nc\td\n")
+    two.write_text("a\tc\nb\tc\nc\td\n")
+    super_runs = [
+        ["place", "--algo", "greedy-all", "--k", "1"],
+        ["evaluate", "--filters", "c"],
+        ["oracle", "--k", "1"],
+        ["fr-curve", "--algos", "greedy-all,rand-k", "--kmax", "1", "--runs", "2",
+         "--csv", str(tmp_path / "fr.csv")],
+    ]
+    runs = [
+        ["generate", "--levels", "3", "--width", "4", "--x", "1", "--y", "4",
+         "--seed", "7", "--out", str(gen)],
+        ["validate", "--input", str(gen)],
+        ["extract-dag", "--input", str(cyclic), "--root", "b", "--out", str(tmp_path / "b.tsv")],
+        ["extract-dag", "--input", str(cyclic), "--best-root", "--out", str(tmp_path / "d.tsv")],
+        *(argv + ["--input", str(two), "--super-source"] for argv in super_runs),
+    ]
+    for argv in runs:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
 
 
 def test_usage_error_exits_2():

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 import tracemalloc
 from itertools import permutations
 
@@ -308,7 +309,8 @@ def _loaded(build, *args):
         order = topological_order(g)
     except CycleError as exc:
         order = exc.cycle
-    return g.labels, g.edges, g.out_adj, g.in_adj, g.sources, order
+    # sorted: a CGraph keeps only each node's edge order, not one across tails
+    return g.labels, sorted(g.edges), g.out_adj, g.in_adj, g.sources, order
 
 
 def test_parse_edge_list_matches_reference():
@@ -385,15 +387,37 @@ def test_cgraph_matches_reference_on_raw_edges():
     assert min(outcomes.values()) >= 30, outcomes
 
 
-def test_parse_peak_memory_is_at_most_three_graphs():
-    """Loading frees each transient at its last use: the split lines, the
-    token strings and the repeat check never all live at once."""
-    text = serialize_edge_list(layered_graph(LayeredConfig(10, 60, 1, 4, seed=11)))
+def _traced(fn):
+    """What ``fn()`` returns, the bytes still allocated after it, and the peak."""
     tracemalloc.start()
     try:
-        g = parse_edge_list(text)
+        out = fn()
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return out, kept, peak
+
+
+_LAYERED_10X60 = LayeredConfig(10, 60, 1, 4, seed=11)
+
+
+def test_parse_peak_memory_is_that_of_its_tokens():
+    """Loading frees each transient at its last use: the split lines, the
+    token strings and the repeat check never all live at once.  So parsing
+    peaks no higher than holding the split lines and the tokens alone does
+    (keeping the split lines alive through the build reads 10-12% higher),
+    which is 17-20 times the text."""
+    text = serialize_edge_list(layered_graph(_LAYERED_10X60))
+    g, _, peak = _traced(lambda: parse_edge_list(text))
     assert (g.n, g.m) == (601, 10257)
-    assert peak <= 3 * kept, (peak, kept)
+    _, _, tokenized = _traced(lambda: (text.splitlines(), text.split()))
+    assert peak <= 1.05 * tokenized, (peak, tokenized)
+    assert peak <= 22 * sys.getsizeof(text), (peak, sys.getsizeof(text))
+
+
+def test_parsed_graph_keeps_at_most_40_bytes_per_edge():
+    """The edges live only in the adjacency lists (28-31 B per edge); a
+    tuple of m (u, v) pairs alone would add 56 B per edge."""
+    text = serialize_edge_list(layered_graph(_LAYERED_10X60))
+    g, kept, _ = _traced(lambda: parse_edge_list(text))
+    assert kept <= 40 * g.m, (kept, g.m)
