@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 import sys
@@ -388,11 +389,19 @@ def test_cgraph_matches_reference_on_raw_edges():
 
 
 def _traced(fn):
-    """What ``fn()`` returns, the bytes still allocated after it, and the peak."""
+    """What ``fn()`` returns, the bytes still allocated after it, and the peak.
+
+    A full collection empties the interpreter's free lists before the kept
+    bytes are read: the blocks they hold (up to 2000 freed 2-tuples, say)
+    belong to no live object, and how many of them were taken while tracing
+    depends on what ran before.
+    """
     tracemalloc.start()
     try:
         out = fn()
-        kept, peak = tracemalloc.get_traced_memory()
+        peak = tracemalloc.get_traced_memory()[1]
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     return out, kept, peak
