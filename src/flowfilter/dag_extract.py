@@ -75,9 +75,10 @@ def extract_dag(g: CGraph, root: int) -> CGraph:
     keep = sorted(order)
     remap = {v: i for i, v in enumerate(keep)}
     dropped = set(back)
-    edges = [(remap[u], remap[v]) for u in keep for v in g.out_adj[u]
-             if (u, v) not in dropped]
-    out = CGraph([g.labels[v] for v in keep], edges, [remap[root]])
+    # every head of a reached node is reached: the ids are in range
+    ids = [x for u in keep for v in g.out_adj[u] if (u, v) not in dropped
+           for x in (remap[u], remap[v])]
+    out = CGraph._from_ids([g.labels[v] for v in keep], ids, [remap[root]])
     topological_order(out)  # independent acyclicity assertion
     return out
 

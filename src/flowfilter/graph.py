@@ -5,8 +5,9 @@ A graph is a set of labelled nodes and directed edges (u, v), read as
 other node relays what it receives.  Graphs are immutable once built.
 """
 
+from collections import deque
 from itertools import chain, starmap
-from operator import eq
+from operator import contains, is_
 from typing import Iterable, Sequence
 
 SUPER_SOURCE_LABEL = "__super__"
@@ -45,9 +46,15 @@ class CGraph:
     and ``in_adj[v]`` v's tails, each in the order the edges were given;
     ``m`` counts them.  No node, repeated labels, out-of-range indices or
     sources, self-loops and duplicate edges raise GraphError, naming the
-    first offending one.  Sources default to the in-degree-0 nodes.  The
-    topological order is computed once here; read it through
-    ``topological_order`` (CycleError on a cycle) or ``single_source``.
+    first offending one; an edge that is not a pair raises TypeError.
+    Sources default to the in-degree-0 nodes.  The topological order is
+    computed once here; read it through ``topological_order``
+    (CycleError on a cycle) or ``single_source``.
+
+    The pairs are flattened once into the id list ``u0, v0, u1, v1, ...``
+    and range-checked.  From there on this constructor and ``_from_ids``,
+    which the loaders and builders call with ids in range by construction,
+    share one core that makes no object per edge.
     """
 
     __slots__ = ("labels", "m", "out_adj", "in_adj", "sources", "_index", "_order")
@@ -59,32 +66,45 @@ class CGraph:
         sources: Iterable[int] | None = None,
     ):
         self.labels: tuple[str, ...] = tuple(labels)
-        if not self.labels:
-            raise GraphError("graph must have at least one node")
-        n = len(self.labels)
-        self._index = dict(zip(self.labels, range(n)))
-        if len(self._index) != n:
-            raise GraphError("node labels must be unique")
-
-        edges = tuple(edges)  # dies on return: only the adjacency lists stay
-        # check all edges at once; walk them only to name the first bad one
-        ids = set(chain.from_iterable(edges))
-        if (
-            min(ids, default=0) < 0
-            or max(ids, default=0) >= n
-            or any(starmap(eq, edges))
-        ):
+        self._index = _label_index(self.labels)
+        edges = tuple(edges)
+        ids = _flat_pairs(edges)
+        # a negative id would index from the end of the adjacency lists
+        distinct = set(ids)
+        if distinct and (min(distinct) < 0 or max(distinct) >= len(self.labels)):
             _raise_first_bad_edge(self.labels, edges)
+        self._link(ids, sources)
+
+    @classmethod
+    def _from_ids(
+        cls,
+        labels: Sequence[str],
+        ids: list[int],
+        sources: Iterable[int] | None = None,
+        index: dict[str, int] | None = None,
+    ) -> "CGraph":
+        """A CGraph from the flat id list ``u0, v0, u1, v1, ...``.
+
+        For callers whose ids are in range by construction: they are not
+        range-checked.  ``index``, when given, must be ``labels``' own
+        label -> id dict; it is kept instead of being built again.
+        """
+        g = cls.__new__(cls)
+        g.labels = tuple(labels)
+        g._index = _label_index(g.labels, index)
+        g._link(ids, sources)
+        return g
+
+    def _link(self, ids: list[int], sources: Iterable[int] | None) -> None:
+        """Adjacency, sources and order from in-range flat ids."""
+        n = len(self.labels)
         out_lists: list[list[int]] = [[] for _ in range(n)]
         in_lists: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
+        it = iter(ids)
+        for u, v in zip(it, it):
             out_lists[u].append(v)
             in_lists[v].append(u)
-        # an edge repeats iff some node lists one head twice: small sets, one
-        # at a time, instead of a set of all m edges
-        if any(len(set(heads)) < len(heads) for heads in out_lists if len(heads) > 1):
-            _raise_first_bad_edge(self.labels, edges)
-        self.m = len(edges)
+        self.m = m = len(ids) // 2
         self.out_adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, out_lists))
         self.in_adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, in_lists))
 
@@ -92,15 +112,24 @@ class CGraph:
         # default sources.  It stops short of every node on or below a cycle
         order = [v for v in range(n) if not in_lists[v]]
         self.sources = frozenset(order if sources is None else sources)
+        indeg = list(map(len, in_lists))
+        for v in order:
+            for w in out_lists[v]:
+                d = indeg[w] - 1
+                indeg[w] = d
+                if not d:
+                    order.append(w)
+        # an edge repeats iff some node lists one head twice; a self-loop
+        # lists a node among its own heads, which keeps it out of the order.
+        # Walk the ids only to name the first bad edge
+        if sum(map(len, map(set, out_lists))) != m or (
+            len(order) < n and any(map(contains, out_lists, range(n)))
+        ):
+            it = iter(ids)
+            _raise_first_bad_edge(self.labels, zip(it, it))
         for s in self.sources:
             if not 0 <= s < n:
                 raise GraphError(f"source index {s} out of range")
-        indeg = [len(l) for l in in_lists]
-        for v in order:
-            for w in out_lists[v]:
-                indeg[w] -= 1
-                if not indeg[w]:
-                    order.append(w)
         self._order: tuple[int, ...] = tuple(order)
 
     @property
@@ -128,6 +157,32 @@ class CGraph:
         return f"CGraph(n={self.n}, m={self.m}, sources={sorted(self.labels[s] for s in self.sources)})"
 
 
+def _label_index(labels: tuple[str, ...], index: dict[str, int] | None = None) -> dict[str, int]:
+    """``labels``' label -> id dict: ``index`` if given, else built and
+    checked for repeats.  GraphError if there is no label at all."""
+    if not labels:
+        raise GraphError("graph must have at least one node")
+    if index is None:
+        index = dict(zip(labels, range(len(labels))))
+        if len(index) != len(labels):
+            raise GraphError("node labels must be unique")
+    return index
+
+
+def _flat_pairs(pairs: Sequence) -> list:
+    """``u0, v0, u1, v1, ...`` of a sequence of pairs.
+
+    TypeError if some item is not a pair, which the flat list would
+    silently misalign: ``starmap`` calls ``is_``, which takes exactly two
+    arguments, on each item, with no Python-level step per edge.
+    """
+    try:
+        deque(starmap(is_, pairs), 0)
+    except TypeError:
+        raise TypeError("every edge must be a (u, v) pair") from None
+    return list(chain.from_iterable(pairs))
+
+
 def _raise_first_bad_edge(labels: tuple[str, ...], edges: Iterable[tuple[int, int]]) -> None:
     """Raise GraphError naming the first out-of-range, self-loop or repeated
     edge, in edge order.  Called only once some edge is known to be bad."""
@@ -153,24 +208,32 @@ def build_graph(
     ``nodes`` may pre-declare labels (fixing their dense index order and
     allowing isolated nodes); labels seen only in edges are appended in
     first-seen order.  ``sources`` overrides the default in-degree-zero
-    source detection.
+    source detection.  The label pairs are flattened once; their ids go
+    to the graph as one flat list, and the label dict built here becomes
+    the graph's own.
     """
-    tokens = list(chain.from_iterable(edge_labels))
+    return _build_from_tokens(_flat_pairs(tuple(edge_labels)), nodes, sources)
+
+
+def _build_from_tokens(
+    tokens: list[str], nodes: Sequence[str], sources: Sequence[str] | None
+) -> CGraph:
+    """``build_graph`` on the flat labels ``u0, v0, u1, v1, ...``.
+
+    ``tokens`` is emptied once its labels are turned into ids, so only the
+    labels' own strings outlive it.
+    """
     labels = list(dict.fromkeys(chain(nodes, tokens)))
     index = dict(zip(labels, range(len(labels))))
-    # ids replace the token strings before any edge exists, so only the
-    # labels' own strings outlive the del; the iterator holds the only
-    # reference to the ids, so they die as the edges pair them up
-    ids = iter(list(map(index.__getitem__, tokens)))
-    del tokens
-    edges = tuple(zip(ids, ids))  # consecutive ids pair up as (u, v)
+    ids = list(map(index.__getitem__, tokens))
+    tokens.clear()
     src = None
     if sources is not None:
         missing = [s for s in sources if s not in index]
         if missing:
             raise GraphError(f"source label {missing[0]!r} is not a node")
         src = [index[s] for s in sources]
-    return CGraph(labels, edges, src)
+    return CGraph._from_ids(labels, ids, src, index)
 
 
 def parse_edge_list(text: str, source_hint: str | None = None) -> CGraph:
@@ -179,7 +242,9 @@ def parse_edge_list(text: str, source_hint: str | None = None) -> CGraph:
     ``#`` starts a comment (whole-line or trailing); blank lines are
     skipped.  Each line declares one edge, u propagating to v.  Sources
     default to the in-degree-zero nodes unless ``source_hint`` names one
-    explicitly.  One leading byte-order mark (U+FEFF) is dropped.
+    explicitly.  One leading byte-order mark (U+FEFF) is dropped.  The
+    tokens go to the graph as they were read, one flat label list, and
+    become one flat id list: no object is made per edge.
     """
     text = text.removeprefix("\ufeff")
     lines = text.splitlines()
@@ -198,12 +263,9 @@ def parse_edge_list(text: str, source_hint: str | None = None) -> CGraph:
     del lines, fields  # every line is tokenized: the split lines die here
     if not tokens:
         raise ParseError("empty graph: no edges found")
-    pairs = iter(tokens)  # zip(pairs, pairs) yields (u, v) label pairs
-    del tokens  # the iterator holds the only reference: build_graph frees them
     try:
-        return build_graph(
-            zip(pairs, pairs),
-            sources=[source_hint] if source_hint is not None else None,
+        return _build_from_tokens(
+            tokens, (), [source_hint] if source_hint is not None else None
         )
     except GraphError as exc:
         raise ParseError(_first_repeat_or_loop(text) or str(exc)) from None
@@ -296,8 +358,11 @@ def add_super_source(g: CGraph) -> CGraph:
         )
     if SUPER_SOURCE_LABEL in g.labels:
         raise GraphError(f"node label {SUPER_SOURCE_LABEL!r} is reserved")
-    labels = list(g.labels) + [SUPER_SOURCE_LABEL]
-    super_idx = len(g.labels)
-    edges = [(u, v) for u, heads in enumerate(g.out_adj) for v in heads]
-    edges += [(super_idx, s) for s in sorted(g.sources)]
-    return CGraph(labels, edges, [super_idx])
+    super_idx = g.n
+    ids = [x for u, heads in enumerate(g.out_adj) for v in heads for x in (u, v)]
+    for s in sorted(g.sources):
+        ids += (super_idx, s)
+    return CGraph._from_ids(
+        g.labels + (SUPER_SOURCE_LABEL,), ids, [super_idx],
+        {**g._index, SUPER_SOURCE_LABEL: super_idx},
+    )

@@ -54,12 +54,19 @@ def layered_graph(cfg: LayeredConfig) -> CGraph:
     n = cfg.levels * cfg.expected_width
     level = [rng.randrange(cfg.levels) for _ in range(n)]  # 0-based levels
 
-    # per level, (index, p) for each node above it, ascending; "s" is index 0
+    # per level, the nodes above it, ascending ("s" is index 0), and the
+    # edge probability to each node by index: no object per pair.  The
+    # edges go out as flat ids v, u, v, u', ...
     prob = [layered_edge_probability(cfg, gap) for gap in range(cfg.levels)]
-    above = [[(u, prob[lu - lv]) for u, lu in enumerate(level, 1) if lu > lv]
-             for lv in range(cfg.levels)]
+    above = [[u for u, lu in enumerate(level, 1) if lu > lv] for lv in range(cfg.levels)]
+    p_to = [[0.0] + [prob[lu - lv] if lu > lv else 0.0 for lu in level]
+            for lv in range(cfg.levels)]
     draw = rng.random
-    edges = [(0, v) for v, lv in enumerate(level, 1) if lv == 0]
-    edges += [(v, u) for v, lv in enumerate(level, 1)
-              for u, p in above[lv] if draw() < p]
-    return CGraph(["s"] + [f"n{i}" for i in range(n)], edges, [0])
+    ids = [x for v, lv in enumerate(level, 1) if lv == 0 for x in (0, v)]
+    for v, lv in enumerate(level, 1):
+        p_v = p_to[lv]
+        heads = [u for u in above[lv] if draw() < p_v[u]]
+        pairs = [v] * (2 * len(heads))
+        pairs[1::2] = heads  # v, heads[0], v, heads[1], ...
+        ids += pairs
+    return CGraph._from_ids(["s"] + [f"n{i}" for i in range(n)], ids, [0])

@@ -226,15 +226,16 @@ def test_best_dag_matches_all_roots_oracle(g):
 
 
 def test_best_dag_builds_one_graph(monkeypatch):
+    g = random_digraph(40, 0.08, 7)
     built = []
 
-    def counting_cgraph(*args, **kwargs):
+    # every CGraph, whichever constructor made it, is linked up once
+    def counting_link(self, *args):
         built.append(args)
-        return real(*args, **kwargs)
+        return real(self, *args)
 
-    real = dag_extract.CGraph
-    monkeypatch.setattr(dag_extract, "CGraph", counting_cgraph)
-    g = random_digraph(40, 0.08, 7)
+    real = CGraph._link
+    monkeypatch.setattr(CGraph, "_link", counting_link)
     best_dag(g)
     assert len(built) == 1
 

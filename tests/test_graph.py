@@ -17,12 +17,14 @@ from _oracles import (
 )
 
 from fixtures import FANIN_TSV, DEGREE_TRAP_TSV, g_fanin, g_degree_trap
+from flowfilter.dag_extract import extract_dag
 from flowfilter.graph import (
     CGraph,
     CycleError,
     GraphError,
     NoSourceError,
     ParseError,
+    _build_from_tokens,
     add_super_source,
     build_graph,
     parse_edge_list,
@@ -117,6 +119,24 @@ def test_cgraph_error_messages_pinned(labels, edges, sources, message):
     with pytest.raises(GraphError) as exc:
         CGraph(labels, edges, sources)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(0, 1, 2)],
+        [(0,)],
+        [(0, 1), (2,)],
+        # flattened, these two would read as the edges (0, 1) and (2, 0)
+        [(0, 1, 2), (0,)],
+        [(0, 1), 2],
+    ],
+)
+def test_an_edge_that_is_not_a_pair_is_refused(edges):
+    with pytest.raises(TypeError):
+        CGraph(["a", "b", "c"], edges)
+    with pytest.raises(TypeError):
+        build_graph(edges)  # the ids serve as labels
 
 
 def test_parse_splits_at_every_line_boundary():
@@ -388,6 +408,72 @@ def test_cgraph_matches_reference_on_raw_edges():
     assert min(outcomes.values()) >= 30, outcomes
 
 
+def _random_in_range_edges(rng: random.Random) -> tuple[list[str], list[tuple[int, int]]]:
+    """Labels and in-range index edges; in about half of the graphs each
+    edge is, with odds 1 in 4, a self-loop or a repeat of an earlier edge,
+    so the two faults come in every order, on cyclic graphs and acyclic."""
+    n = rng.randint(1, 6)
+    faulty = rng.random() < 0.5
+    edges: list[tuple[int, int]] = []
+    for _ in range(rng.randint(0, 12)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if faulty and rng.random() < 0.25:
+            if edges and rng.random() < 0.5:
+                u, v = rng.choice(edges)
+            else:
+                v = u
+        elif u == v or (u, v) in edges:
+            continue
+        edges.append((u, v))
+    return [f"v{i}" for i in range(n)], edges
+
+
+def _from_flat(labels, edges, sources):
+    return CGraph._from_ids(labels, [x for e in edges for x in e], sources)
+
+
+def test_trusted_constructor_matches_reference():
+    """``_from_ids`` finds self-loops and repeats from the adjacency lists
+    (a self-loop only once the order stops short); it must name the same
+    first bad edge, and build the same graph, as the edge-by-edge check."""
+    outcomes = dict.fromkeys(["self-loop", "duplicate edge", "out of range", "built"], 0)
+    cases = []
+    for seed in range(600):
+        rng = random.Random(seed)
+        labels, edges = _random_in_range_edges(rng)
+        n = len(labels)
+        sources = rng.choice([None, [rng.randint(-1, n) for _ in range(rng.randint(0, 2))]])
+        cases.append((labels, edges, sources))
+    # a self-loop on a node below a source, a repeat and a self-loop on a
+    # source, in all six orders, after an acyclic and a cyclic prefix
+    for prefix in ([(0, 1), (1, 2)], [(0, 1), (1, 2), (2, 1)]):
+        for order in permutations([(2, 2), (0, 1), (0, 0)]):
+            for sources in (None, [0], [5]):
+                cases.append((["a", "b", "c"], [*prefix, *order], sources))
+    for labels, edges, sources in cases:
+        got = _loaded(_from_flat, labels, edges, sources)
+        assert got == _loaded(CGraphReference, labels, edges, sources), (labels, edges, sources)
+        kind = next((k for k in outcomes if len(got) == 2 and k in got[1]), "built")
+        outcomes[kind] += 1
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+def test_every_builder_keeps_its_graphs_own_index():
+    """The builders hand their label dict to the graph instead of building
+    it again; it must still map each label to its own index."""
+    g = parse_edge_list("b\ta\nc\ta\na\td\nd\tb2\n")
+    graphs = [
+        g,
+        build_graph([("x", "y")], nodes=["z", "y"]),
+        add_super_source(g),
+        extract_dag(parse_edge_list("a\tb\nb\tc\nc\ta\nc\td\n"), 1),
+        layered_graph(LayeredConfig(3, 4, 1, 4, seed=2)),
+    ]
+    for h in graphs:
+        assert [h.index(label) for label in h.labels] == list(range(h.n)), h.labels
+        assert len(h._index) == h.n, h.labels
+
+
 def _traced(fn):
     """What ``fn()`` returns, the bytes still allocated after it, and the peak.
 
@@ -430,3 +516,39 @@ def test_parsed_graph_keeps_at_most_40_bytes_per_edge():
     text = serialize_edge_list(layered_graph(_LAYERED_10X60))
     g, kept, _ = _traced(lambda: parse_edge_list(text))
     assert kept <= 40 * g.m, (kept, g.m)
+
+
+def test_loading_frees_the_token_strings_before_linking():
+    """Only the first string of each label outlives the move to ids: the
+    token list comes back empty, so its repeated strings die before the
+    graph is linked, not when the parse returns."""
+    tokens = "a b b c a c".split()
+    g = _build_from_tokens(tokens, (), None)
+    assert tokens == []
+    assert (g.labels, g.m) == (("a", "b", "c"), 3)
+
+
+def _collections(fn):
+    """What ``fn()`` returns and how many collections of each generation
+    running it triggered, counted from an emptied young generation."""
+    gc.collect()
+    before = [gen["collections"] for gen in gc.get_stats()]
+    out = fn()
+    after = [gen["collections"] for gen in gc.get_stats()]
+    return out, [b - a for a, b in zip(before, after)]
+
+
+@pytest.mark.parametrize("load", ["parse", "generate"])
+def test_loading_makes_no_container_per_edge(load):
+    """A loaded graph's containers are its 2n adjacency lists and tuples,
+    made once each, so loading triggers about 4n / threshold young
+    collections and no older one.  One (u, v) tuple per kept edge made the
+    desk-scale parse read 43 young and 3 middle collections.  The counters
+    are only read: no collector setting changes."""
+    cfg = LayeredConfig(10, 100, 1, 4, seed=11)
+    text = serialize_edge_list(layered_graph(cfg))
+    load_graph = {"parse": lambda: parse_edge_list(text), "generate": lambda: layered_graph(cfg)}
+    g, runs = _collections(load_graph[load])
+    assert (g.n, g.m) == (1001, 28912)
+    young = -(-4 * g.n // max(gc.get_threshold()[0], 1)) + 2
+    assert runs[0] <= young and not any(runs[1:]), (runs, young)
