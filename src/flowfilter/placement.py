@@ -327,8 +327,9 @@ def _fold(tables: list, rows: int, k: int) -> list:
 
     Entry i of the result is the join of ``tables[i:]``: the fewest
     receipts when those children share each budget.  Entry 0 is the whole
-    join, and one table's join is the table itself; the others are what
-    ``_split`` needs to pick each child's budget.
+    join, read only while the parent's table is built, and one table's join
+    is the table itself; the others are what ``_split`` needs to pick each
+    child's budget.
     """
     suffix = [tables[-1]]
     for table in tables[-2::-1]:
@@ -337,21 +338,23 @@ def _fold(tables: list, rows: int, k: int) -> list:
     return suffix
 
 
-def _split(kids: tuple, heads: list, suffix: list, rows: int, out: int, budget: int):
+def _split(kids: tuple, best: list, suffix: list | None, rows: int, out: int, budget: int):
     """Yield (child, budget) pairs for ``kids`` in their tables' row ``out``.
 
-    ``heads`` are the children's flat tables and ``suffix`` their
-    ``_fold``; neither is read for a single child.  Each child but the last
-    gets the smallest budget that reaches the minimum, and the last takes
-    what is left, as in the chain (c1, (c2, (... c_m))), so a single child
-    takes the whole budget.  Budget past where a child's table stops
-    falling buys its subtree nothing, and there the strict filter test
-    picks the same filters as at the smallest budget.
+    ``best[c]`` is child c's flat table and ``suffix`` is entries 1.. of the
+    children's ``_fold``, so entry i is the join of the children after
+    ``kids[i]``.  The whole join is never read, and a single child has no
+    suffix (None), so no table is read.  Each child but the last gets the
+    smallest budget that reaches the minimum, and the last takes what is
+    left, as in the chain (c1, (c2, (... c_m))), so a single child takes
+    the whole budget.  Budget past where a child's table stops falling
+    buys its subtree nothing, and there the filter rule picks the same
+    filters as at the smallest budget.
     """
-    for i, c in enumerate(kids[:-1]):
+    for c, rest in zip(kids, suffix or ()):
         # past its table's width a child's value stops falling while the
         # rest's can only rise, so larger budgets never reach the minimum first
-        row, rest = heads[i][out : (budget + 1) * rows : rows], suffix[i + 1]
+        row = best[c][out : (budget + 1) * rows : rows]
         sums = [v + _at(rest, rows, budget - j, out) for j, v in enumerate(row)]
         j = sums.index(min(sums))
         budget -= j
@@ -394,16 +397,17 @@ def tree_dp(g: CGraph, k_max: int) -> Callable[[int], frozenset[int]]:
     5000, against up to 150 and 1500 rows.
 
     A leaf's subtree receives just its own copies.  No argmin tables are
-    stored: the top-down traceback recomputes each budget split
-    (``_split``) at the one (budget, row) entry it visits, and filters v
-    where its children's join at (budget - 1, row 0) is strictly below the
-    join at (budget, v's row).  A one-child node with breakpoints keeps
-    instead, per budget, how many rows from inflow 1 up its cap left
-    alone, the same test, and its child's table is dropped: so a deep
-    chain's memory is O(n * k_max), not its tables.  A node becomes a
-    filter only when that is strictly better, so never the source, which
-    forwards one copy either way.  Minimizing total receipts is
-    equivalent to maximizing the objective.
+    stored.  Every internal node keeps, per budget, how many rows from
+    inflow 1 up its cap left alone, and the top-down traceback filters v
+    at the rows past that count: one rule, read off the bisect that built
+    the column.  The traceback recomputes each budget split (``_split``)
+    at the one (budget, row) entry it visits, from the children's tables
+    and all but the first entry of their ``_fold``; the whole join is not
+    kept.  A one-child node needs no split, so its child's table is
+    dropped, and a chain's memory is O(n * k_max) in either layout, not
+    its tables.  A node becomes a filter only when that is strictly
+    better, so never the source, which forwards one copy either way.
+    Minimizing total receipts is equivalent to maximizing the objective.
 
     ``g`` is certified by ``as_ctree`` first, so a graph without exactly
     one source raises GraphError, a cyclic one CycleError, and one that is
@@ -422,9 +426,8 @@ def tree_dp(g: CGraph, k_max: int) -> Callable[[int], frozenset[int]]:
             top[c] = top[v] + extra[v]
 
     best: list = [None] * n  # v's table, flat or in breakpoints
-    kept: list = [None] * n  # where ``_step`` built best[v]: per budget, rows that keep
-    heads: list = [None] * n  # where v joins its children: their flat tables
-    suffix: list = [None] * n  # and their ``_fold``
+    kept: list = [None] * n  # per budget, how many of v's rows do not filter
+    suffix: list = [None] * n  # where v has two or more children: ``_fold``'s entries 1..
     for v in reversed(order):
         kids, e = children[v], extra[v]
         span = top[v] + 1  # v's rows
@@ -437,18 +440,20 @@ def tree_dp(g: CGraph, k_max: int) -> Callable[[int], frozenset[int]]:
             best[v], kept[v] = _step(best[kids[0]], e, k_max)
             best[kids[0]] = None
             continue
-        heads[v] = [best[c] for c in kids]
-        if rows > _FLAT_ROWS:  # the children keep breakpoints: expand them
-            heads[v] = [[y for xs, ys in cols for y in _expand(xs, ys)] for cols in heads[v]]
+        if rows > _FLAT_ROWS:  # the children keep breakpoints: expand them in place
             for c in kids:
-                best[c] = None
-        suffix[v] = _fold(heads[v], rows, k_max)
-        table = suffix[v][0]
+                best[c] = [y for xs, ys in best[c] for y in _expand(xs, ys)]
+        table, *rest = _fold([best[c] for c in kids], rows, k_max)
+        if rest:
+            suffix[v] = rest
+        else:  # ``_split`` reads no table for a single child
+            best[kids[0]] = None
         width = len(table) // rows
         wide = min(width + 1, k_max + 1)  # v's table is one budget wider
         # at budget b >= 1, keep with b or filter with b - 1, when v forwards
         # one copy (row 0)
         fewest = table[e:rows]  # below v, per budget and row, before v's copies
+        kept[v] = counts = [span]
         for b in range(1, wide):
             cut, lo = table[(b - 1) * rows], min(b, width - 1) * rows + e
             hi = lo - e + rows
@@ -456,6 +461,7 @@ def tree_dp(g: CGraph, k_max: int) -> Callable[[int], frozenset[int]]:
             # inflow, and a minimum of nondecreasing functions is too: each
             # column is sorted, so min(column, cut) is a prefix, then cut
             at = bisect_right(table, cut, lo, hi)
+            counts.append(at - lo)
             fewest += table[lo:at]
             fewest += [cut] * (hi - at)
         best[v] = list(map(add, fewest, list(range(1 + e, rows + 1)) * wide))
@@ -476,17 +482,10 @@ def tree_dp(g: CGraph, k_max: int) -> Callable[[int], frozenset[int]]:
                 continue  # a leaf filter removes nothing; no budget, no filter
             rows = top[v] + extra[v] + 1
             out = row + extra[v]  # the children's row unless v filters
-            if kept[v]:  # v filters where the cap cut its column
-                filters = row >= kept[v][min(budget, len(kept[v]) - 1)]
-            else:
-                table = suffix[v][0]
-                filters = _at(table, rows, budget - 1, 0) < _at(table, rows, budget, out)
-            if filters:
+            if row >= kept[v][min(budget, len(kept[v]) - 1)]:  # v filters where its cap cut
                 chosen.add(v)
                 out, budget = 0, budget - 1
-            stack.extend(
-                (c, out, j) for c, j in _split(kids, heads[v], suffix[v], rows, out, budget)
-            )
+            stack.extend((c, out, j) for c, j in _split(kids, best, suffix[v], rows, out, budget))
         return frozenset(chosen)
 
     return traceback

@@ -26,6 +26,7 @@ from flowfilter.placement import (
 from flowfilter.propagation import objective_f, simulate
 
 from _oracles import draws_below, random_ctree, random_dag, tree_dp_reference
+from test_graph import _traced
 
 
 # --- greedy_1 ----------------------------------------------------------------
@@ -412,6 +413,56 @@ def test_tree_dp_pinned_on_a_5000_node_chain():
     assert h.hexdigest() == (
         "a96ef363a6cb04708777958f6f4b650125d01a8631e959023ff3a689e4ab4a72"
     )
+
+
+def _spine(n: int, hang: str = "", fed=lambda i: i % 10 in (2, 5, 8)) -> CGraph:
+    """The chain s -> t0 -> ... -> t{n-1}, with s also feeding each t{i}
+    where ``fed(i)``.  ``hang="leaf"`` hangs a leaf l{i} under every t{i},
+    i >= 1 (a caterpillar); ``hang="tooth"`` hangs a tooth a{i} -> b{i}
+    there instead (a comb)."""
+    edges = [("s", "t0")] + [(f"t{i - 1}", f"t{i}") for i in range(1, n)]
+    for i in range(1, n):
+        if hang == "leaf":
+            edges.append((f"t{i}", f"l{i}"))
+        elif hang == "tooth":
+            edges += [(f"t{i}", f"a{i}"), (f"a{i}", f"b{i}")]
+    edges += [("s", f"t{i}") for i in range(1, n) if fed(i)]
+    return build_graph(edges, sources=["s"])
+
+
+@pytest.mark.parametrize("hang", ["leaf", "tooth"])
+def test_tree_dp_pinned_on_a_600_spine_caterpillar_and_comb(hang):
+    # every spine node joins its next spine node with a leaf or a tooth, so
+    # past depth 80 its children's tables are expanded to flat rows; the
+    # teeth never hold a filter, so both shapes pick the same sets
+    g = _spine(600, hang)
+    traceback = tree_dp(g, 8)
+    h = hashlib.sha256()
+    for k in range(9):
+        h.update(" ".join(g.sorted_labels(traceback(k))).encode() + b"\n")
+    assert h.hexdigest() == (
+        "2a21a12c40f1907d58343e4b14fb84d504b78481b05cc96d78dd604a00325e66"
+    )
+
+
+@pytest.mark.parametrize(
+    "shape, k_max, per_cell",
+    [
+        # every table flat: one-child nodes keep no table, only their kept
+        # row counts (about 28 B per cell)
+        ("flat-chain", 10, 64),
+        # two-child nodes keep their children's tables for the traceback's
+        # budget split, but not the whole join (about 1750 B per cell)
+        ("caterpillar", 8, 2600),
+    ],
+)
+def test_tree_dp_keeps_only_what_its_traceback_reads(shape, k_max, per_cell):
+    if shape == "flat-chain":
+        g = _spine(3000, fed=lambda i: i % 500 == 7)
+    else:
+        g = _spine(600, "leaf")
+    _, kept, _ = _traced(lambda: tree_dp(g, k_max))
+    assert kept <= per_cell * g.n * (k_max + 1), kept / (g.n * (k_max + 1))
 
 
 def test_fewest_receipts_in_a_subtree_never_fall_as_its_inflow_rises():
