@@ -67,36 +67,36 @@ def _write_graph(path: str, g: CGraph, args: argparse.Namespace) -> None:
     _write_with_manifest(path, serialize_edge_list(g), args)
 
 
-def _same_file(path: str, st: os.stat_result) -> bool:
+def _same_file(a: str, b: str) -> bool:
+    """Whether ``a`` and ``b`` name one file: under any path or link when
+    both exist, else by resolved path (writing one would make the other)."""
     try:
-        return os.path.samestat(os.stat(path), st)
-    except OSError:  # nothing there yet, so writing it replaces nothing
-        return False
+        return os.path.samefile(a, b)
+    except OSError:  # one is missing: the same only if both are, at one resolved path
+        return not (os.path.exists(a) or os.path.exists(b)) and os.path.realpath(a) == os.path.realpath(b)
 
 
 def _load_graph(args: argparse.Namespace, *outputs: str) -> CGraph:
     """Read ``--input``, once no file the command writes can replace another.
 
     Each of the ``outputs`` options names a file the command writes, next
-    to its manifest.  None of these may be the input file, under any path
-    or link to it, and in ``fr-curve`` neither output may be the other or
-    its manifest (compared after resolving the paths): a usage error (exit
-    2) before anything is read or written.
+    to its manifest.  None of these may be the input file, and in
+    ``fr-curve`` neither output may be the other or its manifest, under
+    any path or link (``_same_file``): a usage error (exit 2) before
+    anything is read or written.
     """
-    try:
-        source = os.stat(args.input)
-    except OSError:
-        source = None  # reading it fails below, with exit 1
+    # a missing input is left to the read below, which fails with exit 1
+    source = args.input if os.path.exists(args.input) else None
     for opt in outputs:
         path = getattr(args, opt)
         if source and path and (_same_file(path, source) or _same_file(path + MANIFEST, source)):
             args.usage_error(f"argument --{opt}: it or its manifest is the --input file: {path}")
     if "csv" in outputs and args.json:  # fr-curve writes both
-        csv, js = Path(args.csv).resolve(), Path(args.json).resolve()
-        if js == csv:
-            args.usage_error(f"argument --json: names the same file as --csv: {args.json}")
-        if js == Path(args.csv + MANIFEST).resolve() or csv == Path(args.json + MANIFEST).resolve():
-            args.usage_error(f"argument --json: --json or --csv names the other's manifest: {args.json}")
+        csv, js = args.csv, args.json
+        if _same_file(js, csv):
+            args.usage_error(f"argument --json: names the same file as --csv: {js}")
+        if _same_file(js, csv + MANIFEST) or _same_file(csv, js + MANIFEST):
+            args.usage_error(f"argument --json: --json or --csv names the other's manifest: {js}")
     data = Path(args.input).read_bytes()
     try:
         text = data.decode("utf-8")

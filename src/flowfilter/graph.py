@@ -6,7 +6,7 @@ other node relays what it receives.  Graphs are immutable once built.
 """
 
 from collections import deque
-from itertools import chain, starmap
+from itertools import chain, starmap, tee
 from operator import contains, is_
 from typing import Iterable, Sequence
 
@@ -46,15 +46,16 @@ class CGraph:
     and ``in_adj[v]`` v's tails, each in the order the edges were given;
     ``m`` counts them.  No node, repeated labels, out-of-range indices or
     sources, self-loops and duplicate edges raise GraphError, naming the
-    first offending one; an edge that is not a pair raises TypeError.
-    Sources default to the in-degree-0 nodes.  The topological order is
-    computed once here; read it through ``topological_order``
-    (CycleError on a cycle) or ``single_source``.
+    first offending one (a bad edge before a bad source); an edge that is
+    not a pair raises TypeError.  Sources default to the in-degree-0
+    nodes.  The topological order is computed once here; read it through
+    ``topological_order`` (CycleError on a cycle) or ``single_source``.
 
     The pairs are flattened once into the id list ``u0, v0, u1, v1, ...``
     and range-checked.  From there on this constructor and ``_from_ids``,
     which the loaders and builders call with ids in range by construction,
-    share one core that makes no object per edge.
+    share one core that makes no object per edge.  Every graph builds its
+    own label -> id dict from its labels.
     """
 
     __slots__ = ("labels", "m", "out_adj", "in_adj", "sources", "_index", "_order")
@@ -62,17 +63,15 @@ class CGraph:
     def __init__(
         self,
         labels: Sequence[str],
-        edges: Sequence[tuple[int, int]],
+        edges: Iterable[tuple[int, int]],
         sources: Iterable[int] | None = None,
     ):
         self.labels: tuple[str, ...] = tuple(labels)
         self._index = _label_index(self.labels)
-        edges = tuple(edges)
         ids = _flat_pairs(edges)
         # a negative id would index from the end of the adjacency lists
-        distinct = set(ids)
-        if distinct and (min(distinct) < 0 or max(distinct) >= len(self.labels)):
-            _raise_first_bad_edge(self.labels, edges)
+        if ids and (min(ids) < 0 or max(ids) >= len(self.labels)):
+            _raise_first_bad_edge(self.labels, ids)
         self._link(ids, sources)
 
     @classmethod
@@ -81,17 +80,15 @@ class CGraph:
         labels: Sequence[str],
         ids: list[int],
         sources: Iterable[int] | None = None,
-        index: dict[str, int] | None = None,
     ) -> "CGraph":
         """A CGraph from the flat id list ``u0, v0, u1, v1, ...``.
 
         For callers whose ids are in range by construction: they are not
-        range-checked.  ``index``, when given, must be ``labels``' own
-        label -> id dict; it is kept instead of being built again.
+        range-checked.
         """
         g = cls.__new__(cls)
         g.labels = tuple(labels)
-        g._index = _label_index(g.labels, index)
+        g._index = _label_index(g.labels)
         g._link(ids, sources)
         return g
 
@@ -125,8 +122,7 @@ class CGraph:
         if sum(map(len, map(set, out_lists))) != m or (
             len(order) < n and any(map(contains, out_lists, range(n)))
         ):
-            it = iter(ids)
-            _raise_first_bad_edge(self.labels, zip(it, it))
+            _raise_first_bad_edge(self.labels, ids)
         for s in self.sources:
             if not 0 <= s < n:
                 raise GraphError(f"source index {s} out of range")
@@ -157,45 +153,55 @@ class CGraph:
         return f"CGraph(n={self.n}, m={self.m}, sources={sorted(self.labels[s] for s in self.sources)})"
 
 
-def _label_index(labels: tuple[str, ...], index: dict[str, int] | None = None) -> dict[str, int]:
-    """``labels``' label -> id dict: ``index`` if given, else built and
-    checked for repeats.  GraphError if there is no label at all."""
+def _label_index(labels: tuple[str, ...]) -> dict[str, int]:
+    """``labels``' label -> id dict.  GraphError if there is no label at
+    all or some label repeats."""
     if not labels:
         raise GraphError("graph must have at least one node")
-    if index is None:
-        index = dict(zip(labels, range(len(labels))))
-        if len(index) != len(labels):
-            raise GraphError("node labels must be unique")
+    index = dict(zip(labels, range(len(labels))))
+    if len(index) != len(labels):
+        raise GraphError("node labels must be unique")
     return index
 
 
-def _flat_pairs(pairs: Sequence) -> list:
-    """``u0, v0, u1, v1, ...`` of a sequence of pairs.
+def _flat_pairs(pairs: Iterable) -> list:
+    """``u0, v0, u1, v1, ...`` of an iterable of pairs, read once.
 
     TypeError if some item is not a pair, which the flat list would
     silently misalign: ``starmap`` calls ``is_``, which takes exactly two
-    arguments, on each item, with no Python-level step per edge.
+    arguments, on each item just before ``ids.extend`` appends it.  The
+    two ``tee`` copies advance in step, so it buffers one item, and no
+    Python-level step runs per edge.
     """
+    checked, items = tee(pairs)
+    ids: list = []
     try:
-        deque(starmap(is_, pairs), 0)
+        deque(zip(starmap(is_, checked), map(ids.extend, items)), 0)
     except TypeError:
         raise TypeError("every edge must be a (u, v) pair") from None
-    return list(chain.from_iterable(pairs))
+    return ids
 
 
-def _raise_first_bad_edge(labels: tuple[str, ...], edges: Iterable[tuple[int, int]]) -> None:
+def _raise_first_bad_edge(labels: tuple[str, ...], ids: list[int]) -> None:
     """Raise GraphError naming the first out-of-range, self-loop or repeated
-    edge, in edge order.  Called only once some edge is known to be bad."""
+    edge of the flat ids, in edge order.  Called only once some edge is
+    known to be bad.  The error's ``_edge`` is that edge's 0-based position,
+    which the parser turns into a line number."""
     n = len(labels)
     seen = set()
-    for u, v in edges:
+    it = iter(ids)
+    for at, (u, v) in enumerate(zip(it, it)):
         if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u}, {v}) references unknown node index")
-        if u == v:
-            raise GraphError(f"self-loop at node {labels[u]!r}")
-        if (u, v) in seen:
-            raise GraphError(f"duplicate edge {labels[u]!r} -> {labels[v]!r}")
-        seen.add((u, v))
+            exc = GraphError(f"edge ({u}, {v}) references unknown node index")
+        elif u == v:
+            exc = GraphError(f"self-loop at node {labels[u]!r}")
+        elif (u, v) in seen:
+            exc = GraphError(f"duplicate edge {labels[u]!r} -> {labels[v]!r}")
+        else:
+            seen.add((u, v))
+            continue
+        exc._edge = at
+        raise exc
 
 
 def build_graph(
@@ -209,10 +215,10 @@ def build_graph(
     allowing isolated nodes); labels seen only in edges are appended in
     first-seen order.  ``sources`` overrides the default in-degree-zero
     source detection.  The label pairs are flattened once; their ids go
-    to the graph as one flat list, and the label dict built here becomes
-    the graph's own.
+    to the graph as one flat list.  Like every loader, it names the first
+    bad edge before an unknown source label.
     """
-    return _build_from_tokens(_flat_pairs(tuple(edge_labels)), nodes, sources)
+    return _build_from_tokens(_flat_pairs(edge_labels), nodes, sources)
 
 
 def _build_from_tokens(
@@ -227,13 +233,13 @@ def _build_from_tokens(
     index = dict(zip(labels, range(len(labels))))
     ids = list(map(index.__getitem__, tokens))
     tokens.clear()
-    src = None
-    if sources is not None:
-        missing = [s for s in sources if s not in index]
-        if missing:
-            raise GraphError(f"source label {missing[0]!r} is not a node")
-        src = [index[s] for s in sources]
-    return CGraph._from_ids(labels, ids, src, index)
+    # link first, so a bad edge is named before an unknown source label
+    src = None if sources is None else [index[s] for s in sources if s in index]
+    g = CGraph._from_ids(labels, ids, src)
+    for s in sources or ():
+        if s not in index:
+            raise GraphError(f"source label {s!r} is not a node")
+    return g
 
 
 def parse_edge_list(text: str, source_hint: str | None = None) -> CGraph:
@@ -245,6 +251,10 @@ def parse_edge_list(text: str, source_hint: str | None = None) -> CGraph:
     explicitly.  One leading byte-order mark (U+FEFF) is dropped.  The
     tokens go to the graph as they were read, one flat label list, and
     become one flat id list: no object is made per edge.
+
+    The text is read once.  The tokenizer notes the numbers of the lines
+    that hold no edge (blank or comment-only); a bad edge, which the graph
+    names by its position, gets its line from that list.
     """
     text = text.removeprefix("\ufeff")
     lines = text.splitlines()
@@ -253,10 +263,13 @@ def parse_edge_list(text: str, source_hint: str | None = None) -> CGraph:
     else:
         fields = map(str.split, lines)
     tokens: list[str] = []
+    no_edge: list[int] = []
     for lineno, parts in enumerate(fields, start=1):
         if len(parts) == 2:
             tokens += parts
-        elif parts:
+        elif not parts:
+            no_edge.append(lineno)
+        else:
             raise ParseError(
                 f"line {lineno}: expected 'u<TAB>v', got {lines[lineno - 1]!r}"
             )
@@ -268,26 +281,15 @@ def parse_edge_list(text: str, source_hint: str | None = None) -> CGraph:
             tokens, (), [source_hint] if source_hint is not None else None
         )
     except GraphError as exc:
-        raise ParseError(_first_repeat_or_loop(text) or str(exc)) from None
-
-
-def _first_repeat_or_loop(text: str) -> str | None:
-    """The first self-loop or repeated edge of a parsed text, with its line.
-
-    Run only after building the graph failed, so valid input pays nothing.
-    """
-    seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        edge = tuple(raw.split("#", 1)[0].split())
-        if not edge:
-            continue
-        u, v = edge
-        if u == v:
-            return f"line {lineno}: self-loop at node {u!r}"
-        if edge in seen:
-            return f"line {lineno}: duplicate edge {u!r} -> {v!r}"
-        seen.add(edge)
-    return None
+        if not hasattr(exc, "_edge"):
+            raise ParseError(str(exc)) from None
+        # the edge's line: its position, pushed down by each edgeless line
+        # at or above it
+        line = exc._edge + 1
+        for skipped in no_edge:
+            if skipped <= line:
+                line += 1
+        raise ParseError(f"line {line}: {exc}") from None
 
 
 def serialize_edge_list(g: CGraph) -> str:
@@ -362,7 +364,4 @@ def add_super_source(g: CGraph) -> CGraph:
     ids = [x for u, heads in enumerate(g.out_adj) for v in heads for x in (u, v)]
     for s in sorted(g.sources):
         ids += (super_idx, s)
-    return CGraph._from_ids(
-        g.labels + (SUPER_SOURCE_LABEL,), ids, [super_idx],
-        {**g._index, SUPER_SOURCE_LABEL: super_idx},
-    )
+    return CGraph._from_ids(g.labels + (SUPER_SOURCE_LABEL,), ids, [super_idx])

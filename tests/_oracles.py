@@ -94,13 +94,13 @@ def build_graph_reference(edge_labels, nodes=(), sources=None) -> CGraphReferenc
                 index[lab] = len(labels)
                 labels.append(lab)
         edges.append((index[u_lab], index[v_lab]))
-    src = None
-    if sources is not None:
-        missing = [s for s in sources if s not in index]
-        if missing:
-            raise GraphError(f"source label {missing[0]!r} is not a node")
-        src = [index[s] for s in sources]
-    return CGraphReference(labels, edges, src)
+    # the graph and its edges are checked before the source labels
+    src = None if sources is None else [index[s] for s in sources if s in index]
+    g = CGraphReference(labels, edges, src)
+    missing = [s for s in sources or () if s not in index]
+    if missing:
+        raise GraphError(f"source label {missing[0]!r} is not a node")
+    return g
 
 
 def parse_edge_list_reference(text: str, source_hint=None) -> CGraphReference:

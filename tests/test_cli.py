@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import random
 import time
 
@@ -499,6 +500,31 @@ def test_no_output_may_replace_the_input_through_a_link(tmp_path, capsys):
     assert exc.value.code == 2
     assert "argument --json: it or its manifest is the --input file" in capsys.readouterr().err
     assert source.read_text() == FANIN_TSV
+
+
+@pytest.mark.parametrize(
+    "existing, link, message",
+    [
+        ("out.csv", "out.json", "names the same file as --csv"),
+        ("out.csv.manifest.json", "out.json", "--json or --csv names the other's manifest"),
+        ("out.json.manifest.json", "out.csv", "--json or --csv names the other's manifest"),
+    ],
+    ids=["json-is-csv", "json-is-csv-manifest", "csv-is-json-manifest"],
+)
+def test_fr_curve_outputs_may_not_be_one_file_through_a_hard_link(
+    existing, link, message, degree_trap_path, tmp_path, capsys
+):
+    """A hard link resolves to a path of its own, yet names the same file."""
+    (tmp_path / existing).write_text("kept\n")
+    os.link(tmp_path / existing, tmp_path / link)
+    argv = ["fr-curve", "--input", str(degree_trap_path), "--algos", "greedy-1", "--kmax", "1",
+            "--csv", str(tmp_path / "out.csv"), "--json", str(tmp_path / "out.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument --json: {message}" in capsys.readouterr().err
+    assert (tmp_path / existing).read_text() == (tmp_path / link).read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([degree_trap_path.name, existing, link])
 
 
 def test_version_flag(capsys):

@@ -91,6 +91,13 @@ def test_parse_unknown_source_hint():
     assert str(exc.value) == "line 2: duplicate edge 'a' -> 'b'"
 
 
+def test_build_graph_names_a_bad_edge_before_an_unknown_source():
+    """Every loader has one precedence: the first bad edge, then sources."""
+    with pytest.raises(GraphError) as exc:
+        build_graph([("a", "b"), ("a", "b")], sources=["zz"])
+    assert str(exc.value) == "duplicate edge 'a' -> 'b'"
+
+
 def test_dense_indices_follow_first_seen_order():
     g = g_fanin()
     assert g.labels == ("s", "x", "y", "z1", "z2", "z3", "w")
@@ -459,8 +466,8 @@ def test_trusted_constructor_matches_reference():
 
 
 def test_every_builder_keeps_its_graphs_own_index():
-    """The builders hand their label dict to the graph instead of building
-    it again; it must still map each label to its own index."""
+    """Every graph builds its label dict from its own labels, whichever
+    builder made it; it must map each label to its own index."""
     g = parse_edge_list("b\ta\nc\ta\na\td\nd\tb2\n")
     graphs = [
         g,
@@ -550,5 +557,21 @@ def test_loading_makes_no_container_per_edge(load):
     load_graph = {"parse": lambda: parse_edge_list(text), "generate": lambda: layered_graph(cfg)}
     g, runs = _collections(load_graph[load])
     assert (g.n, g.m) == (1001, 28912)
+    young = -(-4 * g.n // max(gc.get_threshold()[0], 1)) + 2
+    assert runs[0] <= young and not any(runs[1:]), (runs, young)
+
+
+@pytest.mark.parametrize("load", ["pairs", "cyclic"])
+def test_checking_a_good_graph_makes_no_container_per_edge(load):
+    """Only a bad edge sends the build to the walk that names it, which
+    keeps one (u, v) tuple per edge.  ``CGraph(labels, pairs)`` range-checks
+    its ids with ``min`` and ``max``, and a cyclic graph is searched for a
+    self-loop node by node, so neither makes a container per edge."""
+    g = layered_graph(LayeredConfig(10, 100, 1, 4, seed=11))
+    pairs = list(g.edges)
+    text = serialize_edge_list(g) + f"{g.labels[-1]}\ts\n"  # closes cycles
+    load_graph = {"pairs": lambda: CGraph(g.labels, pairs), "cyclic": lambda: parse_edge_list(text)}
+    h, runs = _collections(load_graph[load])
+    assert (h.n, h.m) == (g.n, g.m + (load == "cyclic"))
     young = -(-4 * g.n // max(gc.get_threshold()[0], 1)) + 2
     assert runs[0] <= young and not any(runs[1:]), (runs, young)
