@@ -52,10 +52,10 @@ class CGraph:
     ``topological_order`` (CycleError on a cycle) or ``single_source``.
 
     The pairs are flattened once into the id list ``u0, v0, u1, v1, ...``
-    and range-checked.  From there on this constructor and ``_from_ids``,
-    which the loaders and builders call with ids in range by construction,
-    share one core that makes no object per edge.  Every graph builds its
-    own label -> id dict from its labels.
+    and range-checked.  From there on this constructor, ``_from_ids`` and
+    the loaders, whose ids are in range by construction, share one core
+    that makes no object per edge.  Every graph builds its own label -> id
+    dict from its labels.
     """
 
     __slots__ = ("labels", "m", "out_adj", "in_adj", "sources", "_index", "_order")
@@ -226,16 +226,18 @@ def _build_from_tokens(
 ) -> CGraph:
     """``build_graph`` on the flat labels ``u0, v0, u1, v1, ...``.
 
+    The tokens become ids through the graph's own label dict, so its
+    adjacency holds the dict's int objects rather than a second set.
     ``tokens`` is emptied once its labels are turned into ids, so only the
     labels' own strings outlive it.
     """
-    labels = list(dict.fromkeys(chain(nodes, tokens)))
-    index = dict(zip(labels, range(len(labels))))
+    g = CGraph.__new__(CGraph)
+    g.labels = tuple(dict.fromkeys(chain(nodes, tokens)))
+    g._index = index = _label_index(g.labels)
     ids = list(map(index.__getitem__, tokens))
     tokens.clear()
     # link first, so a bad edge is named before an unknown source label
-    src = None if sources is None else [index[s] for s in sources if s in index]
-    g = CGraph._from_ids(labels, ids, src)
+    g._link(ids, None if sources is None else [index[s] for s in sources if s in index])
     for s in sources or ():
         if s not in index:
             raise GraphError(f"source label {s!r} is not a node")

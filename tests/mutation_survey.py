@@ -3,11 +3,11 @@
 Flips one comparison, arithmetic or boolean operator at a time, writes the
 mutated module into a scratch copy of the repository and runs the given
 tests against it with ``-x``.  A mutant survives when every test passes;
-``--confirm`` re-runs each survivor against the whole tier-1 suite.  The
+each survivor is then re-run against the whole tier-1 suite.  The
 repository itself is never written.
 
     python tests/mutation_survey.py src/flowfilter/graph.py \\
-        --tests tests/test_graph.py tests/test_cli.py --confirm
+        --tests tests/test_graph.py tests/test_cli.py
 
 pytest does not collect this file (its name does not start with
 ``test_``), and CI does not run it: a survey takes minutes.
@@ -22,6 +22,8 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+TIER1 = ["tests"]
+TIMEOUT_S = 300  # per pytest run
 
 # each operator and what it flips to
 FLIPS = {
@@ -68,10 +70,10 @@ def mutants(source: str):
         yield node.lineno, f"{before}  =>  {ast.unparse(node)}", ast.unparse(tree)
 
 
-def _passes(copy: Path, tests: list[str], timeout: float) -> bool:
+def _passes(copy: Path, tests: list[str]) -> bool:
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     try:
-        run = subprocess.run(cmd, cwd=copy, capture_output=True, timeout=timeout)
+        run = subprocess.run(cmd, cwd=copy, capture_output=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return False  # a mutant that hangs is caught by any time limit
     return run.returncode == 0
@@ -80,9 +82,7 @@ def _passes(copy: Path, tests: list[str], timeout: float) -> bool:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("module", help="module to mutate, relative to the repository root")
-    ap.add_argument("--tests", nargs="+", default=["tests"], help="pytest arguments for each mutant")
-    ap.add_argument("--confirm", action="store_true", help="re-run survivors against all of tests/")
-    ap.add_argument("--timeout", type=float, default=300, help="seconds per pytest run")
+    ap.add_argument("--tests", nargs="+", default=TIER1, help="pytest arguments for each mutant")
     ap.add_argument("--workdir", help="scratch directory for the copy (default: a temporary one)")
     args = ap.parse_args(argv)
 
@@ -94,23 +94,22 @@ def main(argv=None) -> int:
         # the whole tree: some tests read the README or the benchmark's files
         shutil.copytree(REPO, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".*cache"))
         target.write_text(ast.unparse(ast.parse(source)))
-        for tests in [args.tests] + [["tests"]] * args.confirm:
-            if not _passes(copy, tests, args.timeout):
+        for tests in (args.tests, TIER1):
+            if not _passes(copy, tests):
                 print(f"the unmutated module fails {' '.join(tests)}", file=sys.stderr)
                 return 1
         survivors = []
         total = 0
         for total, (line, desc, mutated) in enumerate(mutants(source), start=1):
             target.write_text(mutated)
-            if _passes(copy, args.tests, args.timeout):
+            if _passes(copy, args.tests):
                 survivors.append((line, desc, mutated))
                 print(f"survived  line {line}: {desc}", flush=True)
         print(f"{total - len(survivors)} of {total} mutants killed by {' '.join(args.tests)}")
-        if args.confirm:
-            for line, desc, mutated in survivors:
-                target.write_text(mutated)
-                verdict = "survives" if _passes(copy, ["tests"], args.timeout) else "killed by"
-                print(f"line {line}: {desc}: {verdict} tier-1", flush=True)
+        for line, desc, mutated in survivors:
+            target.write_text(mutated)
+            verdict = "survives" if _passes(copy, TIER1) else "killed by"
+            print(f"line {line}: {desc}: {verdict} tier-1", flush=True)
     finally:
         shutil.rmtree(work)
     return 0

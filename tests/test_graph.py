@@ -481,6 +481,18 @@ def test_every_builder_keeps_its_graphs_own_index():
         assert len(h._index) == h.n, h.labels
 
 
+def test_a_loaded_graph_keeps_one_int_per_node_id():
+    """The parser and ``build_graph`` map tokens through the graph's own
+    label dict, so its adjacency holds the dict's id ints: a second set
+    would cost 32 B per label past 256."""
+    pairs = [(f"v{i}", f"v{i + 1}") for i in range(600)]
+    text = "".join(f"{u}\t{v}\n" for u, v in pairs)
+    for g in (parse_edge_list(text), build_graph(pairs)):
+        ids = list(g._index.values())
+        for adj in (g.out_adj, g.in_adj):
+            assert all(w is ids[w] for heads in adj for w in heads)
+
+
 def _traced(fn):
     """What ``fn()`` returns, the bytes still allocated after it, and the peak.
 
