@@ -40,8 +40,8 @@ from .harness import (
     ratio,
     run_algorithm,
 )
-from .placement import eligible_nodes
-from .propagation import gains, phi_total
+from .path_stats import baseline
+from .propagation import objective_f
 
 DAG_HINT = "input graph is cyclic; run `flowfilter extract-dag` on it first"
 MANIFEST = ".manifest.json"  # each output's manifest is its path plus this
@@ -148,7 +148,8 @@ def _cmd_place(args) -> int:
     g = _load_graph(args, "json")
     single_source(g)  # the check scoring makes, before any algorithm runs
     filters = run_algorithm(g, args.algo, args.k, args.seed)
-    f, fv = gains(g, [filters, eligible_nodes(g)])
+    f = objective_f(g, filters)
+    fv = max_objective(g)
     obj = {
         "algorithm": args.algo,
         "k": args.k,
@@ -165,12 +166,12 @@ def _cmd_evaluate(args) -> int:
     g = _load_graph(args, "json")
     labels = sorted({s for s in args.filters.split(",") if s})
     members = frozenset(g.index(lab) for lab in labels)
-    f, fv = gains(g, [members, eligible_nodes(g)])
-    phi = phi_total(g, members)
+    phi_empty, fv = baseline(g)
+    f = objective_f(g, members)
     obj = {
         "filters": labels,
-        "phi_no_filters": phi + f,
-        "phi": phi,
+        "phi_no_filters": phi_empty,
+        "phi": phi_empty - f,
         "f": f,
         "fr": round(float(ratio(f, fv)), 6),
     }

@@ -55,10 +55,14 @@ class CGraph:
     and range-checked.  From there on this constructor, ``_from_ids`` and
     the loaders, whose ids are in range by construction, share one core
     that makes no object per edge.  Every graph builds its own label -> id
-    dict from its labels.
+    dict from its labels.  ``_no_filter`` starts empty and holds
+    ``path_stats``' no-filter per-node lists, each filled on first use, so
+    they live and die with the graph.
     """
 
-    __slots__ = ("labels", "m", "out_adj", "in_adj", "sources", "_index", "_order")
+    __slots__ = (
+        "labels", "m", "out_adj", "in_adj", "sources", "_index", "_order", "_no_filter"
+    )
 
     def __init__(
         self,
@@ -127,6 +131,7 @@ class CGraph:
             if not 0 <= s < n:
                 raise GraphError(f"source index {s} out of range")
         self._order: tuple[int, ...] = tuple(order)
+        self._no_filter: dict[str, list[int]] = {}
 
     @property
     def n(self) -> int:

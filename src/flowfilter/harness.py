@@ -2,8 +2,9 @@
 
 F(A) = φ(∅) − φ(A) scores a filter set A, and FR(A) = F(A) / F(V), an exact
 fraction that is 1 when F(V) = 0, is the share of removable redundancy it
-removes.  Every F comes from ``propagation.gains``, which computes φ(∅)
-itself; F(V) is the score of ``eligible_nodes(g)``.
+removes.  Every F comes from ``propagation.gains``.  φ(∅) and F(V) are
+``path_stats.baseline``: both are read off the no-filter prefix, which is
+computed once per graph, so F(V) costs no pass and V is never scored.
 
 A filter set is a frozenset of node indices.  Its provenance is kept only
 where it is reported: the algorithm and k on each ``FRRow``, the seed on
@@ -12,8 +13,8 @@ each of the row's ``PlacementResult`` trials, and the CLI's own JSON.
 ``fr_curve`` sets each algorithm up once for k_max, in one call of its
 selector (a greedy's ordered picks, ``tree_dp``'s tables,
 ``randomized_baseline``'s weights), and picks every (k, trial) from it.
-V and every pick of the curve are scored in one ``gains`` stream, which
-pulls the picks lazily, at most 256 per packed pass.  It returns one
+Every pick of the curve is scored in one ``gains`` stream, which pulls
+the picks lazily, at most 256 per packed pass.  It returns one
 ``FRRow`` per (algorithm, k).
 """
 
@@ -27,6 +28,7 @@ from math import comb, floor
 from operator import itemgetter
 
 from .graph import CGraph
+from .path_stats import baseline
 from .placement import (
     check_k,
     eligible_nodes,
@@ -89,8 +91,12 @@ def ratio(f, fv: int) -> Fraction:
 
 
 def max_objective(g: CGraph) -> int:
-    """F(V): the objective with filters everywhere, i.e. all removable redundancy."""
-    return next(gains(g, [eligible_nodes(g)]))
+    """F(V): the objective with filters everywhere, i.e. all removable redundancy.
+
+    Read off the graph's no-filter prefix (``path_stats.baseline``), which
+    is computed once per graph.  Raises as ``single_source`` does.
+    """
+    return baseline(g)[1]
 
 
 def oracle(g: CGraph, k: int, budget: int = 10**6) -> tuple[frozenset[int], int]:
@@ -179,10 +185,8 @@ def fr_curve(
                 picked.append((s, fs, (time.perf_counter() - t0) * 1000.0 + setup_ms))
                 yield fs
 
-    # gains checks the graph before any pick, then pulls the picks lazily
-    scores = gains(g, chain([eligible_nodes(g)], pick_all()))
-    fv = next(scores)
-    f_of = list(scores)  # makes every pick
+    fv = max_objective(g)  # checks the graph before any pick
+    f_of = list(gains(g, pick_all()))  # makes every pick
     results = iter([
         PlacementResult(s, tuple(g.sorted_labels(fs)), f, ratio(f, fv), ms)
         for (s, fs, ms), f in zip(picked, f_of)

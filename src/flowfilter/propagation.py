@@ -1,18 +1,20 @@
 """Exact deterministic propagation: φ, the objective, and the reference simulator.
 
-``phi_total`` sums ``path_stats.compute_prefix``, the library's one forward
-pass: a non-source node receives its prefix in copies, so on a
-single-source graph φ(A) = Σ prefix − 1.  ``simulate`` returns the
-per-node receive and forward counts as two lists: the ground-truth
-reference the oracle tests compare against (no library code calls it).
-Counts are plain Python ints, exact however many paths the graph has.
+``phi_total`` sums ``path_stats.compute_prefix``: a non-source node
+receives its prefix in copies, so on a single-source graph
+φ(A) = Σ prefix − 1.  ``simulate`` returns the per-node receive and
+forward counts as two lists: the ground-truth reference the oracle tests
+compare against (no library code calls it).  Counts are plain Python
+ints, exact however many paths the graph has.
 
 ``gains`` is the library's one scoring function: it yields the objective
 F(A) = φ(∅) − φ(A) of each filter set A, scoring up to ``_PASS_SETS`` sets
 in one topological pass by packing them into one Python int (SWAR, "SIMD
-within a register", Fisher & Dietz 1998).  Set i owns lane i: bits
-[i*W, (i+1)*W) with W = bit_length(φ(∅)) + 2.  Each in-edge then costs one
-big-int addition for every set at once.  No lane can carry into the next:
+within a register", Fisher & Dietz 1998).  φ(∅) comes from
+``path_stats.baseline``, which reads it off the graph's no-filter prefix,
+computed once per graph.  Set i owns lane i: bits [i*W, (i+1)*W) with
+W = bit_length(φ(∅)) + 2.  Each in-edge then costs one big-int addition
+for every set at once.  No lane can carry into the next:
 a filter forwards min(x, 1) <= x, so every lane's count stays at or below
 its no-filter count, and every lane's running φ total stays at or below
 φ(∅) < 2^(W-2).  The top bit of each lane is the guard the min(x, 1) step
@@ -25,7 +27,7 @@ from collections.abc import Iterator
 from itertools import islice
 
 from .graph import CGraph, single_source, topological_order
-from .path_stats import check_members, compute_prefix
+from .path_stats import baseline, check_members, compute_prefix
 
 
 def filter_members(filters) -> frozenset[int]:
@@ -69,12 +71,12 @@ _PASS_SETS = 256  # filter sets per packed pass, which bounds its memory
 def gains(g: CGraph, filter_sets) -> Iterator[int]:
     """Yield F(A) = φ(∅) − φ(A) for each filter set A, in order.
 
-    The graph is checked (``single_source``) and φ(∅) computed when
-    ``gains`` is called, so a bad graph raises before any set is read.
+    The graph is checked (``single_source``) and φ(∅) read when ``gains``
+    is called, so a bad graph raises before any set is read.
     The sets are then read lazily, ``_PASS_SETS`` at a time, each batch
     when its first score is asked for.
     """
-    phi_empty = phi_total(g, ())
+    phi_empty, _ = baseline(g)
     w = phi_empty.bit_length() + 2  # the lane width
     filter_sets = iter(filter_sets)
     batches = iter(lambda: list(islice(filter_sets, _PASS_SETS)), [])  # [] ends it

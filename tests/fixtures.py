@@ -75,3 +75,17 @@ def g_mergers() -> CGraph:
             ("m3", "t"),
         ]
     )
+
+
+def g_diamond_chain(k: int = 70) -> CGraph:
+    """k diamonds in a row, s -> {a0, b0} -> j0 -> {a1, b1} -> j1 -> ...
+
+    j_i receives 2**(i + 1) copies with no filters, so at k = 70 the path
+    counts exceed 2**64.
+    """
+    edges = [("s", "a0"), ("s", "b0")]
+    for i in range(k):
+        edges += [(f"a{i}", f"j{i}"), (f"b{i}", f"j{i}")]
+        if i + 1 < k:
+            edges += [(f"j{i}", f"a{i + 1}"), (f"j{i}", f"b{i + 1}")]
+    return build_graph(edges)

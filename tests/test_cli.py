@@ -7,8 +7,9 @@ import time
 import pytest
 
 from _oracles import random_dag
+from flowfilter import path_stats
 from flowfilter.cli import main
-from fixtures import FANIN_TSV, DEGREE_TRAP_TSV, g_tree1
+from fixtures import FANIN_TSV, DEGREE_TRAP_TSV, g_diamond_chain, g_tree1
 from flowfilter.graph import CGraph, serialize_edge_list
 from flowfilter.harness import ALGORITHMS, RANDOMIZED_ALGORITHMS
 
@@ -596,12 +597,62 @@ def test_cli_simulates_each_filter_set_once(
 ):
     sims, passes = scoring_calls
     assert main(argv + ["--input", str(degree_trap_path)]) == 0
-    # every gains call runs one scalar pass for phi(empty)
+    # phi(empty) and F(V) are read off one no-filter prefix pass per graph:
+    # V takes no lane
     if argv[0] == "oracle":
-        # max_objective scores V in a pass of its own, then the search
-        # scores the empty set and every candidate in one pass
-        assert (len(sims), passes) == (2, [1, expected - 1])
+        # the search scores the empty set and every candidate in one pass
+        assert (len(sims), passes) == (1, [expected - 1])
     else:
-        # the placed or evaluated set and V share one packed pass;
-        # evaluate adds a scalar phi of its set
-        assert (len(sims), passes) == (1 if argv[0] == "place" else 2, [expected - 1])
+        # the placed or evaluated set takes a one-lane pass; evaluate's
+        # phi is phi(empty) - F
+        assert (len(sims), passes) == (1, [expected - 2])
+
+
+def test_evaluate_past_64_bits(tmp_path, capsys):
+    # 70 diamonds in a row: phi(empty) > 2**71; phi is phi(empty) - F and
+    # F(V) is read off the no-filter prefix, so every count must stay exact
+    path = tmp_path / "diamonds.tsv"
+    path.write_text(serialize_edge_list(g_diamond_chain(70)))
+    assert main(["evaluate", "--input", str(path), "--filters", "j69,a5"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert (got["f"], got["phi"], got["phi_no_filters"], got["fr"]) == (
+        2287396265139984400291, 2434970217729660813401, 4722366482869645213692, 0.484375)
+    assert got["phi_no_filters"] == got["phi"] + got["f"]
+
+
+@pytest.fixture
+def per_graph_passes(monkeypatch) -> list:
+    """Record each prefix and suffix pass as (pass, whether it had filters)."""
+    runs = []
+    for name in ("_prefix", "_suffix"):
+        real = getattr(path_stats, name)
+
+        def counting(g, members, real=real, name=name):
+            runs.append((name, bool(members)))
+            return real(g, members)
+
+        monkeypatch.setattr(path_stats, name, counting)
+    return runs
+
+
+def test_fr_curve_runs_each_no_filter_pass_once(
+    degree_trap_path, per_graph_passes, tmp_path, capsys
+):
+    # the three impact greedies, phi(empty) and F(V) share one no-filter
+    # prefix pass and one no-filter suffix pass
+    argv = ["fr-curve", "--input", str(degree_trap_path), "--algos",
+            "greedy-max,greedy-l,greedy-all", "--kmax", "3", "--csv", str(tmp_path / "fr.csv")]
+    assert main(argv) == 0
+    no_filter = [name for name, filtered in per_graph_passes if not filtered]
+    assert sorted(no_filter) == ["_prefix", "_suffix"]
+    assert ("_prefix", True) in per_graph_passes  # greedy-all's and greedy-l's later rounds
+
+
+@pytest.mark.parametrize("command", [["place", "--algo", "tree-dp", "--k", "2"],
+                                     ["oracle", "--k", "2"], ["evaluate", "--filters", "a"]])
+def test_scoring_runs_no_suffix_pass(command, per_graph_passes, tmp_path, capsys):
+    # phi(empty) and F(V) need only the no-filter prefix
+    path = tmp_path / "tree1.tsv"
+    path.write_text(serialize_edge_list(g_tree1()))
+    assert main(command + ["--input", str(path)]) == 0
+    assert per_graph_passes == [("_prefix", False)]

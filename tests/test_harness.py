@@ -7,7 +7,7 @@ import pytest
 from _oracles import exhaustive_best, greedy_all_reference, greedy_l_reference, random_dag
 from flowfilter import harness, placement
 from fixtures import g_diamond, g_fanin, g_degree_trap, g_tree1
-from flowfilter.graph import build_graph
+from flowfilter.graph import CycleError, GraphError, build_graph
 from flowfilter.harness import (
     ALGORITHMS,
     BudgetExceededError,
@@ -39,6 +39,26 @@ def test_filter_ratio_examples():
 def test_max_objective():
     assert max_objective(g_fanin()) == 1
     assert max_objective(g_degree_trap()) == 2
+
+
+@pytest.mark.parametrize(
+    "g, error",
+    [
+        (build_graph([("a", "c"), ("b", "c")]), GraphError),
+        (build_graph([("s", "a"), ("a", "b"), ("b", "a")], sources=["s"]), CycleError),
+    ],
+)
+def test_max_objective_checks_the_graph(g, error):
+    # a multi-source graph has a no-filter prefix too, but no F(V)
+    with pytest.raises(error):
+        max_objective(g)
+
+
+def test_max_objective_scores_no_set(scoring_calls):
+    sims, passes = scoring_calls
+    g = g_degree_trap()
+    assert [max_objective(g), max_objective(g)] == [2, 2]
+    assert (len(sims), passes) == (1, [])  # one no-filter prefix pass, kept
 
 
 def test_filter_ratio_is_exact_fraction():
@@ -199,8 +219,8 @@ def test_fr_curve_certifies_and_builds_tree_dp_tables_once(monkeypatch):
 def test_scoring_simulates_each_filter_set_once(scoring_calls):
     sims, passes = scoring_calls
     fr_curve(g_fanin(), ["greedy-all", "rand-k"], k_max=3, runs=4)
-    assert len(sims) == 1  # phi(empty)
-    assert passes == [1 + 3 + 12]  # one packed pass per curve: V and a lane per trial
+    assert len(sims) == 1  # phi(empty) and F(V)
+    assert passes == [3 + 12]  # one packed pass per curve: a lane per trial
     sims.clear()
     passes.clear()
     oracle(g_degree_trap(), 1)
@@ -213,7 +233,7 @@ def test_fr_curve_scores_at_most_256_sets_per_pass(scoring_calls):
     # --kmax x --runs asks for
     _, passes = scoring_calls
     fr_curve(g_fanin(), ["rand-k"], k_max=3, runs=100)
-    assert passes == [256, 1 + 300 - 256]  # V and 300 trials
+    assert passes == [256, 300 - 256]  # 300 trials
 
 
 def test_greedy_curves_match_per_k_references():

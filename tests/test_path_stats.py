@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -8,11 +10,18 @@ from _oracles import (
     random_dag,
     rooted_at_sources,
 )
-from fixtures import g_diamond, g_fanin, g_degree_trap
-from flowfilter.graph import CGraph, build_graph
-from flowfilter.path_stats import compute_prefix, compute_stats, impact_table
-from flowfilter.placement import eligible_nodes
-from flowfilter.propagation import objective_f, phi_total, simulate
+from fixtures import g_diamond, g_diamond_chain, g_fanin, g_degree_trap
+from flowfilter.graph import (
+    CGraph,
+    add_super_source,
+    build_graph,
+    parse_edge_list,
+    serialize_edge_list,
+)
+from flowfilter.harness import max_objective
+from flowfilter.path_stats import baseline, compute_prefix, compute_stats, impact_table
+from flowfilter.placement import eligible_nodes, greedy_all
+from flowfilter.propagation import gains, objective_f, phi_total, simulate
 
 
 def test_fanin_prefix_matches_received_counts():
@@ -149,3 +158,107 @@ def test_prefix_sums_match_phi(seed):
     assert list(stats[0][v] for v in elig) == [
         simulate(g, members)[0][v] for v in elig
     ]
+
+
+def test_no_filter_lists_are_handed_out_fresh():
+    # the no-filter lists are kept on the graph; mutating a result must not
+    # reach them
+    g = g_fanin()
+    reads = [
+        lambda: compute_prefix(g, ()),
+        lambda: compute_stats(g, ())[0],
+        lambda: compute_stats(g, ())[1],
+        lambda: impact_table(g, ()),
+    ]
+    want = [read() for read in reads]
+    assert any(want[3])  # z2's impact, so a zeroed table would show
+    for read in reads:
+        got = read()
+        got[:] = [-1] * len(got)
+        got.append(-1)
+        assert [read() for read in reads] == want
+    assert baseline(g) == (10, 1)
+
+
+def _simulated_baseline(g: CGraph) -> tuple[int, int]:
+    """``baseline`` from the reference simulator: φ(∅) and φ(∅) − φ(V)."""
+    source = next(iter(g.sources))
+
+    def phi(filters):
+        return sum(c for v, c in enumerate(simulate(g, filters)[0]) if v != source)
+
+    return phi(()), phi(()) - phi(eligible_nodes(g))
+
+
+def _hinted_dag(seed: int) -> CGraph:
+    # a random DAG whose one source is a hinted node, which may have
+    # in-edges: every node upstream of it, and every other in-degree-0
+    # node it does not reach, is unreached
+    rng = random.Random(seed)
+    n = rng.randint(2, 12)
+    order = rng.sample(range(n), n)
+    names = [f"v{i}" for i in range(n)]
+    edges = [
+        (names[order[i]], names[order[j]])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < rng.uniform(0.1, 0.7)
+    ]
+    return build_graph(edges, nodes=names, sources=[rng.choice(names)])
+
+
+def test_baseline_matches_simulate_on_random_dags():
+    # F(V) is read off the no-filter prefix as phi(empty) minus the
+    # out-edges of reached nodes; the simulator scores V by propagation
+    graphs = []
+    for seed in range(160):
+        rng = random.Random(seed + 7000)
+        graphs.append(random_dag(rng.randint(1, 14), rng.uniform(0.05, 0.9), seed + 7000))
+        graphs.append(_hinted_dag(seed + 8000))
+    for seed in range(20):  # several roots joined under one super source
+        rng = random.Random(seed + 9000)
+        names = [f"v{i}" for i in range(rng.randint(3, 10))]
+        edges = [(u, v) for i, u in enumerate(names) for v in names[i + 1:] if rng.random() < 0.3]
+        graphs.append(add_super_source(build_graph(edges, nodes=names)))
+    graphs.append(g_diamond_chain(70))
+    unreached = 0
+    for i, g in enumerate(graphs):
+        prefix = compute_prefix(g, ())
+        unreached += any(not p and not g.in_adj[v] for v, p in enumerate(prefix))
+        want = _simulated_baseline(g)
+        assert baseline(g) == want, i
+        assert max_objective(g) == want[1] == next(gains(g, [eligible_nodes(g)])), i
+        assert phi_total(g, ()) == want[0], i
+    assert len(graphs) >= 300
+    assert unreached >= 50  # the hints leave unreached in-degree-0 nodes
+    assert baseline(g_diamond_chain(70))[0] > 2**70
+
+
+def test_scoring_many_graphs_keeps_none_alive():
+    # the no-filter lists live on the graph, so they die with it
+    text = serialize_edge_list(random_dag(40, 0.3, 12))
+
+    def load_and_score():
+        g = parse_edge_list(text)
+        greedy_all(g, 3)
+        objective_f(g, eligible_nodes(g)[:5])
+        max_objective(g)
+        return g
+
+    load_and_score()  # warm up every cache the first call fills
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        g = load_and_score()
+        one = tracemalloc.get_traced_memory()[0] - start  # one graph, kept
+        del g
+        gc.collect()
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in range(50):
+            load_and_score()
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert grown < one / 4, (grown, one)
