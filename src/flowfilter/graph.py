@@ -249,6 +249,29 @@ def _build_from_tokens(
     return g
 
 
+# every ASCII byte that ``str.split()`` does not split on
+_NON_SPACE = bytes(b for b in range(128) if not chr(b).isspace())
+
+
+def _canonical_tokens(text: str) -> list[str] | None:
+    """``text.split()`` if ``text`` is canonical, else None.
+
+    Canonical text is what ``serialize_edge_list`` writes: ASCII
+    ``u<TAB>v<LF>`` lines, the last one ending in LF too, and no ``#``.
+    Deleting every non-space byte proves it in C: if what is left reads
+    TAB LF once per token pair, the 2m tokens have just 2m gaps of one
+    byte each, and as the text ends in one, none leads it.  So each line
+    holds one pair, and no line is blank.
+    """
+    if not text.isascii() or "#" in text or not text.endswith("\n"):
+        return None
+    tokens = text.split()
+    pairs = len(tokens) // 2
+    if len(tokens) % 2 or text.encode().translate(None, _NON_SPACE) != b"\t\n" * pairs:
+        return None
+    return tokens
+
+
 def parse_edge_list(text: str, source_hint: str | None = None) -> CGraph:
     """Parse tab-separated ``u<TAB>v`` lines into a CGraph.
 
@@ -259,28 +282,32 @@ def parse_edge_list(text: str, source_hint: str | None = None) -> CGraph:
     tokens go to the graph as they were read, one flat label list, and
     become one flat id list: no object is made per edge.
 
-    The text is read once.  The tokenizer notes the numbers of the lines
-    that hold no edge (blank or comment-only); a bad edge, which the graph
-    names by its position, gets its line from that list.
+    Canonical text, ASCII ``u<TAB>v<LF>`` lines with no ``#`` (what
+    ``serialize_edge_list`` writes), takes its tokens from one
+    ``text.split()`` once one byte check proves it canonical, and no
+    list of lines is built.  Any other text is split into lines and each
+    line tokenized up to its ``#``; the tokenizer notes the numbers of
+    the lines that hold no edge (blank or comment-only).  Either way, a
+    bad edge, which the graph names by its position, gets its line from
+    that list, and each path reports the same errors.
     """
     text = text.removeprefix("\ufeff")
-    lines = text.splitlines()
-    if "#" in text:
-        fields = (line.split("#", 1)[0].split() for line in lines)
-    else:
-        fields = map(str.split, lines)
-    tokens: list[str] = []
     no_edge: list[int] = []
-    for lineno, parts in enumerate(fields, start=1):
-        if len(parts) == 2:
-            tokens += parts
-        elif not parts:
-            no_edge.append(lineno)
-        else:
-            raise ParseError(
-                f"line {lineno}: expected 'u<TAB>v', got {lines[lineno - 1]!r}"
-            )
-    del lines, fields  # every line is tokenized: the split lines die here
+    tokens = _canonical_tokens(text)
+    if tokens is None:
+        tokens = []
+        lines = text.splitlines()
+        fields = (line.split("#", 1)[0].split() for line in lines)
+        for lineno, parts in enumerate(fields, start=1):
+            if len(parts) == 2:
+                tokens += parts
+            elif not parts:
+                no_edge.append(lineno)
+            else:
+                raise ParseError(
+                    f"line {lineno}: expected 'u<TAB>v', got {lines[lineno - 1]!r}"
+                )
+        del lines, fields  # every line is tokenized: the split lines die here
     if not tokens:
         raise ParseError("empty graph: no edges found")
     try:

@@ -114,10 +114,11 @@ def oracle(g: CGraph, k: int, budget: int = 10**6) -> tuple[frozenset[int], int]
         raise BudgetExceededError(
             f"{total} candidate subsets exceed the budget of {budget}"
         )
-    # the empty set, then by size and lexicographically; max keeps the
-    # first maximizer, so ties go to the earliest candidate
-    sets, scored = tee(chain.from_iterable(combinations(eligible, j) for j in range(k_eff + 1)))
-    best, f = max(zip(sets, gains(g, scored)), key=itemgetter(1))
+    # the empty set (F = 0 by definition, so it is not scored), then by size
+    # and lexicographically; max keeps the first maximizer, so ties go to
+    # the earliest candidate
+    sets, scored = tee(chain.from_iterable(combinations(eligible, j) for j in range(1, k_eff + 1)))
+    best, f = max(chain([((), 0)], zip(sets, gains(g, scored))), key=itemgetter(1))
     return frozenset(best), f
 
 

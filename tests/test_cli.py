@@ -598,14 +598,10 @@ def test_cli_simulates_each_filter_set_once(
     sims, passes = scoring_calls
     assert main(argv + ["--input", str(degree_trap_path)]) == 0
     # phi(empty) and F(V) are read off one no-filter prefix pass per graph:
-    # V takes no lane
-    if argv[0] == "oracle":
-        # the search scores the empty set and every candidate in one pass
-        assert (len(sims), passes) == (1, [expected - 1])
-    else:
-        # the placed or evaluated set takes a one-lane pass; evaluate's
-        # phi is phi(empty) - F
-        assert (len(sims), passes) == (1, [expected - 2])
+    # V takes no lane, nor does the empty set, whose F is 0.  The placed or
+    # evaluated set takes a one-lane pass (evaluate's phi is phi(empty) - F),
+    # and the search scores every candidate in one pass
+    assert (len(sims), passes) == (1, [expected - 2])
 
 
 def test_evaluate_past_64_bits(tmp_path, capsys):

@@ -25,6 +25,7 @@ from flowfilter.graph import (
     NoSourceError,
     ParseError,
     _build_from_tokens,
+    _canonical_tokens,
     add_super_source,
     build_graph,
     parse_edge_list,
@@ -356,6 +357,77 @@ def test_parse_edge_list_matches_reference():
     assert min(outcomes.values()) >= 50, outcomes
 
 
+def _random_canonical_text(rng: random.Random) -> str:
+    """``u<TAB>v<LF>`` lines over a few labels; about a third of the texts
+    may repeat an edge or hold a self-loop."""
+    pool = [f"v{i}" for i in range(rng.randint(2, 5))]
+    faulty = rng.random() < 0.3
+    pairs = [
+        tuple(rng.choices(pool, k=2)) if faulty else tuple(rng.sample(pool, 2))
+        for _ in range(rng.randint(1, 5))
+    ]
+    if not faulty:
+        pairs = list(dict.fromkeys(pairs))
+    return "".join(f"{u}\t{v}\n" for u, v in pairs)
+
+
+_EDIT_CHARS = ("\t", "\n", " ", "\r", "#", "\x1c", "\xa0", "x")
+
+
+def _one_byte_edits(text: str):
+    """Every text one insert, delete or replace away from ``text``, the
+    inserted or replacing character one of ``_EDIT_CHARS``."""
+    for at in range(len(text) + 1):
+        yield text[:at] + text[at + 1:]
+        for c in _EDIT_CHARS:
+            yield text[:at] + c + text[at:]
+            yield text[:at] + c + text[at + 1:]
+
+
+def test_both_tokenizer_paths_match_reference():
+    """Canonical text and every one-byte edit of it, most of which leave it
+    not canonical, parse to what the line-by-line reference reads: the
+    same graph or the same error."""
+    paths = {"canonical": 0, "general": 0}
+    for seed in range(40):
+        rng = random.Random(seed)
+        text = _random_canonical_text(rng)
+        for edited in {text, *_one_byte_edits(text)}:
+            hint = rng.choice([None, None, "v0"])
+            got = _loaded(parse_edge_list, edited, hint)
+            assert got == _loaded(parse_edge_list_reference, edited, hint), (seed, edited)
+            paths["general" if _canonical_tokens(edited) is None else "canonical"] += 1
+    assert min(paths.values()) >= 500, paths
+
+
+def test_the_canonical_check_accepts_what_the_cli_writes():
+    graphs = [layered_graph(_LAYERED_10X60), g_fanin(), g_degree_trap()]
+    graphs += [random_dag(n, 0.4, n) for n in range(2, 12)]
+    for g in graphs:
+        text = serialize_edge_list(g)
+        assert _canonical_tokens(text) == text.split()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a\tb\tc\nd\n",  # an even token count, not two per line
+        "a\tb\n\nc\td\n",  # a blank line
+        "a b\n",
+        "a\t\tb\n",
+        "\ta\tb\n",
+        "a\tb\r\n",
+        "a\tb\x1cc\td\n",  # a line break that is not LF
+        "a\tb#\n",
+        "a\tb",  # no final LF
+        "a\t\nb",  # its gaps read TAB LF, but it does not end in LF
+    ],
+)
+def test_the_canonical_check_refuses_other_text(text):
+    assert _canonical_tokens(text) is None
+    assert _loaded(parse_edge_list, text) == _loaded(parse_edge_list_reference, text)
+
+
 def test_build_graph_matches_reference():
     for seed in range(300):
         rng = random.Random(seed)
@@ -527,6 +599,18 @@ def test_parse_peak_memory_is_that_of_its_tokens():
     _, _, tokenized = _traced(lambda: (text.splitlines(), text.split()))
     assert peak <= 1.05 * tokenized, (peak, tokenized)
     assert peak <= 22 * sys.getsizeof(text), (peak, sys.getsizeof(text))
+
+
+def test_a_canonical_parse_builds_no_list_of_lines():
+    """Canonical text is tokenized by one ``text.split()``, so its parse
+    peaks 1.16-1.19 times that split's own peak, and 13-15 times the text,
+    on Python 3.10-3.13; splitting it into lines first read 1.54 and 17-20."""
+    text = serialize_edge_list(layered_graph(_LAYERED_10X60))
+    g, _, peak = _traced(lambda: parse_edge_list(text))
+    assert (g.n, g.m) == (601, 10257)
+    _, _, split = _traced(text.split)
+    assert peak <= 1.3 * split, (peak, split)
+    assert peak <= 16 * sys.getsizeof(text), (peak, sys.getsizeof(text))
 
 
 def test_parsed_graph_keeps_at_most_40_bytes_per_edge():

@@ -225,7 +225,13 @@ def test_scoring_simulates_each_filter_set_once(scoring_calls):
     passes.clear()
     oracle(g_degree_trap(), 1)
     assert len(sims) == 1  # phi(empty)
-    assert passes == [1 + 10]  # the empty set and a lane per eligible singleton
+    assert passes == [10]  # a lane per eligible singleton; the empty set's F is 0
+
+
+def test_oracle_with_k_0_returns_the_empty_set_unscored(scoring_calls):
+    sims, passes = scoring_calls
+    assert oracle(g_degree_trap(), 0) == (frozenset(), 0)
+    assert (len(sims), passes) == (1, [])  # the graph check's phi(empty), no packed pass
 
 
 def test_fr_curve_scores_at_most_256_sets_per_pass(scoring_calls):
