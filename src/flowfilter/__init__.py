@@ -14,7 +14,7 @@ from .graph import (
     serialize_edge_list,
     topological_order,
 )
-from .propagation import objective_f, phi_total, simulate
+from .propagation import objective_f, simulate
 from .path_stats import compute_stats, impact_table
 from .placement import (
     NotACTreeError,
@@ -53,7 +53,6 @@ __all__ = [
     "optimal_unbounded",
     "oracle",
     "parse_edge_list",
-    "phi_total",
     "randomized_baseline",
     "serialize_edge_list",
     "simulate",

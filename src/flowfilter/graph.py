@@ -5,6 +5,7 @@ A graph is a set of labelled nodes and directed edges (u, v), read as
 other node relays what it receives.  Graphs are immutable once built.
 """
 
+import re
 from collections import deque
 from itertools import chain, starmap, tee
 from operator import contains, is_
@@ -40,43 +41,34 @@ class CycleError(GraphError):
 class CGraph:
     """Immutable directed graph with designated sources.
 
+    Calling the class raises TypeError: a graph comes from a loader, one
+    of ``parse_edge_list``, ``build_graph``, ``synth.layered_graph``,
+    ``dag_extract.extract_dag``/``best_dag`` and ``add_super_source``.
     Node labels are interned to dense indices 0..n-1 in first-seen order;
-    all other modules work on the dense indices.  Edges are given as (u, v)
-    index pairs and stored only as adjacency: ``out_adj[u]`` lists u's heads
-    and ``in_adj[v]`` v's tails, each in the order the edges were given;
-    ``m`` counts them.  No node, repeated labels, out-of-range indices or
-    sources, self-loops and duplicate edges raise GraphError, naming the
-    first offending one (a bad edge before a bad source); an edge that is
-    not a pair raises TypeError.  Sources default to the in-degree-0
-    nodes.  The topological order is computed once here; read it through
+    all other modules work on the dense indices.  Edges are stored only as
+    adjacency: ``out_adj[u]`` lists u's heads and ``in_adj[v]`` v's tails,
+    each in the order the edges were given; ``m`` counts them.  No node,
+    a self-loop or a duplicate edge raises GraphError, naming the first
+    offending edge.  Sources default to the in-degree-0 nodes.  The
+    topological order is computed once here; read it through
     ``topological_order`` (CycleError on a cycle) or ``single_source``.
 
-    The pairs are flattened once into the id list ``u0, v0, u1, v1, ...``
-    and range-checked.  From there on this constructor, ``_from_ids`` and
-    the loaders, whose ids are in range by construction, share one core
-    that makes no object per edge.  Every graph builds its own label -> id
-    dict from its labels.  ``_no_filter`` starts empty and holds
-    ``path_stats``' no-filter per-node lists, each filled on first use, so
-    they live and die with the graph.
+    Every loader hands the graph one flat id list ``u0, v0, u1, v1, ...``,
+    its ids in range by construction: the label loaders through
+    ``_build_from_tokens``, the library's own transforms through
+    ``_from_ids``.  Both share one core that makes no object per edge.
+    Every graph builds its own label -> id dict from its labels.
+    ``_no_filter`` starts empty and holds ``path_stats``' no-filter
+    per-node lists, each filled on first use, so they live and die with
+    the graph.
     """
 
     __slots__ = (
         "labels", "m", "out_adj", "in_adj", "sources", "_index", "_order", "_no_filter"
     )
 
-    def __init__(
-        self,
-        labels: Sequence[str],
-        edges: Iterable[tuple[int, int]],
-        sources: Iterable[int] | None = None,
-    ):
-        self.labels: tuple[str, ...] = tuple(labels)
-        self._index = _label_index(self.labels)
-        ids = _flat_pairs(edges)
-        # a negative id would index from the end of the adjacency lists
-        if ids and (min(ids) < 0 or max(ids) >= len(self.labels)):
-            _raise_first_bad_edge(self.labels, ids)
-        self._link(ids, sources)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a CGraph comes from a loader, such as build_graph or parse_edge_list")
 
     @classmethod
     def _from_ids(
@@ -87,8 +79,8 @@ class CGraph:
     ) -> "CGraph":
         """A CGraph from the flat id list ``u0, v0, u1, v1, ...``.
 
-        For callers whose ids are in range by construction: they are not
-        range-checked.
+        For the library's transforms, whose ids and sources are in range
+        by construction: nothing checks their range.
         """
         g = cls.__new__(cls)
         g.labels = tuple(labels)
@@ -97,7 +89,7 @@ class CGraph:
         return g
 
     def _link(self, ids: list[int], sources: Iterable[int] | None) -> None:
-        """Adjacency, sources and order from in-range flat ids."""
+        """Adjacency, sources and order from in-range flat ids and sources."""
         n = len(self.labels)
         out_lists: list[list[int]] = [[] for _ in range(n)]
         in_lists: list[list[int]] = [[] for _ in range(n)]
@@ -127,9 +119,6 @@ class CGraph:
             len(order) < n and any(map(contains, out_lists, range(n)))
         ):
             _raise_first_bad_edge(self.labels, ids)
-        for s in self.sources:
-            if not 0 <= s < n:
-                raise GraphError(f"source index {s} out of range")
         self._order: tuple[int, ...] = tuple(order)
         self._no_filter: dict[str, list[int]] = {}
 
@@ -159,14 +148,11 @@ class CGraph:
 
 
 def _label_index(labels: tuple[str, ...]) -> dict[str, int]:
-    """``labels``' label -> id dict.  GraphError if there is no label at
-    all or some label repeats."""
+    """``labels``' label -> id dict, the labels being distinct (every
+    loader dedups them).  GraphError if there is no label at all."""
     if not labels:
         raise GraphError("graph must have at least one node")
-    index = dict(zip(labels, range(len(labels))))
-    if len(index) != len(labels):
-        raise GraphError("node labels must be unique")
-    return index
+    return dict(zip(labels, range(len(labels))))
 
 
 def _flat_pairs(pairs: Iterable) -> list:
@@ -188,17 +174,14 @@ def _flat_pairs(pairs: Iterable) -> list:
 
 
 def _raise_first_bad_edge(labels: tuple[str, ...], ids: list[int]) -> None:
-    """Raise GraphError naming the first out-of-range, self-loop or repeated
-    edge of the flat ids, in edge order.  Called only once some edge is
-    known to be bad.  The error's ``_edge`` is that edge's 0-based position,
-    which the parser turns into a line number."""
-    n = len(labels)
+    """Raise GraphError naming the first self-loop or repeated edge of the
+    flat ids, in edge order.  Called only once some edge is known to be
+    bad.  The error's ``_edge`` is that edge's 0-based position, which the
+    parser turns into a line number."""
     seen = set()
     it = iter(ids)
     for at, (u, v) in enumerate(zip(it, it)):
-        if not (0 <= u < n and 0 <= v < n):
-            exc = GraphError(f"edge ({u}, {v}) references unknown node index")
-        elif u == v:
+        if u == v:
             exc = GraphError(f"self-loop at node {labels[u]!r}")
         elif (u, v) in seen:
             exc = GraphError(f"duplicate edge {labels[u]!r} -> {labels[v]!r}")
@@ -326,9 +309,26 @@ def parse_edge_list(text: str, source_hint: str | None = None) -> CGraph:
         raise ParseError(f"line {line}: {exc}") from None
 
 
+# a label ``parse_edge_list`` would not read back: whitespace splits it,
+# ``#`` cuts it, a leading U+FEFF is dropped on the first line, and an
+# empty label vanishes
+_UNWRITABLE = re.compile(r"[\s#]|\A\ufeff|\A\Z")
+# every character ``_UNWRITABLE`` can match
+_UNWRITABLE_CHARS = re.compile(r"[\s#\ufeff]")
+
+
 def serialize_edge_list(g: CGraph) -> str:
-    """Render a graph in the edge-list format, edges sorted by node label."""
+    """Render a graph in the edge-list format, edges sorted by node label.
+
+    GraphError names the first label that would not read back as itself.
+    One scan of the joined labels, and a look-up of the empty label,
+    screen them all; only a hit tries them one by one.
+    """
     labels = g.labels
+    if "" in g._index or _UNWRITABLE_CHARS.search("".join(labels)):
+        bad = next(filter(_UNWRITABLE.search, labels), None)
+        if bad is not None:
+            raise GraphError(f"an edge list cannot hold the label {bad!r}")
     lines = sorted(
         f"{labels[u]}\t{labels[v]}" for u, heads in enumerate(g.out_adj) for v in heads
     )

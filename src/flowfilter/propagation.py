@@ -1,11 +1,10 @@
-"""Exact deterministic propagation: φ, the objective, and the reference simulator.
+"""Exact deterministic propagation: the objective and the reference simulator.
 
-``phi_total`` sums ``path_stats.compute_prefix``: a non-source node
-receives its prefix in copies, so on a single-source graph
-φ(A) = Σ prefix − 1.  ``simulate`` returns the per-node receive and
-forward counts as two lists: the ground-truth reference the oracle tests
-compare against (no library code calls it).  Counts are plain Python
-ints, exact however many paths the graph has.
+φ(A) is the number of copies all nodes receive when the nodes of A are
+filters.  ``simulate`` returns the per-node receive and forward counts as
+two lists: the ground-truth reference the oracle tests compare against
+(no library code calls it).  Counts are plain Python ints, exact however
+many paths the graph has.
 
 ``gains`` is the library's one scoring function: it yields the objective
 F(A) = φ(∅) − φ(A) of each filter set A, scoring up to ``_PASS_SETS`` sets
@@ -27,7 +26,7 @@ from collections.abc import Iterator
 from itertools import islice
 
 from .graph import CGraph, single_source, topological_order
-from .path_stats import baseline, check_members, compute_prefix
+from .path_stats import baseline, check_members
 
 
 def filter_members(filters) -> frozenset[int]:
@@ -57,12 +56,6 @@ def simulate(g: CGraph, filters) -> tuple[list[int], list[int]]:
         else:
             forwarded[v] = received[v]
     return received, forwarded
-
-
-def phi_total(g: CGraph, filters) -> int:
-    """Total number of copies received across all non-source nodes."""
-    single_source(g)
-    return sum(compute_prefix(g, filters)) - 1  # the source's prefix is 1
 
 
 _PASS_SETS = 256  # filter sets per packed pass, which bounds its memory

@@ -17,14 +17,16 @@ from flowfilter.graph import (
 )
 from flowfilter.path_stats import compute_prefix, impact_table
 from flowfilter.placement import as_ctree, eligible_nodes
-from flowfilter.propagation import phi_total
+from flowfilter.propagation import simulate
 
 
 class CGraphReference:
     """``CGraph`` built one edge at a time, each edge checked as it comes.
 
-    ``graph.topological_order`` reads it like a CGraph, so the order (or the
-    cycle) it reports comes from this class's own Kahn pass.
+    Its labels are distinct, and its edges and sources index them, as a
+    loader's are.  ``graph.topological_order`` reads it like a CGraph, so
+    the order (or the cycle) it reports comes from this class's own Kahn
+    pass.
     """
 
     __slots__ = ("labels", "edges", "out_adj", "in_adj", "sources", "_order")
@@ -32,16 +34,12 @@ class CGraphReference:
     def __init__(self, labels, edges, sources=None):
         if not labels:
             raise GraphError("graph must have at least one node")
-        if len(set(labels)) != len(labels):
-            raise GraphError("node labels must be unique")
         self.labels = tuple(labels)
         n = len(self.labels)
         seen = set()
         out_lists = [[] for _ in range(n)]
         in_lists = [[] for _ in range(n)]
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) references unknown node index")
             if u == v:
                 raise GraphError(f"self-loop at node {self.labels[u]!r}")
             if (u, v) in seen:
@@ -57,11 +55,7 @@ class CGraphReference:
         if sources is None:
             self.sources = frozenset(i for i in range(n) if not in_lists[i])
         else:
-            src = frozenset(sources)
-            for s in src:
-                if not (0 <= s < n):
-                    raise GraphError(f"source index {s} out of range")
-            self.sources = src
+            self.sources = frozenset(sources)
         indeg = [len(l) for l in in_lists]
         ready = deque(v for v in range(n) if indeg[v] == 0)
         order = []
@@ -101,6 +95,17 @@ def build_graph_reference(edge_labels, nodes=(), sources=None) -> CGraphReferenc
     if missing:
         raise GraphError(f"source label {missing[0]!r} is not a node")
     return g
+
+
+def indexed_graph(labels, edges, sources=None) -> CGraph:
+    """The graph on ``labels`` with the index edges ``(u, v)`` and source
+    ids ``sources``, built by ``build_graph`` from their labels; ``nodes``
+    keeps every label at its index."""
+    return build_graph(
+        [(labels[u], labels[v]) for u, v in edges],
+        nodes=labels,
+        sources=None if sources is None else [labels[s] for s in sources],
+    )
 
 
 def parse_edge_list_reference(text: str, source_hint=None) -> CGraphReference:
@@ -190,7 +195,7 @@ def extract_dag_reference(g: CGraph, root: int) -> CGraph:
         for u, v in g.edges
         if enter[u] != -1 and not (enter[v] <= enter[u] and exit_[u] <= exit_[v])
     ]
-    return CGraph([g.labels[v] for v in keep], edges, [remap[root]])
+    return indexed_graph([g.labels[v] for v in keep], edges, [remap[root]])
 
 
 def best_dag_all_roots(g: CGraph) -> CGraph:
@@ -199,13 +204,18 @@ def best_dag_all_roots(g: CGraph) -> CGraph:
     return min(dags, key=lambda pair: (-pair[0].n, -pair[0].m, pair[1]))[0]
 
 
+def phi_reference(g: CGraph, filters) -> int:
+    """φ(A): the copies all nodes receive, counted by the reference simulator."""
+    return sum(simulate(g, filters)[0])
+
+
 def exhaustive_best(g: CGraph, k: int) -> tuple[frozenset[int], int]:
-    """``oracle`` one ``phi_total`` at a time: the first set of size <= k with least phi."""
-    best, phi_empty = (), phi_total(g, ())
+    """``oracle`` one ``phi_reference`` at a time: the first set of size <= k with least phi."""
+    best, phi_empty = (), phi_reference(g, ())
     best_phi = phi_empty
     for size in range(1, k + 1):
         for candidate in combinations(eligible_nodes(g), size):
-            phi = phi_total(g, candidate)
+            phi = phi_reference(g, candidate)
             if phi < best_phi:
                 best, best_phi = candidate, phi
     return frozenset(best), phi_empty - best_phi
@@ -231,7 +241,7 @@ def rooted_at_sources(g: CGraph) -> CGraph:
     """
     edges = [(u, v) for u, v in g.edges if v not in g.sources]
     edges += [(g.n, s) for s in sorted(g.sources)]
-    return CGraph(g.labels + ("__root__",), edges, [g.n])
+    return indexed_graph(g.labels + ("__root__",), edges, [g.n])
 
 
 def count_paths(g: CGraph, x: int, y: int) -> int:

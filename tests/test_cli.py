@@ -275,6 +275,18 @@ def test_extract_dag_from_a_sink_writes_nothing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [src]
 
 
+def test_extract_dag_of_a_label_an_edge_list_cannot_hold_writes_nothing(tmp_path, capsys):
+    # the parser drops one byte-order mark, so a doubled one leaves U+FEFF
+    # leading the first label, which a written file would lose
+    src = tmp_path / "g.tsv"
+    src.write_text("\ufeff\ufeffa\tb\nb\tc\n", encoding="utf-8")
+    out = tmp_path / "dag.tsv"
+    assert main(["extract-dag", "--input", str(src), "--best-root", "--out", str(out)]) == 1
+    err = "flowfilter: error: an edge list cannot hold the label '\\ufeffa'\n"
+    assert capsys.readouterr().err == err
+    assert list(tmp_path.iterdir()) == [src]
+
+
 def test_place_on_cyclic_input_hints_extract_dag(tmp_path, capsys):
     src = tmp_path / "cyc.tsv"
     src.write_text("s\ta\na\tb\nb\ta\n")

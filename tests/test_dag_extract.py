@@ -67,7 +67,7 @@ def test_dfs_annotate_reports_on_stack_edge():
 def test_ring_of_100k_nodes_drops_only_closing_edge():
     n = 100_000
     limit = sys.getrecursionlimit()
-    g = CGraph([f"r{i}" for i in range(n)], [(i, (i + 1) % n) for i in range(n)])
+    g = build_graph([(f"r{i}", f"r{(i + 1) % n}") for i in range(n)])
     dag = extract_dag(g, 0)
     assert (dag.n, dag.m) == (n, n - 1)
     assert dag.edges == g.edges[:-1]  # (n - 1, 0) closes the ring
@@ -265,8 +265,8 @@ def test_long_path_closing_into_its_middle():
     # source SCC {p0}, so one ranking DFS where every root would take 10^5
     n = 100_000
     limit = sys.getrecursionlimit()
-    edges = [(i, i + 1) for i in range(n - 1)] + [(n - 1, n // 2)]
-    g = CGraph([f"p{i}" for i in range(n)], edges)
+    edges = [(f"p{i}", f"p{i + 1}") for i in range(n - 1)] + [(f"p{n - 1}", f"p{n // 2}")]
+    g = build_graph(edges)
     dag = best_dag(g)
     assert (dag.n, dag.m) == (n, n - 1)
     assert dag.edges == g.edges[:-1]

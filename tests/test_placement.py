@@ -538,7 +538,7 @@ def test_tree_dp_budget_past_the_node_count_changes_nothing():
 
 
 def test_tree_dp_source_only_graph():
-    assert tree_dp(CGraph(["s"], [], [0]), 3)(3) == frozenset()
+    assert tree_dp(build_graph([], nodes=["s"], sources=["s"]), 3)(3) == frozenset()
 
 
 def test_as_ctree_rejects_non_trees():

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from _oracles import count_paths, random_dag
+from _oracles import count_paths, indexed_graph, phi_reference, random_dag
 from fixtures import g_fanin, g_degree_trap
-from flowfilter.graph import CGraph, CycleError, GraphError, build_graph
-from flowfilter.path_stats import compute_prefix, impact_table
+from flowfilter.graph import CycleError, GraphError, build_graph
+from flowfilter.path_stats import baseline, compute_prefix, impact_table
 from flowfilter.placement import eligible_nodes, optimal_unbounded
-from flowfilter.propagation import gains, objective_f, phi_total, simulate
+from flowfilter.propagation import gains, objective_f, simulate
 
 
 def by_label(g, counts):
@@ -38,10 +38,12 @@ def test_chain_every_node_receives_one():
 
 
 def test_phi_totals():
+    # the library's phi(empty), and phi(A) as phi(empty) - F(A), against the reference
     g1, g2 = g_fanin(), g_degree_trap()
-    assert phi_total(g1, ()) == 10
-    assert phi_total(g2, ()) == 14
-    assert phi_total(g2, {g2.index("A")}) == 12
+    a = {g2.index("A")}
+    assert baseline(g1)[0] == phi_reference(g1, ()) == 10
+    assert baseline(g2)[0] == phi_reference(g2, ()) == 14
+    assert baseline(g2)[0] - objective_f(g2, a) == phi_reference(g2, a) == 12
 
 
 def test_objective_examples():
@@ -58,7 +60,7 @@ def test_scoring_rejects_members_that_are_no_node_index(member):
     # the member were absent: F({"z2"}) would read 0 where F({z2}) is 1
     g = g_fanin()
     message = f"filter member {member!r} is not a node index (0 to 6)"
-    passes = [objective_f, phi_total, compute_prefix, impact_table, simulate,
+    passes = [objective_f, compute_prefix, impact_table, simulate,
               lambda g, filters: list(gains(g, [(), filters]))]
     for score in passes:
         with pytest.raises(ValueError) as exc:
@@ -136,39 +138,6 @@ def test_monotone_submodular_bounded(seed):
             assert gain_x >= gain_y
 
 
-@pytest.mark.parametrize("block", range(4))
-def test_phi_total_matches_simulate(block):
-    # phi_total sums the prefix pass; simulate is the independent reference
-    for seed in range(block * 150, (block + 1) * 150):
-        rng = random.Random(seed + 9000)
-        g = random_dag(rng.randint(1, 12), rng.uniform(0.0, 1.0), seed + 9000)
-        if rng.random() < 0.5:
-            g = CGraph(g.labels, g.edges, [rng.randrange(g.n)])
-        source = next(iter(g.sources))
-        for _ in range(3):
-            filters = rng.sample(range(g.n), rng.randint(0, g.n))
-            received = simulate(g, filters)[0]
-            want = sum(c for v, c in enumerate(received) if v != source)
-            assert phi_total(g, filters) == want, (seed, filters)
-
-
-@pytest.mark.parametrize("sources", [[], [0, 1]])
-def test_phi_total_rejects_other_source_counts(sources):
-    g = CGraph(("a", "b", "c"), ((0, 2), (1, 2)), sources)
-    with pytest.raises(GraphError) as got:
-        phi_total(g, ())
-    assert str(got.value) == (
-        f"propagation needs exactly one source, got {len(sources)}; "
-        "apply add_super_source first"
-    )
-
-
-def test_phi_total_rejects_cycles():
-    g = build_graph([("s", "a"), ("a", "b"), ("b", "a")], sources=["s"])
-    with pytest.raises(CycleError):
-        phi_total(g, ())
-
-
 def _random_sets(rng, g):
     sets = [(), range(g.n), eligible_nodes(g)]  # empty, full with and without sources
     sets += [rng.sample(range(g.n), rng.randint(0, g.n)) for _ in range(rng.randint(0, 6))]
@@ -177,19 +146,20 @@ def _random_sets(rng, g):
 
 
 def _f(g, filters):
-    return phi_total(g, ()) - phi_total(g, filters)
+    return phi_reference(g, ()) - phi_reference(g, filters)
 
 
 @pytest.mark.parametrize("block", range(10))
 def test_phi_totals_matches_phi_total_in_every_lane(block):
-    # gains packs the sets into lanes; each lane's F must match two scalar passes
+    # gains packs the sets into lanes; each lane's F must match two runs of
+    # the reference simulator
     for seed in range(block * 250, (block + 1) * 250):
         rng = random.Random(seed)
         g = random_dag(rng.randint(1, 12), rng.uniform(0.0, 1.0), seed)
         if rng.random() < 0.5:
             # any node as the source: the super source and whatever is not
             # below the new source become unreachable
-            g = CGraph(g.labels, g.edges, [rng.randrange(g.n)])
+            g = indexed_graph(g.labels, g.edges, [rng.randrange(g.n)])
         sets = _random_sets(rng, g)
         assert list(gains(g, sets)) == [_f(g, s) for s in sets]
 
@@ -205,7 +175,7 @@ def test_phi_totals_past_64_bits():
         for u in (f"a{i}", f"b{i}"):
             edges += [(u, f"a{i + 1}"), (u, f"b{i + 1}")]
     g = build_graph(edges)
-    assert phi_total(g, ()) > 2**80
+    assert baseline(g)[0] > 2**80
     rng = random.Random(5)
     sets = _random_sets(random.Random(6), g) + [
         rng.sample(range(g.n), rng.randint(1, 4)) for _ in range(30)
@@ -219,20 +189,15 @@ def test_gains_matches_simulate_over_many_passes(seed):
     # independent reference for every F
     rng = random.Random(seed + 31000)
     g = random_dag(rng.randint(2, 14), rng.uniform(0.1, 0.9), seed + 31000)
-    source = next(iter(g.sources))
     sets = [rng.sample(range(g.n), rng.randint(0, g.n)) for _ in range(600)]
-
-    def phi(filters):
-        return sum(c for v, c in enumerate(simulate(g, filters)[0]) if v != source)
-
-    assert list(gains(g, (s for s in sets))) == [phi(()) - phi(s) for s in sets]
+    assert list(gains(g, (s for s in sets))) == [_f(g, s) for s in sets]
 
 
 @pytest.mark.parametrize(
     "g, error",
     [
         (build_graph([("a", "c"), ("b", "c")]), GraphError),
-        (CGraph(("a", "b"), ((0, 1), (1, 0)), []), GraphError),
+        (build_graph([("a", "b"), ("b", "a")], sources=[]), GraphError),
         (build_graph([("s", "a"), ("a", "b"), ("b", "a")], sources=["s"]), CycleError),
     ],
 )
