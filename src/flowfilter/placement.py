@@ -18,8 +18,9 @@ import math
 import random
 import struct
 from bisect import bisect_right
+from collections import deque
 from collections.abc import Callable
-from operator import add, mul, sub
+from operator import add, mul
 
 from .graph import CGraph, GraphError, single_source, topological_order
 from .path_stats import compute_prefix, impact_table
@@ -227,8 +228,9 @@ def as_ctree(g: CGraph) -> tuple[tuple, tuple]:
     return tuple(map(tuple, children)), tuple(extra)
 
 
-# a node with more rows (inflows) than this keeps its columns as breakpoints;
-# at least 1, since a column kept that way spans two inflows or more
+# a one-child node with more rows (inflows) than this keeps its columns as
+# lines; at least 1, since its child then has two rows or more, and a flat
+# column needs two to be read as lines
 _FLAT_ROWS = 24
 
 
@@ -237,66 +239,81 @@ def _at(table: list, rows: int, budget: int, row: int) -> int:
     return table[min(budget, len(table) // rows - 1) * rows + row]
 
 
-def _expand(xs: list, ys: list) -> list:
-    """A column kept as breakpoints, at every inflow 1 .. ``xs[-1]``."""
-    column = []
-    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
-        step = (y1 - y0) // (x1 - x0)
-        column += range(y0, y1, step) if step else [y0] * (x1 - x0)
-    column.append(ys[-1])
-    return column
+def _lines(column: list, top: int, depth: int, pre: int) -> deque:
+    """A flat column of two or more rows as the lines of its pieces.
 
-
-def _breakpoints(column: list) -> tuple[list, list]:
-    """A column's first and last inflow and each inflow where its slope changes."""
-    d = list(map(sub, column[1:], column))
-    xs = [1, *[x + 1 for x in range(1, len(d)) if d[x] != d[x - 1]], len(column)]
-    return xs, [column[x - 1] for x in xs]
-
-
-def _step(cols: list, e: int, k: int) -> tuple[list, list]:
-    """A one-child node's columns, as breakpoints, from its child's ``cols``.
-
-    Per budget b the node's column is its child's at b, read at inflow + e;
-    at b >= 1 capped at the child's budget b - 1 value at inflow 1, where
-    the node filters; plus the node's own receipts, inflow + e.  Each is a
-    few list operations over the breakpoints, however many inflows there
-    are.  Also returns, per budget, how many inflows from 1 up the cap
-    leaves alone: at those the node does not filter.
+    The lines are (slope, intercept) pairs in the coordinate that
+    ``tree_dp`` shares along a chain: inflow x is u = x - ``top``, and
+    value y is h = y + ``depth`` * u + ``pre``.  Each piece between
+    adjacent inflows gives one line, and a column is concave, so it is the
+    least of them; a piece with the slope of the one before adds none.
+    The first line is least at inflow 1.  ``_step`` runs only past
+    ``_FLAT_ROWS`` >= 1 rows, so a one-row column, which has no piece,
+    never comes here.
     """
-    out, kept = [], []
-    for b in range(min(len(cols) + 1, k + 1)):
-        xs, ys = cols[min(b, len(cols) - 1)]
-        if e:  # the child receives inflow + 1: drop its inflow 1, shift left
-            y2 = ys[0] + (ys[1] - ys[0]) // (xs[1] - 1)  # inflow 2 is on the first piece
-            i = bisect_right(xs, 2)
-            xs, ys = [1, *[x - 1 for x in xs[i:]]], [y2, *ys[i:]]
-        end = keep = xs[-1]
-        if b:
-            # the column is nondecreasing, so the cap keeps its values up
-            # to the last inflow at or below cut, then cut
-            cut = cols[b - 1][1][0]
-            i = bisect_right(ys, cut)
-            if not i:
-                keep, xs, ys = 0, [1, end], [cut, cut]
-            elif i < len(ys):
-                x, y = xs[i - 1], ys[i - 1]
-                step = (ys[i] - y) // (xs[i] - x)
-                at = x + (cut - y) // step
-                xs, ys = xs[:i], ys[:i]
-                if at > x:
-                    xs.append(at)
-                    ys.append(y + step * (at - x))
-                if ys[-1] < cut:
-                    xs.append(at + 1)
-                    ys.append(cut)
-                if xs[-1] < end:
-                    xs.append(end)
-                    ys.append(cut)
-                keep = at
-        kept.append(keep)
-        out.append((xs, [x + y + e for x, y in zip(xs, ys)]))
-    return out, kept
+    lines: deque = deque()
+    for u, (y0, y1) in enumerate(zip(column, column[1:]), 1 - top):
+        slope = y1 - y0 + depth
+        if not lines or slope != lines[-1][0]:
+            lines.append((slope, y0 + pre + (depth - slope) * u))
+    return lines
+
+
+def _least(lines: deque, u: int) -> int:
+    """Pop the lines no longer least at u off the left; the least h at u.
+
+    The lines are least in turn as u rises, so each is popped once.
+    """
+    while len(lines) > 1 and (lines[1][0] - lines[0][0]) * u <= lines[0][1] - lines[1][1]:
+        lines.popleft()
+    return lines[0][0] * u + lines[0][1]
+
+
+def _expand(lines: deque, top: int, depth: int, pre: int, rows: int) -> list:
+    """The column that ``lines`` hold, at inflows 1 .. ``rows``; undoes ``_lines``.
+
+    Like ``_least``, it pops the lines it has passed.
+    """
+    return [_least(lines, u) - depth * u - pre for u in range(1 - top, 1 - top + rows)]
+
+
+def _step(cols: list, top: int, depth: int, e: int, k: int) -> tuple[list, list]:
+    """A one-child node's columns, as lines, from its child's ``cols``, in place.
+
+    ``cols`` holds one deque of lines per budget in the coordinate of
+    ``_lines``, where reading the child at inflow + e and adding v's own
+    receipts change no line; ``top`` is v's and ``depth`` the child's.  At
+    b >= 1 v's column is the child's capped at the child's budget b - 1
+    value at inflow 1, where v filters: the cap is the line of slope
+    ``depth`` through that point, the smallest slope so far.  Lines the
+    cap lies below wherever they are least pop off the right, the cap is
+    appended, and, at every budget, lines no longer least at v's inflow 1
+    pop off the left.  Each line is popped at most once.  Also returns,
+    per budget, how many inflows from 1 up the cap leaves alone, read where
+    it crosses the last line: at those v does not filter.
+    """
+    start = 1 - top  # v's inflow 1; the child's is start - e
+    if len(cols) <= k:  # one budget wider: the new column reads the child's last
+        cols.append(deque(cols[-1]))
+    kept = [top + 1] * len(cols)
+    for b in range(len(cols) - 1, 0, -1):  # downwards, so cols[b - 1] is still the child's
+        lines = cols[b]
+        cap = _least(cols[b - 1], start - e) - depth * (start - e)  # the cap line's intercept
+        # the last line is least from where it meets the one before: pop it
+        # if the cap is not above it there (cross-multiplied)
+        while len(lines) > 1:
+            (s0, c0), (s1, c1) = lines[-2], lines[-1]
+            if (cap - c1) * (s0 - s1) > (s1 - depth) * (c1 - c0):
+                break
+            lines.pop()
+        # the child's lines are steeper than the cap, since a node's own
+        # receipts make its column rise at least 1 an inflow
+        slope, intercept = lines[-1]
+        kept[b] = max(0, min(top + 1, (cap - intercept) // (slope - depth) - start + 1))
+        lines.append((depth, cap))
+    for lines in cols:
+        _least(lines, start)
+    return cols, kept
 
 
 def _join(a: list, b: list, rows: int, k: int) -> list:
@@ -378,23 +395,28 @@ def tree_dp(g: CGraph, k_max: int) -> Callable[[int], frozenset[int]]:
 
     Read along inflow, each budget's column is nondecreasing and concave:
     with the filters below v fixed, v's subtree receipts are affine in
-    inflow, and the column is the minimum of those lines.  A node with at
-    most ``_FLAT_ROWS`` rows keeps one flat list in budget-major order:
-    entry ``b * rows + inflow - 1`` is the value at budget b, so a column
-    is one slice.  Filtering v at budget b caps each inflow's value at the
-    budget b - 1 value of inflow 1, and a column is nondecreasing, so the
-    cap is a bisect, a slice and a repeat.  Joining two children costs,
-    per budget of the narrower child, one pass over the wider child's
-    leading columns: O(rows * w_a * w_b) for widths w_a <= w_b <= k_max +
-    1, run in ``map``.  A node with more rows keeps each column as its
-    breakpoints: both ends and the inflows where its slope changes, with
-    their exact int values.  With one child it updates the child's columns
-    in O(breakpoints) per budget (``_step``); with several, it expands
-    their columns at every inflow, joins them flat and cuts the result
-    back to breakpoints.  Rows only grow with depth, so a root-to-leaf
-    path changes layout at most once.  On a chain with 3 of every 10 nodes
-    source-fed, a column has about 7 breakpoints at 500 nodes and 50 at
-    5000, against up to 150 and 1500 rows.
+    inflow, and the column is the minimum of those lines.  A leaf, a node
+    with several children and a node with at most ``_FLAT_ROWS`` rows keep
+    one flat list in budget-major order: entry ``b * rows + inflow - 1`` is
+    the value at budget b, so a column is one slice.  Filtering v at budget
+    b caps each inflow's value at the budget b - 1 value of inflow 1, and a
+    column is nondecreasing, so the cap is a bisect, a slice and a repeat.
+    Joining two children costs, per budget of the narrower child, one pass
+    over the wider child's leading columns: O(rows * w_a * w_b) for widths
+    w_a <= w_b <= k_max + 1, run in ``map``.  A one-child node with more
+    rows keeps each column as those lines, exact ints in a coordinate its
+    whole chain shares: inflow x is u = x - top[v] and value y is h = y +
+    depth[v] * u + pre[v], where depth[c] = depth[v] + 1 and pre[c] =
+    pre[v] + top[c] for a child c.  There, reading the child at inflow + e
+    and adding v's own receipts change no line, so ``_step`` only appends
+    the cap as a line per budget and pops the lines it hides (the
+    convex-hull trick): amortized O(1) per node and budget.  It reads a
+    flat child's columns as lines once (``_lines``), and a node with
+    several children expands the columns of any child that holds lines at
+    every inflow (``_expand``) and joins them flat.  On a chain with 3 of
+    every 10 nodes source-fed, a column holds about 8 lines at 500 nodes
+    and 47 at 5000, against up to 150 and 1500 rows, and no line is
+    rewritten once made.
 
     A leaf's subtree receives just its own copies.  No argmin tables are
     stored.  Every internal node keeps, per budget, how many rows from
@@ -421,11 +443,15 @@ def tree_dp(g: CGraph, k_max: int) -> Callable[[int], frozenset[int]]:
     n = g.n
     order = topological_order(g)
     top = [0] * n  # extra source edges above v: v's largest inflow - 1
+    depth = [0] * n  # the source's is 0
+    pre = [0] * n  # the sum of top from v's root down to v
     for v in order:
         for c in children[v]:
             top[c] = top[v] + extra[v]
+            depth[c] = depth[v] + 1
+            pre[c] = pre[v] + top[c]
 
-    best: list = [None] * n  # v's table, flat or in breakpoints
+    best: list = [None] * n  # v's table, flat or as lines
     kept: list = [None] * n  # per budget, how many of v's rows do not filter
     suffix: list = [None] * n  # where v has two or more children: ``_fold``'s entries 1..
     for v in reversed(order):
@@ -433,16 +459,21 @@ def tree_dp(g: CGraph, k_max: int) -> Callable[[int], frozenset[int]]:
         span = top[v] + 1  # v's rows
         rows = span + e  # the children's rows: v forwards what it receives
         if not kids:  # v receives inflow + e
-            flat = span <= _FLAT_ROWS
-            best[v] = list(range(1 + e, rows + 1)) if flat else [([1, span], [1 + e, rows])]
+            best[v] = list(range(1 + e, rows + 1))
             continue
-        if span > _FLAT_ROWS and len(kids) == 1:  # breakpoints are read by v alone
-            best[v], kept[v] = _step(best[kids[0]], e, k_max)
-            best[kids[0]] = None
+        if span > _FLAT_ROWS and len(kids) == 1:  # lines are read by v alone
+            (c,) = kids
+            cols = best[c]
+            if len(children[c]) != 1:  # a leaf or a join is flat
+                coords = top[c], depth[c], pre[c]
+                cols = [_lines(cols[i : i + rows], *coords) for i in range(0, len(cols), rows)]
+            best[v], kept[v] = _step(cols, top[v], depth[c], e, k_max)
+            best[c] = None
             continue
-        if rows > _FLAT_ROWS:  # the children keep breakpoints: expand them in place
-            for c in kids:
-                best[c] = [y for xs, ys in best[c] for y in _expand(xs, ys)]
+        for c in kids:  # a one-child child past _FLAT_ROWS holds lines: expand them
+            if rows > _FLAT_ROWS and len(children[c]) == 1:
+                coords = top[c], depth[c], pre[c]
+                best[c] = [y for col in best[c] for y in _expand(col, *coords, rows)]
         table, *rest = _fold([best[c] for c in kids], rows, k_max)
         if rest:
             suffix[v] = rest
@@ -465,9 +496,6 @@ def tree_dp(g: CGraph, k_max: int) -> Callable[[int], frozenset[int]]:
             fewest += table[lo:at]
             fewest += [cut] * (hi - at)
         best[v] = list(map(add, fewest, list(range(1 + e, rows + 1)) * wide))
-        if span > _FLAT_ROWS:
-            table = best[v]
-            best[v] = [_breakpoints(table[at : at + span]) for at in range(0, len(table), span)]
 
     def traceback(k: int) -> frozenset[int]:
         check_k(k)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import random
@@ -383,9 +384,10 @@ def test_tree_dp_matches_reference_on_caterpillars(seed):
 
 @pytest.mark.parametrize("flat_rows", [1, 3])
 def test_tree_dp_breakpoint_layout_matches_reference_at_any_threshold(flat_rows, monkeypatch):
-    # the layout follows a node's row count alone; with a low threshold most
-    # nodes of small random c-trees keep breakpoints, so one-child updates,
-    # joins of expanded children and a layout change inside a forest all run
+    # the layout follows a node's row and child counts alone; with a low
+    # threshold most one-child nodes of small random c-trees keep lines, so
+    # one-child updates, flat children read as lines, joins of expanded
+    # children and a layout change inside a forest all run
     monkeypatch.setattr(placement, "_FLAT_ROWS", flat_rows)
     for seed in range(300):
         rng = random.Random(seed)
@@ -394,6 +396,18 @@ def test_tree_dp_breakpoint_layout_matches_reference_at_any_threshold(flat_rows,
         traceback = tree_dp(t, k_max)
         for k in range(k_max + 1):
             assert traceback(k) == tree_dp_reference(t, k), (seed, k)
+
+
+@pytest.mark.parametrize("flat_rows", [1, 3])
+def test_tree_dp_layout_changes_no_joined_table(flat_rows):
+    # a node with several children joins the same exact tables in either
+    # layout: a child that kept lines expands to the flat child's values,
+    # not to them shifted by a constant, which no filter set would show
+    trees = _seeded_ctrees(100)
+    trees += [(_spine(120, "tooth"), 5), (_spine(90, "leaf", fed=lambda i: i % 3), 3)]
+    joins = [call for call in _fold_calls(flat_rows, trees) if len(call[1]) > 1]
+    assert len(joins) > 500
+    assert joins == [call for call in _fold_calls(10**9, trees) if len(call[1]) > 1]
 
 
 def test_tree_dp_pinned_on_a_5000_node_chain():
@@ -433,8 +447,9 @@ def _spine(n: int, hang: str = "", fed=lambda i: i % 10 in (2, 5, 8)) -> CGraph:
 @pytest.mark.parametrize("hang", ["leaf", "tooth"])
 def test_tree_dp_pinned_on_a_600_spine_caterpillar_and_comb(hang):
     # every spine node joins its next spine node with a leaf or a tooth, so
-    # past depth 80 its children's tables are expanded to flat rows; the
-    # teeth never hold a filter, so both shapes pick the same sets
+    # the spine's tables stay flat, and past depth 80 a tooth's top node
+    # keeps lines that the join expands; the teeth never hold a filter, so
+    # both shapes pick the same sets
     g = _spine(600, hang)
     traceback = tree_dp(g, 8)
     h = hashlib.sha256()
@@ -443,6 +458,123 @@ def test_tree_dp_pinned_on_a_600_spine_caterpillar_and_comb(hang):
     assert h.hexdigest() == (
         "2a21a12c40f1907d58343e4b14fb84d504b78481b05cc96d78dd604a00325e66"
     )
+
+
+def _seeded_ctrees(count: int) -> list:
+    """(tree, k_max) pairs: small random c-trees, much of each source-fed."""
+    trees = []
+    for seed in range(count):
+        rng = random.Random(seed)
+        t = random_ctree(rng.randint(1, 60), rng.uniform(0.3, 0.9), seed + 9000)
+        trees.append((t, (1, 2, 3, 5, 8)[seed % 5]))
+    return trees
+
+
+def _fold_calls(flat_rows: int, trees: list) -> list:
+    """(rows, tables) for each ``_fold`` call, in order, as ``tree_dp``
+    runs on each (tree, k_max) with ``_FLAT_ROWS`` set to ``flat_rows``."""
+    calls = []
+    fold = placement._fold
+
+    def recording_fold(tables, rows, k):
+        calls.append((rows, [list(table) for table in tables]))
+        return fold(tables, rows, k)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(placement, "_FLAT_ROWS", flat_rows)
+        m.setattr(placement, "_fold", recording_fold)
+        for t, k in trees:
+            tree_dp(t, k)
+    return calls
+
+
+@functools.cache
+def _flat_tables() -> frozenset:
+    """(rows, table) for every table ``_fold`` gets while ``tree_dp`` keeps
+    every table flat, on 300 seeded random c-trees and four spines."""
+    trees = _seeded_ctrees(300)
+    trees += [(_spine(n), 10) for n in (60, 300)]
+    trees += [(_spine(n, fed=lambda i: i % 3), 4) for n in (60, 300)]
+    calls = _fold_calls(10**9, trees)
+    return frozenset((rows, tuple(table)) for rows, tables in calls for table in tables)
+
+
+def test_tree_dp_columns_read_back_from_their_lines():
+    # every column of every flat table tree_dp builds, read as lines at
+    # several offsets of the shared coordinate and expanded, reads back
+    # exactly.  A one-row column has no piece, so no line; it never reaches
+    # _lines, since _step runs only past _FLAT_ROWS >= 1 rows, where the
+    # child has two rows or more
+    assert placement._FLAT_ROWS >= 1
+    tables = _flat_tables()
+    columns = {table[i : i + rows] for rows, table in tables for i in range(0, len(table), rows)}
+    assert max(map(len, columns)) > 150
+    for column in map(list, columns):
+        if len(column) == 1:
+            assert not placement._lines(column, 0, 1, 0)
+            continue
+        rows = len(column)
+        offsets = ((rows - 1, 0, 0), (rows - 1, 40, 9_000), (rows + 6, 3, -5), (0, 7, 1))
+        for top, depth, pre in offsets:
+            lines = placement._lines(column, top, depth, pre)
+            slopes = [slope for slope, _ in lines]
+            assert slopes == sorted(set(slopes), reverse=True), column  # one line a piece
+            assert len(lines) <= rows - 1, column
+            assert placement._expand(lines, top, depth, pre, rows) == column, (column, top)
+
+
+def test_tree_dp_one_child_update_on_lines_is_the_flat_update():
+    # _step on a child's table as lines, read back, is the flat layout's
+    # update: per budget the child's column at inflow + e, capped at b >= 1
+    # at the child's budget b - 1 value at inflow 1, plus v's own receipts;
+    # its kept counts are the flat layout's bisects, every row at budget 0
+    rng = random.Random(7)
+    for rows, table in sorted(_flat_tables()):
+        if rows == 1:  # lines need two rows
+            continue
+        child = [list(table[i : i + rows]) for i in range(0, len(table), rows)]
+        for e in (0, 1):
+            top = rows - 1 - e  # v's: its child's top is top + e
+            depth, pre = rng.randrange(60), rng.randrange(-(10**6), 10**6)
+            for k in (len(child) - 1, len(child)):
+                cols = [placement._lines(c, top + e, depth + 1, pre + top + e) for c in child]
+                out, kept = placement._step(cols, top, depth + 1, e, k)
+                want, counts = [], []
+                for b in range(min(len(child) + 1, k + 1)):
+                    column = child[min(b, len(child) - 1)][e:]
+                    counts.append(len(column))
+                    if b:
+                        cut = child[b - 1][0]
+                        counts[-1] = sum(y <= cut for y in column)
+                        column = [min(y, cut) for y in column]
+                    want.append([y + x + e for x, y in enumerate(column, 1)])
+                got = [placement._expand(c, top, depth, pre, top + 1) for c in out]
+                assert (got, kept) == (want, counts), (rows, e, k, child)
+
+
+def test_tree_dp_join_is_min_plus_up_to_k_plus_1_budgets():
+    # _join of two tables of equal rows, each at most k + 1 budgets wide as
+    # in tree_dp: entry (b, row) is the least sum over the splits of b, and
+    # the result is as wide as its parts allow, wa + wb - 1 budgets, but
+    # never past k + 1
+    by_rows = {}
+    for rows, table in sorted(_flat_tables()):
+        by_rows.setdefault(rows, []).append(list(table))
+    rng = random.Random(3)
+    for rows, tables in sorted(by_rows.items())[::4]:
+        for _ in range(3):
+            a, b = rng.choice(tables), rng.choice(tables)
+            wa, wb = len(a) // rows, len(b) // rows
+            for k in {max(wa, wb) - 1, wa + wb - 2}:
+                want = [
+                    min(
+                        a[j * rows + r] + b[(c - j) * rows + r]
+                        for j in range(max(0, c - wb + 1), min(c + 1, wa))
+                    )
+                    for c in range(min(k + 1, wa + wb - 1))
+                    for r in range(rows)
+                ]
+                assert placement._join(a, b, rows, k) == want, (rows, wa, wb, k)
 
 
 @pytest.mark.parametrize(
@@ -467,10 +599,11 @@ def test_tree_dp_keeps_only_what_its_traceback_reads(shape, k_max, per_cell):
 
 def test_fewest_receipts_in_a_subtree_never_fall_as_its_inflow_rises():
     # tree_dp caps each table column by bisecting it, which is exact only
-    # because a column is nondecreasing in inflow, and keeps a deep node's
-    # columns as breakpoints, fewer than its rows because a column is also
-    # concave: its differences never rise.  Brute force: a copy of a small
-    # subtree whose root x feeders each forward one copy, x = 1..4
+    # because a column is nondecreasing in inflow, and keeps a deep one-child
+    # node's columns as the lines of their pieces, whose least is the column
+    # only because a column is also concave: its differences never rise.
+    # Brute force: a copy of a small subtree whose root x feeders each
+    # forward one copy, x = 1..4
     for seed in range(150):
         rng = random.Random(seed)
         t = random_ctree(rng.randint(3, 10), rng.uniform(0.0, 0.9), seed + 7000)
