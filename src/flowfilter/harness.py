@@ -13,9 +13,9 @@ each of the row's ``PlacementResult`` trials, and the CLI's own JSON.
 ``fr_curve`` sets each algorithm up once for k_max, in one call of its
 selector (a greedy's ordered picks, ``tree_dp``'s tables,
 ``randomized_baseline``'s weights), and picks every (k, trial) from it.
-Every pick of the curve is scored in one ``gains`` stream, which pulls
-the picks lazily, at most 256 per packed pass.  It returns one
-``FRRow`` per (algorithm, k).
+Only once every pick is made does it score them all, in one ``gains``
+stream of packed passes of at most 256 sets each.  It returns one
+``FRRow`` per (algorithm, k), built from that cell's picks and scores.
 """
 
 import hashlib
@@ -23,7 +23,7 @@ import statistics
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, islice, tee
+from itertools import chain, combinations, tee
 from math import comb, floor
 from operator import itemgetter
 
@@ -160,8 +160,12 @@ def fr_curve(
     run one trial with seed None.  A trial's ``wall_ms`` is the time of its
     pick plus its algorithm's one-off setup time divided by the algorithm's
     number of trials on the curve; a row's ``wall_ms`` is the mean over its
-    trials.  Scoring, in packed passes of at most 256 filter sets, is not
-    timed.
+    trials.
+
+    Three plain steps: each algorithm is set up once and picks every
+    (k, trial) into its cell, in row order; every pick is then scored in
+    one ``gains`` stream, in packed passes of at most 256 filter sets,
+    which are not timed; and each row is built from its cell.
     """
     if k_max < 1 or runs < 1:
         raise ValueError(f"k_max and runs must be >= 1, got {k_max} and {runs}")
@@ -171,34 +175,30 @@ def fr_curve(
         if name in algorithms[:i]:
             raise ValueError(f"repeated algorithm {name!r}")
     trials = {name: runs if name in RANDOMIZED_ALGORITHMS else 1 for name in algorithms}
-    picked = []  # (seed, filter set, wall_ms) per trial, in row order
-
-    def pick_all():
-        for name, n in trials.items():
-            args = [(k, _cell_seed(seed, name, k, t) if name in RANDOMIZED_ALGORITHMS else None)
-                    for k in range(1, k_max + 1) for t in range(n)]
-            t0 = time.perf_counter()
-            pick = _RUNNERS[name](g, k_max)
-            setup_ms = (time.perf_counter() - t0) * 1000.0 / len(args)
-            for k, s in args:
+    fv = max_objective(g)  # checks the graph before any pick
+    cells = []  # (algorithm, k, [(seed, filter set, wall_ms) per trial]), in row order
+    for name, n in trials.items():
+        t0 = time.perf_counter()
+        pick = _RUNNERS[name](g, k_max)
+        setup_ms = (time.perf_counter() - t0) * 1000.0 / (k_max * n)
+        for k in range(1, k_max + 1):
+            cell = []
+            for t in range(n):
+                s = _cell_seed(seed, name, k, t) if name in RANDOMIZED_ALGORITHMS else None
                 t0 = time.perf_counter()
                 fs = pick(k, s)
-                picked.append((s, fs, (time.perf_counter() - t0) * 1000.0 + setup_ms))
-                yield fs
-
-    fv = max_objective(g)  # checks the graph before any pick
-    f_of = list(gains(g, pick_all()))  # makes every pick
-    results = iter([
-        PlacementResult(s, tuple(g.sorted_labels(fs)), f, ratio(f, fv), ms)
-        for (s, fs, ms), f in zip(picked, f_of)
-    ])
+                cell.append((s, fs, (time.perf_counter() - t0) * 1000.0 + setup_ms))
+            cells.append((name, k, cell))
+    f_of = gains(g, [fs for _, _, cell in cells for _, fs, _ in cell])
     rows = []
-    for name, n in trials.items():
-        for k in range(1, k_max + 1):
-            cell = tuple(islice(results, n))
-            mean_f = Fraction(sum(r.f for r in cell), n)
-            wall_ms = statistics.fmean(r.wall_ms for r in cell)
-            rows.append(FRRow(name, k, ratio(mean_f, fv), n, wall_ms, cell))
+    for name, k, cell in cells:
+        results = tuple(
+            PlacementResult(s, tuple(g.sorted_labels(fs)), f, ratio(f, fv), ms)
+            for (s, fs, ms), f in zip(cell, f_of)
+        )
+        mean_f = Fraction(sum(r.f for r in results), len(results))
+        wall_ms = statistics.fmean(r.wall_ms for r in results)
+        rows.append(FRRow(name, k, ratio(mean_f, fv), len(results), wall_ms, results))
     return tuple(rows)
 
 
@@ -222,27 +222,15 @@ def curve_to_csv(curve: tuple[FRRow, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_fields(record) -> dict:
+    # a record's own fields, with the exact fr as a float and wall_ms to 3 places
+    return vars(record) | {"fr": float(record.fr), "wall_ms": round(record.wall_ms, 3)}
+
+
 def curve_to_json_obj(curve: tuple[FRRow, ...]) -> list[dict]:
-    """Full per-cell results in JSON-ready form."""
-    out = []
-    for row in curve:
-        out.append(
-            {
-                "algorithm": row.algorithm,
-                "k": row.k,
-                "fr": float(row.fr),
-                "runs": row.runs,
-                "wall_ms": round(row.wall_ms, 3),
-                "results": [
-                    {
-                        "seed": r.seed,
-                        "filters": list(r.filters),
-                        "f": r.f,
-                        "fr": float(r.fr),
-                        "wall_ms": round(r.wall_ms, 3),
-                    }
-                    for r in row.results
-                ],
-            }
-        )
-    return out
+    """Full per-cell results in JSON-ready form: each record's own fields."""
+    return [
+        _json_fields(row)
+        | {"results": [_json_fields(r) | {"filters": list(r.filters)} for r in row.results]}
+        for row in curve
+    ]

@@ -204,28 +204,30 @@ def as_ctree(g: CGraph) -> tuple[tuple, tuple]:
     The graph minus its source is a forest of out-trees; the source feeds
     each root of the forest, so with the source as their parent the whole
     graph is one tree.  Returns two per-node tuples ``(children, extra)``:
-    ``children[v]`` lists v's tree children, the source's being the roots,
-    and ``extra[v]`` is True when a source edge feeds v on top of its tree
-    edge (never at a root or at the source).  After ``single_source``'s
-    checks (GraphError, then CycleError), a node with no parent or with
-    more than one non-source parent raises NotACTreeError.
+    ``children[v]`` lists v's tree children in index order, the source's
+    being the roots, and ``extra[v]`` is True when a source edge feeds v on
+    top of its tree edge (never at a root or at the source).  After
+    ``single_source``'s checks (GraphError, then CycleError), the first
+    node in index order with no parent or with more than one non-source
+    parent raises NotACTreeError.
+
+    Every node but the source has in-degree 1, or 2 with the source among
+    its tails.  So every out-edge of a node but the source is a tree edge,
+    the roots are the source's heads of in-degree 1, and a node is fed an
+    extra source edge exactly when its in-degree is 2.  An acyclic graph
+    that passes has no edge into its source: following tails up from one
+    would reach the source again.
     """
     source = single_source(g)
-    children: list[list[int]] = [[] for _ in range(g.n)]
-    extra = [False] * g.n
-    for v in range(g.n):
-        if v == source:
-            continue
-        tree_parents = [p for p in g.in_adj[v] if p != source]
-        if len(tree_parents) > 1:
-            raise NotACTreeError(
-                f"node {g.labels[v]!r} has {len(tree_parents)} non-source parents"
-            )
-        if not tree_parents and source not in g.in_adj[v]:
-            raise NotACTreeError(f"node {g.labels[v]!r} is not reachable from the source")
-        children[tree_parents[0] if tree_parents else source].append(v)
-        extra[v] = bool(tree_parents) and source in g.in_adj[v]
-    return tuple(map(tuple, children)), tuple(extra)
+    for v, tails in enumerate(g.in_adj):
+        if len(tails) != 1 and v != source and (len(tails) != 2 or source not in tails):
+            if not tails:
+                raise NotACTreeError(f"node {g.labels[v]!r} is not reachable from the source")
+            parents = len(tails) - (source in tails)  # 2 or more, as v failed the screen
+            raise NotACTreeError(f"node {g.labels[v]!r} has {parents} non-source parents")
+    children = [tuple(sorted(heads)) for heads in g.out_adj]
+    children[source] = tuple(v for v in children[source] if len(g.in_adj[v]) == 1)
+    return tuple(children), tuple(len(tails) == 2 for tails in g.in_adj)
 
 
 # a one-child node with more rows (inflows) than this keeps its columns as
@@ -289,13 +291,13 @@ def _step(cols: list, top: int, depth: int, e: int, k: int) -> tuple[list, list]
     cap lies below wherever they are least pop off the right, the cap is
     appended, and, at every budget, lines no longer least at v's inflow 1
     pop off the left.  Each line is popped at most once.  Also returns,
-    per budget, how many inflows from 1 up the cap leaves alone, read where
-    it crosses the last line: at those v does not filter.
+    per budget from 1 up, how many inflows from 1 up the cap leaves alone,
+    read where it crosses the last line: at those v does not filter.
     """
     start = 1 - top  # v's inflow 1; the child's is start - e
     if len(cols) <= k:  # one budget wider: the new column reads the child's last
         cols.append(deque(cols[-1]))
-    kept = [top + 1] * len(cols)
+    kept = [0] * (len(cols) - 1)  # budgets 1 and up: budget 0 never filters
     for b in range(len(cols) - 1, 0, -1):  # downwards, so cols[b - 1] is still the child's
         lines = cols[b]
         cap = _least(cols[b - 1], start - e) - depth * (start - e)  # the cap line's intercept
@@ -309,7 +311,7 @@ def _step(cols: list, top: int, depth: int, e: int, k: int) -> tuple[list, list]
         # the child's lines are steeper than the cap, since a node's own
         # receipts make its column rise at least 1 an inflow
         slope, intercept = lines[-1]
-        kept[b] = max(0, min(top + 1, (cap - intercept) // (slope - depth) - start + 1))
+        kept[b - 1] = max(0, min(top + 1, (cap - intercept) // (slope - depth) - start + 1))
         lines.append((depth, cap))
     for lines in cols:
         _least(lines, start)
@@ -419,10 +421,11 @@ def tree_dp(g: CGraph, k_max: int) -> Callable[[int], frozenset[int]]:
     rewritten once made.
 
     A leaf's subtree receives just its own copies.  No argmin tables are
-    stored.  Every internal node keeps, per budget, how many rows from
-    inflow 1 up its cap left alone, and the top-down traceback filters v
-    at the rows past that count: one rule, read off the bisect that built
-    the column.  The traceback recomputes each budget split (``_split``)
+    stored.  Every internal node keeps, per budget from 1 up (no node
+    filters at budget 0), how many rows from inflow 1 up its cap left
+    alone, and the top-down traceback filters v at the rows past that
+    count: one rule, read off the bisect that built the column.  The
+    traceback recomputes each budget split (``_split``)
     at the one (budget, row) entry it visits, from the children's tables
     and all but the first entry of their ``_fold``; the whole join is not
     kept.  A one-child node needs no split, so its child's table is
@@ -452,7 +455,7 @@ def tree_dp(g: CGraph, k_max: int) -> Callable[[int], frozenset[int]]:
             pre[c] = pre[v] + top[c]
 
     best: list = [None] * n  # v's table, flat or as lines
-    kept: list = [None] * n  # per budget, how many of v's rows do not filter
+    kept: list = [None] * n  # per budget from 1 up, how many of v's rows do not filter
     suffix: list = [None] * n  # where v has two or more children: ``_fold``'s entries 1..
     for v in reversed(order):
         kids, e = children[v], extra[v]
@@ -484,7 +487,7 @@ def tree_dp(g: CGraph, k_max: int) -> Callable[[int], frozenset[int]]:
         # at budget b >= 1, keep with b or filter with b - 1, when v forwards
         # one copy (row 0)
         fewest = table[e:rows]  # below v, per budget and row, before v's copies
-        kept[v] = counts = [span]
+        kept[v] = counts = []
         for b in range(1, wide):
             cut, lo = table[(b - 1) * rows], min(b, width - 1) * rows + e
             hi = lo - e + rows
@@ -510,7 +513,7 @@ def tree_dp(g: CGraph, k_max: int) -> Callable[[int], frozenset[int]]:
                 continue  # a leaf filter removes nothing; no budget, no filter
             rows = top[v] + extra[v] + 1
             out = row + extra[v]  # the children's row unless v filters
-            if row >= kept[v][min(budget, len(kept[v]) - 1)]:  # v filters where its cap cut
+            if row >= kept[v][min(budget, len(kept[v])) - 1]:  # v filters where its cap cut
                 chosen.add(v)
                 out, budget = 0, budget - 1
             stack.extend((c, out, j) for c, j in _split(kids, best, suffix[v], rows, out, budget))

@@ -14,9 +14,10 @@ from flowfilter.graph import (
     ParseError,
     add_super_source,
     build_graph,
+    single_source,
 )
 from flowfilter.path_stats import compute_prefix, impact_table
-from flowfilter.placement import as_ctree, eligible_nodes
+from flowfilter.placement import NotACTreeError, eligible_nodes
 from flowfilter.propagation import simulate
 
 
@@ -427,6 +428,31 @@ def is_acyclic_edge_set(n: int, edges: set[tuple[int, int]]) -> bool:
     return seen == n
 
 
+def as_ctree_reference(g: CGraph) -> tuple[tuple, tuple]:
+    """``placement.as_ctree`` finding each node's tree parent among its tails.
+
+    Nodes are visited in index order; each but the source must have at most
+    one non-source parent, and a node without one must be fed by the
+    source, which then is its tree parent.
+    """
+    source = single_source(g)
+    children: list[list[int]] = [[] for _ in range(g.n)]
+    extra = [False] * g.n
+    for v in range(g.n):
+        if v == source:
+            continue
+        tree_parents = [p for p in g.in_adj[v] if p != source]
+        if len(tree_parents) > 1:
+            raise NotACTreeError(
+                f"node {g.labels[v]!r} has {len(tree_parents)} non-source parents"
+            )
+        if not tree_parents and source not in g.in_adj[v]:
+            raise NotACTreeError(f"node {g.labels[v]!r} is not reachable from the source")
+        children[tree_parents[0] if tree_parents else source].append(v)
+        extra[v] = bool(tree_parents) and source in g.in_adj[v]
+    return tuple(map(tuple, children)), tuple(extra)
+
+
 def _join_reference(tables: list, rows: int, k: int) -> tuple[list, list]:
     """Min-plus join of the children's tables, taken right to left.
 
@@ -475,7 +501,7 @@ def tree_dp_reference(g: CGraph, k: int) -> frozenset[int]:
     argmin picks for the traceback.  Every table is k + 1 budgets wide.
     ``se[v]`` is True for every node a source edge feeds, roots included.
     """
-    children, _ = as_ctree(g)
+    children, _ = as_ctree_reference(g)
     source = next(iter(g.sources))
     n, roots = g.n, children[source]
     se = [source in parents for parents in g.in_adj]

@@ -1,17 +1,21 @@
+import itertools
 import random
 import statistics
 from fractions import Fraction
+from math import comb
+from types import SimpleNamespace
 
 import pytest
 
 from _oracles import exhaustive_best, greedy_all_reference, greedy_l_reference, random_dag
-from flowfilter import harness, placement
+from flowfilter import harness, placement, propagation
 from fixtures import g_diamond, g_fanin, g_degree_trap, g_tree1
 from flowfilter.graph import CycleError, GraphError, build_graph
 from flowfilter.harness import (
     ALGORITHMS,
     BudgetExceededError,
     FRRow,
+    PlacementResult,
     curve_to_csv,
     curve_to_json_obj,
     format_fraction,
@@ -21,6 +25,7 @@ from flowfilter.harness import (
     ratio,
     run_algorithm,
 )
+from flowfilter.placement import eligible_nodes
 from flowfilter.propagation import objective_f
 
 
@@ -106,6 +111,17 @@ def test_oracle_budget():
     with pytest.raises(BudgetExceededError):
         oracle(g, 3, budget=10)
     oracle(g, 3, budget=10**6)  # fine
+
+
+def test_oracle_budget_counts_every_candidate_subset():
+    # the empty set, the singletons and the pairs: a budget of exactly that
+    # many runs, one less raises before any is scored
+    g = g_degree_trap()
+    total = sum(comb(len(eligible_nodes(g)), j) for j in range(3))
+    assert oracle(g, 2, budget=total) == oracle(g, 2)
+    message = f"^{total} candidate subsets exceed the budget of {total - 1}$"
+    with pytest.raises(BudgetExceededError, match=message):
+        oracle(g, 2, budget=total - 1)
 
 
 def test_oracle_prefers_smaller_sets_on_ties():
@@ -196,6 +212,18 @@ def test_fr_curve_runs_each_trial_once(monkeypatch):
     assert prepares == {("greedy-all", 3): 1, ("rand-k", 3): 1}  # once per algorithm
 
 
+def test_fr_curve_wall_ms_is_the_pick_plus_a_share_of_the_setup(monkeypatch):
+    # a clock that reads 0, 1, 2, ... seconds: the setup and every pick take
+    # 1 s, and the setup is shared by the algorithm's trials on the curve,
+    # 2 for greedy-1 and 2 x 4 for rand-k
+    clock = itertools.count()
+    monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=clock.__next__))
+    curve = fr_curve(g_fanin(), ["greedy-1", "rand-k"], k_max=2, runs=4)
+    trials = [[r.wall_ms for r in row.results] for row in curve]
+    assert trials == [[1500.0]] * 2 + [[1125.0] * 4] * 2
+    assert [row.wall_ms for row in curve] == [1500.0, 1500.0, 1125.0, 1125.0]
+
+
 def test_rand_w_weights_computed_once_per_curve(monkeypatch):
     calls = []
     real = placement.rand_w_weights
@@ -240,6 +268,27 @@ def test_fr_curve_scores_at_most_256_sets_per_pass(scoring_calls):
     _, passes = scoring_calls
     fr_curve(g_fanin(), ["rand-k"], k_max=3, runs=100)
     assert passes == [256, 300 - 256]  # 300 trials
+
+
+def test_fr_curve_makes_every_pick_before_its_first_packed_pass(monkeypatch):
+    # 300 picks, more than one packed pass holds: every one is made before
+    # any is scored, and the passes still carry at most 256 lanes each
+    events = []
+
+    def recording(prepare):
+        def wrapped_prepare(g, k_max):
+            pick = prepare(g, k_max)
+            return lambda k, seed: events.append("pick") or pick(k, seed)
+
+        return wrapped_prepare
+
+    runners = {name: recording(prep) for name, prep in harness._RUNNERS.items()}
+    monkeypatch.setattr(harness, "_RUNNERS", runners)
+    real = propagation._packed_pass
+    packed_pass = lambda g, sets, w: events.append(len(sets)) or real(g, sets, w)
+    monkeypatch.setattr(propagation, "_packed_pass", packed_pass)
+    fr_curve(g_fanin(), ["rand-k"], k_max=3, runs=100)
+    assert events == ["pick"] * 300 + [256, 44]
 
 
 def test_greedy_curves_match_per_k_references():
@@ -320,6 +369,23 @@ def test_curve_json_cells():
     assert obj[0]["algorithm"] == "greedy-all"
     assert obj[0]["results"][0]["filters"] == ["z2"]
     assert obj[0]["results"][0]["f"] == 1
+
+
+def test_curve_json_is_each_records_own_fields():
+    # fr as a float, wall_ms to 3 places and filters as a list; every other
+    # field as the record holds it
+    trial = PlacementResult(7, ("a", "b"), 2, Fraction(2, 3), 1.23456)
+    row = FRRow("rand-k", 2, Fraction(1, 3), 1, 0.0004, (trial,))
+    assert curve_to_json_obj((row,)) == [
+        {
+            "algorithm": "rand-k",
+            "k": 2,
+            "fr": 1 / 3,
+            "runs": 1,
+            "wall_ms": 0.0,
+            "results": [{"seed": 7, "filters": ["a", "b"], "f": 2, "fr": 2 / 3, "wall_ms": 1.235}],
+        }
+    ]
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -26,7 +26,13 @@ from flowfilter.placement import (
 )
 from flowfilter.propagation import objective_f, simulate
 
-from _oracles import draws_below, random_ctree, random_dag, tree_dp_reference
+from _oracles import (
+    as_ctree_reference,
+    draws_below,
+    random_ctree,
+    random_dag,
+    tree_dp_reference,
+)
 from test_graph import _traced
 
 
@@ -527,7 +533,7 @@ def test_tree_dp_one_child_update_on_lines_is_the_flat_update():
     # _step on a child's table as lines, read back, is the flat layout's
     # update: per budget the child's column at inflow + e, capped at b >= 1
     # at the child's budget b - 1 value at inflow 1, plus v's own receipts;
-    # its kept counts are the flat layout's bisects, every row at budget 0
+    # its kept counts are the flat layout's bisects, from budget 1 up
     rng = random.Random(7)
     for rows, table in sorted(_flat_tables()):
         if rows == 1:  # lines need two rows
@@ -549,7 +555,7 @@ def test_tree_dp_one_child_update_on_lines_is_the_flat_update():
                         column = [min(y, cut) for y in column]
                     want.append([y + x + e for x, y in enumerate(column, 1)])
                 got = [placement._expand(c, top, depth, pre, top + 1) for c in out]
-                assert (got, kept) == (want, counts), (rows, e, k, child)
+                assert (got, kept) == (want, counts[1:]), (rows, e, k, child)
 
 
 def test_tree_dp_join_is_min_plus_up_to_k_plus_1_budgets():
@@ -700,6 +706,42 @@ def test_as_ctree_rejects_non_trees():
             as_ctree(g)
         assert type(exc.value) is error
         assert str(exc.value) == message
+
+
+def _ctree_outcome(certify, g):
+    try:
+        return certify(g)
+    except GraphError as exc:  # CycleError and NotACTreeError too
+        return type(exc), str(exc)
+
+
+def test_as_ctree_matches_reference():
+    # seeded c-trees, some with one random edge added, and seeded DAGs,
+    # each as built, hinted at a random node and hinted at its source; the
+    # same children and extra flags, or the same error type and message
+    certified = failed = 0
+    for seed in range(1200):
+        rng = random.Random(seed)
+        n = rng.randint(1, 14)
+        if seed % 2:
+            g = random_ctree(n, rng.uniform(0.0, 0.9), seed + 9000)
+        else:
+            g = random_dag(n, rng.uniform(0.0, 0.4), seed + 9000)
+        edges = [(g.labels[u], g.labels[v]) for u, v in g.edges]
+        if seed % 4 == 1:  # a c-tree, so two nodes or more
+            u, v = rng.sample(g.labels, 2)
+            if (u, v) not in edges:
+                edges.append((u, v))
+        source = g.labels[next(iter(g.sources))]
+        for hint in (None, [rng.choice(g.labels)], [source]):
+            h = build_graph(edges, nodes=g.labels, sources=hint)
+            got = _ctree_outcome(as_ctree, h)
+            assert got == _ctree_outcome(as_ctree_reference, h), (seed, hint)
+            if type(got[0]) is tuple:
+                certified += 1
+            elif got[0] is NotACTreeError:
+                failed += 1
+    assert certified > 1000 and failed > 1000, (certified, failed)
 
 
 # --- randomized baselines -----------------------------------------------------
