@@ -25,7 +25,6 @@ from .graph import (
     add_super_source,
     parse_edge_list,
     serialize_edge_list,
-    single_source,
     topological_order,
 )
 from .harness import (
@@ -146,10 +145,9 @@ def _cmd_extract_dag(args) -> int:
 
 def _cmd_place(args) -> int:
     g = _load_graph(args, "json")
-    single_source(g)  # the check scoring makes, before any algorithm runs
+    fv = max_objective(g)  # checks the graph before any algorithm runs
     filters = run_algorithm(g, args.algo, args.k, args.seed)
     f = objective_f(g, filters)
-    fv = max_objective(g)
     obj = {
         "algorithm": args.algo,
         "k": args.k,
@@ -287,7 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("extract-dag", help="extract a maximal acyclic subgraph")
-    _add_input_opts(p)
+    p.add_argument("--input", required=True, help="edge-list TSV file")
+    # the root, not a source, is where the DAG starts
+    p.set_defaults(source=None, super_source=False, usage_error=p.error)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--root", help="extraction root label")
     group.add_argument(

@@ -6,9 +6,8 @@ other node relays what it receives.  Graphs are immutable once built.
 """
 
 import re
-from collections import deque
-from itertools import chain, starmap, tee
-from operator import contains, is_
+from itertools import chain
+from operator import contains
 from typing import Iterable, Sequence
 
 SUPER_SOURCE_LABEL = "__super__"
@@ -155,24 +154,6 @@ def _label_index(labels: tuple[str, ...]) -> dict[str, int]:
     return dict(zip(labels, range(len(labels))))
 
 
-def _flat_pairs(pairs: Iterable) -> list:
-    """``u0, v0, u1, v1, ...`` of an iterable of pairs, read once.
-
-    TypeError if some item is not a pair, which the flat list would
-    silently misalign: ``starmap`` calls ``is_``, which takes exactly two
-    arguments, on each item just before ``ids.extend`` appends it.  The
-    two ``tee`` copies advance in step, so it buffers one item, and no
-    Python-level step runs per edge.
-    """
-    checked, items = tee(pairs)
-    ids: list = []
-    try:
-        deque(zip(starmap(is_, checked), map(ids.extend, items)), 0)
-    except TypeError:
-        raise TypeError("every edge must be a (u, v) pair") from None
-    return ids
-
-
 def _raise_first_bad_edge(labels: tuple[str, ...], ids: list[int]) -> None:
     """Raise GraphError naming the first self-loop or repeated edge of the
     flat ids, in edge order.  Called only once some edge is known to be
@@ -203,10 +184,18 @@ def build_graph(
     allowing isolated nodes); labels seen only in edges are appended in
     first-seen order.  ``sources`` overrides the default in-degree-zero
     source detection.  The label pairs are flattened once; their ids go
-    to the graph as one flat list.  Like every loader, it names the first
-    bad edge before an unknown source label.
+    to the graph as one flat list.  TypeError if some edge is not a
+    (u, v) pair.  Like every loader, it names the first bad edge before
+    an unknown source label.
     """
-    return _build_from_tokens(_flat_pairs(edge_labels), nodes, sources)
+    tokens: list = []
+    for pair in edge_labels:
+        try:
+            u, v = pair
+        except (TypeError, ValueError):
+            raise TypeError("every edge must be a (u, v) pair") from None
+        tokens += u, v
+    return _build_from_tokens(tokens, nodes, sources)
 
 
 def _build_from_tokens(

@@ -130,13 +130,15 @@ def randomized_baseline(g: CGraph, variant: str) -> Callable[[int, int], frozens
     w(v) * k/n capped at 1, where w >= 0 favours nodes feeding low-in-degree
     children.  All three draw over every node; a source picked as a filter
     is inert during propagation.  rand_i (w = 1) and rand_w compute their
-    weights here and, once per k, pack the probabilities into the bounds
-    that ``_draws_below`` tests all n draws of a pick against at once; the
-    picks are those of one ``rng.random() < p`` per node, in node order.
+    weights and lane masks here and, once per k, pack the probabilities
+    into the bounds that ``_draws_below`` tests all n draws of a pick
+    against at once; the picks are those of one ``rng.random() < p`` per
+    node, in node order.  The masks live and die with ``pick``.
     """
     if variant not in ("rand_k", "rand_i", "rand_w"):
         raise ValueError(f"unknown baseline variant {variant!r}")
     weights = rand_w_weights(g) if variant == "rand_w" else [1.0] * g.n
+    masks = None if variant == "rand_k" else _lane_masks(g.n)
 
     @functools.cache
     def bounds(k: int) -> int:
@@ -149,7 +151,7 @@ def randomized_baseline(g: CGraph, variant: str) -> Callable[[int, int], frozens
             raise ValueError(f"{variant} needs an integer seed, got None")
         rng = random.Random(seed)
         if variant != "rand_k":
-            return frozenset(_draws_below(rng, bounds(k), g.n))
+            return frozenset(_draws_below(rng, bounds(k), g.n, masks))
         if k > g.n:
             raise ValueError(f"rand_k needs k <= n, got k={k}, n={g.n}")
         return frozenset(rng.sample(range(g.n), k))
@@ -165,17 +167,17 @@ def _pack_bounds(probs: list[float]) -> int:
     )
 
 
-@functools.lru_cache(maxsize=4)
 def _lane_masks(n: int) -> tuple[int, int, int]:
     """Bits 0..26, bits 0..25 and bit 63 of each of n 64-bit lanes."""
     ones = ((1 << (64 * n)) - 1) // ((1 << 64) - 1)
     return ones * ((1 << 27) - 1), ones * ((1 << 26) - 1), ones << 63
 
 
-def _draws_below(rng: random.Random, bounds: int, n: int) -> list[int]:
+def _draws_below(rng: random.Random, bounds: int, n: int, masks: tuple) -> list[int]:
     """Each v < n whose draw, the v-th ``rng.random()``, is below lane v's p.
 
-    ``bounds`` comes from ``_pack_bounds``.  ``getrandbits(64 * n)`` holds
+    ``bounds`` comes from ``_pack_bounds`` and ``masks`` from
+    ``_lane_masks(n)``.  ``getrandbits(64 * n)`` holds
     the 32-bit words that n ``random()`` calls would read, least significant
     first, so lane v holds draw v's two words w0 (low) and w1 (high), and
     ``random()`` would return a / 2**53 with a = (w0 >> 5) << 26 | w1 >> 6.
@@ -183,7 +185,7 @@ def _draws_below(rng: random.Random, bounds: int, n: int) -> list[int]:
     2**53), which is when lane v of bounds - a reaches bit 63.  Every lane
     of bounds - a lies in [0, 2**64), so no lane borrows from the next.
     """
-    low27, low26, guard = _lane_masks(n)
+    low27, low26, guard = masks
     x = rng.getrandbits(64 * n)
     a = (x >> 5 & low27) << 26 | x >> 38 & low26
     hits = ((bounds - a) & guard).to_bytes(8 * n, "little")

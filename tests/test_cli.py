@@ -235,7 +235,6 @@ def test_extract_dag_on_cyclic_input(tmp_path):
         [
             "extract-dag",
             "--input", str(src),
-            "--source", "s",
             "--root", "s",
             "--out", str(out),
         ]
@@ -251,6 +250,26 @@ def test_extract_dag_best_root(tmp_path):
     rc = main(["extract-dag", "--input", str(src), "--best-root", "--out", str(out)])
     assert rc == 0
     assert out.read_text() == "a\tb\n"
+
+
+@pytest.mark.parametrize(
+    "opts",
+    [
+        ["--source", "b", "--root", "a"],  # a source hint the root would ignore
+        ["--super-source", "--root", "a"],  # a root needs no joined source
+        ["--super-source", "--best-root"],  # it would root the DAG at __super__
+    ],
+)
+def test_extract_dag_takes_no_source_options(opts, tmp_path, capsys):
+    """The root, not a source, is where ``extract-dag`` starts: a source
+    option is a usage error, before anything is read or written."""
+    src = tmp_path / "ring.tsv"
+    src.write_text("a\tb\nb\tc\nc\ta\nx\ta\ny\tb\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["extract-dag", "--input", str(src), *opts, "--out", str(tmp_path / "dag.tsv")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {opts[0]}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [src]
 
 
 _NO_EDGES = "flowfilter: error: an edge list cannot hold a graph with no edges; not writing "

@@ -79,6 +79,13 @@ def test_root_not_found():
         extract_dag(g_fanin(), 99)
 
 
+@pytest.mark.parametrize("root", [-1, 7])
+def test_a_root_just_outside_the_nodes_is_not_found(root):
+    g = g_fanin()  # nodes 0..6: -1 would index from the end, 7 past it
+    with pytest.raises(RootNotFoundError):
+        dfs_annotate(g, root)
+
+
 @pytest.mark.parametrize("seed", range(300))
 def test_extract_dag_matches_reference_from_every_root(seed):
     rng = random.Random(seed)

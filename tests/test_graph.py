@@ -137,6 +137,11 @@ def test_an_edge_that_is_not_a_pair_is_refused(edges):
         build_graph(edges)  # the ids serve as labels
 
 
+def test_an_edge_given_as_an_iterator_is_read_once():
+    g = build_graph([("a", "b"), iter(("b", "c")), ("c", "d")])
+    assert (g.m, g.sorted_labels(g.sources)) == (3, ["a"])
+
+
 def test_parse_splits_at_every_line_boundary():
     g = parse_edge_list("a\tb\u2028b\tc\x1cc\td\n")
     assert (g.n, g.m) == (4, 3)

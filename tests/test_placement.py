@@ -773,7 +773,8 @@ def test_rand_i_golden_set():
 def _bulk_draws(seed, probs):
     """``placement._draws_below`` on ``probs``, and the generator's state after it."""
     rng = random.Random(seed)
-    picked = placement._draws_below(rng, placement._pack_bounds(probs), len(probs))
+    n = len(probs)
+    picked = placement._draws_below(rng, placement._pack_bounds(probs), n, placement._lane_masks(n))
     return picked, rng.getstate()
 
 
@@ -822,6 +823,15 @@ def test_bulk_draws_at_each_draws_own_value(n):
         mixed = [a if v % 2 else d for v, (d, a) in enumerate(zip(draws, above))]
         got = _bulk_draws(seed, mixed)
         assert got == _reference_draws(seed, mixed) and got[0] == list(range(1, n, 2))
+
+
+def test_a_random_baseline_holds_nothing_once_it_is_gone():
+    """rand-i's lane masks, three 64·n-bit ints (2.4 MiB at n = 10**5),
+    live and die with its picker: no cache keeps them past it."""
+    g = build_graph([("s", f"t{i}") for i in range(10**5 - 1)])
+    picked, kept, _ = _traced(lambda: randomized_baseline(g, "rand_i")(3, 0))
+    assert len(picked) < g.n
+    assert kept < 0.1 * 2**20, kept
 
 
 @pytest.mark.parametrize("variant", ["rand_i", "rand_w"])
