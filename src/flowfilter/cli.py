@@ -355,6 +355,10 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphError, BudgetExceededError, ValueError, OSError) as exc:
         print(f"flowfilter: error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        pass  # the traceback holds what the failed call allocated: print once it is gone
+    print("flowfilter: error: out of memory", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -58,8 +58,8 @@ class CGraph:
     ``_from_ids``.  Both share one core that makes no object per edge.
     Every graph builds its own label -> id dict from its labels.
     ``_no_filter`` starts empty and holds ``path_stats``' no-filter
-    per-node lists, each filled on first use, so they live and die with
-    the graph.
+    per-node lists and ``propagation``'s release list, each filled on
+    first use, so they live and die with the graph.
     """
 
     __slots__ = (
@@ -119,7 +119,7 @@ class CGraph:
         ):
             _raise_first_bad_edge(self.labels, ids)
         self._order: tuple[int, ...] = tuple(order)
-        self._no_filter: dict[str, list[int]] = {}
+        self._no_filter: dict[str, list] = {}
 
     @property
     def n(self) -> int:

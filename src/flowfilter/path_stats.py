@@ -53,14 +53,14 @@ def _suffix(g: CGraph, members: frozenset) -> list[int]:
     return suffix
 
 
-def _memo(g: CGraph, name: str, run) -> list[int]:
-    """``run(g, ∅)``, the pass ``name``, run at most once per graph.
+def per_graph(g: CGraph, name: str, run, *args) -> list:
+    """``run(g, *args)``, run at most once per graph and kept under ``name``.
 
     The list returned is the graph's own: copy it before handing it out.
     """
     lists = g._no_filter
     if name not in lists:
-        lists[name] = run(g, frozenset())
+        lists[name] = run(g, *args)
     return lists[name]
 
 
@@ -68,7 +68,7 @@ def compute_prefix(g: CGraph, filters) -> list[int]:
     """Copies received per node under ``filters``; 1 at every source."""
     members = frozenset(filters)
     if not members:
-        return _memo(g, "prefix", _prefix).copy()
+        return per_graph(g, "prefix", _prefix, frozenset()).copy()
     check_members(g, members)
     return _prefix(g, members)
 
@@ -84,7 +84,7 @@ def compute_stats(g: CGraph, filters) -> tuple[list[int], list[int]]:
     """
     members = frozenset(filters)
     if not members:
-        return compute_prefix(g, members), _memo(g, "suffix", _suffix).copy()
+        return compute_prefix(g, members), per_graph(g, "suffix", _suffix, frozenset()).copy()
     return compute_prefix(g, members), _suffix(g, members)
 
 
@@ -110,6 +110,6 @@ def baseline(g: CGraph) -> tuple[int, int]:
     Counts are exact ints.  Raises as ``single_source`` does.
     """
     single_source(g)
-    prefix = _memo(g, "prefix", _prefix)
+    prefix = per_graph(g, "prefix", _prefix, frozenset())
     phi_empty = sum(prefix) - 1  # the source's prefix is 1
     return phi_empty, phi_empty - sum(len(out) for p, out in zip(prefix, g.out_adj) if p)

@@ -19,14 +19,27 @@ its no-filter count, and every lane's running φ total stays at or below
 φ(∅) < 2^(W-2).  The top bit of each lane is the guard the min(x, 1) step
 tests against: nz = ((r + HIGH - ONES) & HIGH) >> (W - 1) is 1 in every
 nonzero lane of r, and a node with lane mask M (its lanes where it is a
-filter) forwards (r & ~M) | (nz & M).
+filter) forwards r - ((r - nz) & M); no lane borrows, as nz <= r in each.
+
+Memory.  A pass stores no int for a sink, which no node reads, and keeps
+only each member's lane offsets, building its mask M when it reaches the
+node.  A pass at least ``_WIDE`` bits wide also drops each node's
+forwarded int once its last head has read it.  So at any point it holds
+lane ints only for the tails not yet fully read (at most the order's
+width), plus one mask: width · lanes · W bits, not n · lanes · W, and W
+grows with the graph's depth.  Which tails are done at each position of
+the order is one list per graph (``_last_reads``), built on the first
+wide pass.  A narrower pass keeps its ints to its end: there, building
+that list costs about as much as the pass.
 """
 
 from collections.abc import Iterator
-from itertools import islice
+from functools import reduce
+from itertools import islice, repeat
+from operator import or_
 
 from .graph import CGraph, single_source, topological_order
-from .path_stats import baseline, check_members
+from .path_stats import baseline, check_members, per_graph
 
 
 def filter_members(filters) -> frozenset[int]:
@@ -58,7 +71,10 @@ def simulate(g: CGraph, filters) -> tuple[list[int], list[int]]:
     return received, forwarded
 
 
-_PASS_SETS = 256  # filter sets per packed pass, which bounds its memory
+# filter sets per packed pass, which caps a lane int at 256 lanes; a wide
+# pass then holds one per tail not yet fully read, plus one mask
+_PASS_SETS = 256
+_WIDE = 2048  # lane-int bits from which a pass drops each tail's int after its last read
 
 
 def gains(g: CGraph, filter_sets) -> Iterator[int]:
@@ -76,30 +92,53 @@ def gains(g: CGraph, filter_sets) -> Iterator[int]:
     return (phi_empty - phi for batch in batches for phi in _packed_pass(g, batch, w))
 
 
+def _last_reads(g: CGraph) -> list[list[int]]:
+    """For each position in the topological order, the tails read there for
+    the last time: a tail's int can go once the pass is past that position."""
+    order = topological_order(g)
+    last = [0] * g.n
+    for i, v in enumerate(order):
+        for u in g.in_adj[v]:
+            last[u] = i  # the order only moves forward, so the last write wins
+    freed: list[list[int]] = [[] for _ in order]
+    for u, heads in enumerate(g.out_adj):
+        if heads:
+            freed[last[u]].append(u)
+    return freed
+
+
 def _packed_pass(g: CGraph, sets: list, w: int) -> list[int]:
-    """φ of every set in ``sets``, from one packed pass with lanes of ``w`` bits."""
+    """φ of every set in ``sets``, from one packed pass with lanes of ``w`` bits.
+
+    What it keeps, and for how long, is in the module docstring.
+    """
     lane = (1 << w) - 1
     ones = ((1 << (w * len(sets))) - 1) // lane  # the low bit of every lane
     high = ones << (w - 1)
-    masks: dict[int, int] = {}
+    up = high - ones  # sets the guard bit of every nonzero lane
+    shifts: dict[int, list[int]] = {}  # member -> the offsets of its lanes
     for i, members in enumerate(sets):
         for v in members:
-            masks[v] = masks.get(v, 0) | lane << (w * i)
-    check_members(g, masks)  # every member, once per batch
+            shifts.setdefault(v, []).append(w * i)
+    check_members(g, shifts)  # every member, once per batch
+    freed = repeat(()) if w * len(sets) < _WIDE else per_graph(g, "last_reads", _last_reads)
     forwarded = [0] * g.n
     total = 0
-    for v in topological_order(g):
+    for v, done in zip(topological_order(g), freed):
         r = sum(map(forwarded.__getitem__, g.in_adj[v]))
+        for u in done:
+            forwarded[u] = 0
         if v in g.sources:
-            forwarded[v] = ones
-            continue
-        total += r
-        m = masks.get(v)
-        if m is None:
-            forwarded[v] = r
+            r = ones
         else:
-            nz = ((r + high - ones) & high) >> (w - 1)
-            forwarded[v] = (r & ~m) | (nz & m)
+            total += r
+            s = shifts.get(v)
+            if s is not None:
+                m = reduce(or_, map(lane.__lshift__, s))  # a set may list v twice
+                nz = ((r + up) & high) >> (w - 1)  # 1 in every nonzero lane
+                r -= (r - nz) & m  # min(r, 1) in v's lanes
+        if g.out_adj[v]:
+            forwarded[v] = r
     return [(total >> (w * i)) & lane for i in range(len(sets))]
 
 

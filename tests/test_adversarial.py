@@ -5,6 +5,7 @@ is capped at 512 MiB (``RLIMIT_AS``), so a shape that makes some layer
 quadratic in memory fails here rather than on a user's machine.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -44,6 +45,7 @@ def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("shapes")
     (root / "fan-in.tsv").write_text(_fan_in(10**5))
     (root / "diamonds.tsv").write_text(_diamonds(2000))
+    (root / "diamonds-2500.tsv").write_text(_diamonds(2500))
     return root
 
 
@@ -85,3 +87,20 @@ def test_fr_curve_runs_every_cheap_algorithm(inputs, shape, tmp_path):
     assert [r.split(",")[:2] for r in rows] == [
         [a, str(k)] for a in ("greedy-1", "greedy-max", "greedy-l", "greedy-all", "rand-k") for k in (1, 2, 3)
     ]
+
+
+def test_fr_curve_of_the_random_baselines_on_a_deep_chain(inputs, tmp_path):
+    # 264 sets, scored in a pass of 256 lanes of 2504 bits and one of 8,
+    # over 7501 nodes: passes that kept every node's lane int to their end
+    # peaked near 670 MiB
+    csv = tmp_path / "curve.csv"
+    _cli(
+        "fr-curve", "--input", str(inputs / "diamonds-2500.tsv"),
+        "--algos", "rand-k,rand-i,rand-w", "--kmax", "4", "--runs", "22", "--csv", str(csv),
+    )
+    rows = [r.split(",") for r in csv.read_text().splitlines()[1:]]
+    assert [(r[0], r[1], r[3]) for r in rows] == [
+        (a, str(k), "22") for a in ("rand-k", "rand-i", "rand-w") for k in (1, 2, 3, 4)
+    ]
+    fr = hashlib.sha256(" ".join(r[2] for r in rows).encode()).hexdigest()
+    assert fr == "1f2b92be1630af1ae459ce5a627021246a3b9eb8b3e0a2f48d5ee4f0d795a27e"

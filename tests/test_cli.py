@@ -451,6 +451,19 @@ def test_no_command_reads_the_edges_property(tmp_path, capsys, monkeypatch):
         assert main(argv) == 0, (argv, capsys.readouterr().err)
 
 
+def test_memory_error_is_one_line_and_writes_nothing(degree_trap_path, tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("flowfilter.cli.fr_curve", exhausted)
+    csv = tmp_path / "curve.csv"
+    argv = ["fr-curve", "--input", str(degree_trap_path), "--algos", "greedy-1", "--kmax", "2", "--csv", str(csv)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "flowfilter: error: out of memory\n")
+    assert sorted(tmp_path.iterdir()) == [degree_trap_path]
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["place", "--algo", "greedy-all"])  # missing required flags

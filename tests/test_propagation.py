@@ -1,9 +1,12 @@
 import random
+import sys
+import tracemalloc
 
 import pytest
 
 from _oracles import count_paths, indexed_graph, phi_reference, random_dag
 from fixtures import g_fanin, g_degree_trap
+from flowfilter import propagation
 from flowfilter.graph import CycleError, GraphError, build_graph
 from flowfilter.path_stats import baseline, compute_prefix, impact_table
 from flowfilter.placement import eligible_nodes, optimal_unbounded
@@ -223,3 +226,67 @@ def test_gains_reads_sets_lazily_at_most_256_ahead():
         assert f == _f(g, [(asked - 1) % g.n])
         assert asked <= len(read) <= asked + 255  # at most 256 sets ahead
     assert len(read) == 700
+
+
+def _diamonds_with_sinks(count, sinks):
+    """A chain of ``count`` diamonds, path counts doubling at each, then
+    ``sinks`` sinks under its last merge."""
+    heads = ["s"] + [f"j{i}" for i in range(count - 1)]
+    edges = [
+        e for i, h in enumerate(heads)
+        for e in ((h, f"a{i}"), (h, f"b{i}"), (f"a{i}", f"j{i}"), (f"b{i}", f"j{i}"))
+    ]
+    return build_graph(edges + [(f"j{count - 1}", f"t{i}") for i in range(sinks)])
+
+
+def test_packed_pass_holds_lane_ints_only_for_tails_still_to_be_read():
+    # each lane int is 256 lanes of ~300 bits; keeping every node's (as a
+    # pass once did) peaked near 1800 of them, and the order is at most 301 wide
+    g = _diamonds_with_sinks(300, 300)
+    assert g.n == 1201
+    phi_empty, _ = baseline(g)  # the no-filter prefix is the graph's, not the pass's
+    lane_int = sys.getsizeof(1 << (256 * (phi_empty.bit_length() + 2) - 1))
+    rng = random.Random(1)
+    sets = [rng.sample(range(g.n), 5) for _ in range(256)]
+    tracemalloc.start()
+    try:
+        scores = list(gains(g, sets))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.n / 4 * lane_int
+    assert scores[:8] == [_f(g, s) for s in sets[:8]]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_wide_passes_match_simulate_with_sources_and_sinks_as_members(seed):
+    # 256 lanes of at least 8 bits each: every pass here drops its tails'
+    # ints, and each set may name the source, a sink, or a node twice
+    rng = random.Random(seed + 41000)
+    g = random_dag(rng.randint(12, 30), rng.uniform(0.3, 0.6), seed + 41000)
+    if seed % 2:  # one more node, unreached, with edges into the graph
+        heads = rng.sample(range(g.n), 3)
+        g = indexed_graph(g.labels + ("x",), g.edges + tuple((g.n, v) for v in heads), g.sources)
+    assert 256 * (baseline(g)[0].bit_length() + 2) >= propagation._WIDE
+    (source,) = g.sources
+    sinks = [v for v in range(g.n) if not g.out_adj[v]]
+    sets = []
+    for _ in range(300):
+        members = rng.sample(range(g.n), rng.randint(0, 6))
+        members += rng.sample([source] + sinks, rng.randint(0, 2)) + members[:1]
+        sets.append(members)
+    assert list(gains(g, sets)) == [_f(g, s) for s in sets]
+
+
+def test_release_list_is_built_once_per_graph_and_only_for_wide_passes(monkeypatch):
+    built = []
+    real = propagation._last_reads
+    monkeypatch.setattr(propagation, "_last_reads", lambda g: built.append(g) or real(g))
+    shallow = g_fanin()  # phi(empty) = 10: 6-bit lanes
+    objective_f(shallow, {shallow.index("z2")})
+    assert list(gains(shallow, [[v] for v in range(7)] * 2)) == [0, 0, 0, 0, 1, 0, 0] * 2
+    assert built == []  # 12 lanes of 6 bits, far below the rule
+    deep = _diamonds_with_sinks(40, 3)
+    sets = [[v] for v in range(deep.n)] * 2  # 2 passes of 256 lanes, ~50 bits each
+    assert list(gains(deep, sets)) == list(gains(deep, sets)) == [_f(deep, s) for s in sets]
+    assert built == [deep]
