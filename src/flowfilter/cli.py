@@ -143,51 +143,39 @@ def _cmd_extract_dag(args) -> int:
     return 0
 
 
+def _scored(g: CGraph, filters, f: int | None = None) -> dict:
+    """The fields every score report shares: the filters' labels, F (by
+    ``objective_f`` unless given) and FR, F over F(V) rounded to 6 places."""
+    if f is None:
+        f = objective_f(g, filters)
+    fr = ratio(f, baseline(g)[1])
+    return {"filters": g.sorted_labels(filters), "f": f, "fr": round(float(fr), 6)}
+
+
 def _cmd_place(args) -> int:
     g = _load_graph(args, "json")
-    fv = max_objective(g)  # checks the graph before any algorithm runs
-    filters = run_algorithm(g, args.algo, args.k, args.seed)
-    f = objective_f(g, filters)
-    obj = {
-        "algorithm": args.algo,
-        "k": args.k,
-        "seed": args.seed if args.algo in RANDOMIZED_ALGORITHMS else None,
-        "filters": g.sorted_labels(filters),
-        "f": f,
-        "fr": round(float(ratio(f, fv)), 6),
-    }
-    _json_out(obj, args, args.json)
+    max_objective(g)  # checks the graph before any algorithm runs
+    obj = _scored(g, run_algorithm(g, args.algo, args.k, args.seed))
+    seed = args.seed if args.algo in RANDOMIZED_ALGORITHMS else None
+    _json_out({"algorithm": args.algo, "k": args.k, "seed": seed, **obj}, args, args.json)
     return 0
 
 
 def _cmd_evaluate(args) -> int:
     g = _load_graph(args, "json")
+    # sorted, so that of several unknown labels the first in order is reported
     labels = sorted({s for s in args.filters.split(",") if s})
-    members = frozenset(g.index(lab) for lab in labels)
-    phi_empty, fv = baseline(g)
-    f = objective_f(g, members)
-    obj = {
-        "filters": labels,
-        "phi_no_filters": phi_empty,
-        "phi": phi_empty - f,
-        "f": f,
-        "fr": round(float(ratio(f, fv)), 6),
-    }
-    _json_out(obj, args, args.json)
+    obj = _scored(g, frozenset(g.index(lab) for lab in labels))
+    phi_empty = baseline(g)[0]
+    _json_out({"phi_no_filters": phi_empty, "phi": phi_empty - obj["f"], **obj}, args, args.json)
     return 0
 
 
 def _cmd_oracle(args) -> int:
     g = _load_graph(args, "json")
-    fv = max_objective(g)  # checks the graph before the budget
+    max_objective(g)  # checks the graph before the budget
     filters, f = oracle(g, args.k, args.budget)
-    obj = {
-        "k": args.k,
-        "filters": g.sorted_labels(filters),
-        "f": f,
-        "fr": round(float(ratio(f, fv)), 6),
-    }
-    _json_out(obj, args, args.json)
+    _json_out({"k": args.k, **_scored(g, filters, f)}, args, args.json)
     return 0
 
 

@@ -57,9 +57,9 @@ class CGraph:
     ``_build_from_tokens``, the library's own transforms through
     ``_from_ids``.  Both share one core that makes no object per edge.
     Every graph builds its own label -> id dict from its labels.
-    ``_no_filter`` starts empty and holds ``path_stats``' no-filter
-    per-node lists and ``propagation``'s release list, each filled on
-    first use, so they live and die with the graph.
+    ``_no_filter`` starts empty and holds ``path_stats``' per-graph lists
+    (the no-filter prefix and suffix, and the packed pass's release list),
+    each filled on first use, so they live and die with the graph.
     """
 
     __slots__ = (

@@ -2,7 +2,7 @@
 
 F(A) = φ(∅) − φ(A) scores a filter set A, and FR(A) = F(A) / F(V), an exact
 fraction that is 1 when F(V) = 0, is the share of removable redundancy it
-removes.  Every F comes from ``propagation.gains``.  φ(∅) and F(V) are
+removes.  Every F comes from ``path_stats.gains``.  φ(∅) and F(V) are
 ``path_stats.baseline``: both are read off the no-filter prefix, which is
 computed once per graph, so F(V) costs no pass and V is never scored.
 
@@ -28,7 +28,7 @@ from math import comb, floor
 from operator import itemgetter
 
 from .graph import CGraph
-from .path_stats import baseline
+from .path_stats import baseline, gains
 from .placement import (
     check_k,
     eligible_nodes,
@@ -40,7 +40,6 @@ from .placement import (
     randomized_baseline,
     tree_dp,
 )
-from .propagation import gains
 
 
 class BudgetExceededError(Exception):

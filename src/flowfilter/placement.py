@@ -107,10 +107,15 @@ def greedy_l(g: CGraph, k: int) -> tuple[int, ...]:
 def optimal_unbounded(g: CGraph) -> frozenset[int]:
     """Smallest filter set removing all removable redundancy.
 
-    Exactly the non-source nodes with in-degree above one and at least one
-    out-edge: every other node forwards at most one copy anyway.
+    Exactly the non-source nodes with more than one in-edge from a reached
+    node (no-filter prefix > 0) and at least one out-edge: every other node
+    forwards at most one copy anyway.  Raises CycleError on a cyclic graph.
     """
-    return frozenset(v for v in eligible_nodes(g) if len(g.in_adj[v]) > 1 and g.out_adj[v])
+    prefix = compute_prefix(g, ())
+    return frozenset(
+        v for v in eligible_nodes(g)
+        if g.out_adj[v] and sum(1 for u in g.in_adj[v] if prefix[u]) > 1
+    )
 
 
 # --- random baselines -------------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from flowfilter import path_stats, propagation
+from flowfilter import path_stats
 
 
 @pytest.fixture
@@ -8,7 +8,7 @@ def scoring_calls(monkeypatch) -> tuple[list, list]:
     """Record each no-filter prefix pass, the scalar pass that φ(∅) and F(V)
     are read off, and the lane count of each packed pass."""
     sims, passes = [], []
-    prefix, packed_pass = path_stats._prefix, propagation._packed_pass
+    prefix, packed_pass = path_stats._prefix, path_stats._packed_pass
 
     def counting_prefix(g, members):
         if not members:
@@ -20,5 +20,5 @@ def scoring_calls(monkeypatch) -> tuple[list, list]:
         return packed_pass(g, sets, w)
 
     monkeypatch.setattr(path_stats, "_prefix", counting_prefix)
-    monkeypatch.setattr(propagation, "_packed_pass", counting_pass)
+    monkeypatch.setattr(path_stats, "_packed_pass", counting_pass)
     return sims, passes

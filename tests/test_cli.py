@@ -535,6 +535,20 @@ def test_no_output_may_replace_the_input(name, argv, tmp_path, capsys, monkeypat
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([name, "sub"])
 
 
+def test_an_output_under_a_missing_directory_is_not_the_input(tmp_path, capsys, monkeypatch):
+    """``missing/../g.tsv`` resolves to the input's path, but only an
+    existing directory can be walked through: the output is a file of its
+    own, so writing it fails (exit 1), not the usage check (exit 2)."""
+    monkeypatch.chdir(tmp_path)
+    source = tmp_path / "g.tsv"
+    source.write_text(FANIN_TSV)
+    argv = ["place", "--input", str(source), "--algo", "greedy-1", "--k", "1"]
+    assert main(argv + ["--json", "missing/../g.tsv"]) == 1
+    assert "No such file or directory" in capsys.readouterr().err
+    assert source.read_text() == FANIN_TSV
+    assert [p.name for p in tmp_path.iterdir()] == ["g.tsv"]
+
+
 def test_no_output_may_replace_the_input_through_a_link(tmp_path, capsys):
     source = tmp_path / "g.tsv"
     source.write_text(FANIN_TSV)

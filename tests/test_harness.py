@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from _oracles import exhaustive_best, greedy_all_reference, greedy_l_reference, random_dag
-from flowfilter import harness, placement, propagation
+from flowfilter import harness, path_stats, placement
 from fixtures import g_diamond, g_fanin, g_degree_trap, g_tree1
 from flowfilter.graph import CycleError, GraphError, build_graph
 from flowfilter.harness import (
@@ -284,9 +284,9 @@ def test_fr_curve_makes_every_pick_before_its_first_packed_pass(monkeypatch):
 
     runners = {name: recording(prep) for name, prep in harness._RUNNERS.items()}
     monkeypatch.setattr(harness, "_RUNNERS", runners)
-    real = propagation._packed_pass
+    real = path_stats._packed_pass
     packed_pass = lambda g, sets, w: events.append(len(sets)) or real(g, sets, w)
-    monkeypatch.setattr(propagation, "_packed_pass", packed_pass)
+    monkeypatch.setattr(path_stats, "_packed_pass", packed_pass)
     fr_curve(g_fanin(), ["rand-k"], k_max=3, runs=100)
     assert events == ["pick"] * 300 + [256, 44]
 

@@ -21,9 +21,9 @@ from flowfilter.graph import (
     serialize_edge_list,
 )
 from flowfilter.harness import max_objective
-from flowfilter.path_stats import baseline, compute_prefix, compute_stats, impact_table
+from flowfilter.path_stats import baseline, compute_prefix, compute_stats, gains, impact_table
 from flowfilter.placement import eligible_nodes, greedy_all
-from flowfilter.propagation import gains, objective_f, simulate
+from flowfilter.propagation import objective_f, simulate
 
 
 def test_fanin_prefix_matches_received_counts():

@@ -29,6 +29,7 @@ from flowfilter.propagation import objective_f, simulate
 from _oracles import (
     as_ctree_reference,
     draws_below,
+    indexed_graph,
     random_ctree,
     random_dag,
     tree_dp_reference,
@@ -125,17 +126,28 @@ def test_optimal_unbounded_examples():
     assert g2.sorted_labels(optimal_unbounded(g2)) == ["A"]
     chain = build_graph([("s", "a"), ("a", "b"), ("b", "c")])
     assert optimal_unbounded(chain) == frozenset()
+    # b's in-edge from a is never used: a is unreached under the hint s
+    edges = [("a", "b"), ("s", "b"), ("b", "c"), ("s", "d"), ("d", "c"), ("c", "e")]
+    hinted = build_graph(edges, sources=["s"])
+    assert hinted.sorted_labels(optimal_unbounded(hinted)) == ["c"]
+    assert oracle(hinted, 5) == (optimal_unbounded(hinted), 1)
+    with pytest.raises(CycleError):  # reached in-edges need the no-filter prefix
+        optimal_unbounded(build_graph([("s", "a"), ("a", "b"), ("b", "a")]))
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_optimal_unbounded_saturates_and_is_minimal(seed):
     rng = random.Random(seed)
     g = random_dag(rng.randint(2, 10), rng.uniform(0.2, 0.8), seed + 600)
-    fs = optimal_unbounded(g)
-    f_all = objective_f(g, eligible_nodes(g))
-    assert objective_f(g, fs) == f_all
-    for v in fs:  # dropping any member loses redundancy removal
-        assert objective_f(g, fs - {v}) < f_all
+    # the same graph with a source hint: any node may be the source, so
+    # the super source and every node the hint does not reach are unreached
+    hinted = indexed_graph(g.labels, g.edges, [rng.randrange(g.n)])
+    for g in (g, hinted):
+        fs = optimal_unbounded(g)
+        f_all = objective_f(g, eligible_nodes(g))
+        assert objective_f(g, fs) == f_all
+        for v in fs:  # dropping any member loses redundancy removal
+            assert objective_f(g, fs - {v}) < f_all
 
 
 # --- greedy_all vs oracle ---------------------------------------------------

@@ -6,11 +6,11 @@ import pytest
 
 from _oracles import count_paths, indexed_graph, phi_reference, random_dag
 from fixtures import g_fanin, g_degree_trap
-from flowfilter import propagation
+from flowfilter import path_stats
 from flowfilter.graph import CycleError, GraphError, build_graph
-from flowfilter.path_stats import baseline, compute_prefix, impact_table
+from flowfilter.path_stats import baseline, compute_prefix, gains, impact_table
 from flowfilter.placement import eligible_nodes, optimal_unbounded
-from flowfilter.propagation import gains, objective_f, simulate
+from flowfilter.propagation import objective_f, simulate
 
 
 def by_label(g, counts):
@@ -267,7 +267,7 @@ def test_wide_passes_match_simulate_with_sources_and_sinks_as_members(seed):
     if seed % 2:  # one more node, unreached, with edges into the graph
         heads = rng.sample(range(g.n), 3)
         g = indexed_graph(g.labels + ("x",), g.edges + tuple((g.n, v) for v in heads), g.sources)
-    assert 256 * (baseline(g)[0].bit_length() + 2) >= propagation._WIDE
+    assert 256 * (baseline(g)[0].bit_length() + 2) >= path_stats._WIDE
     (source,) = g.sources
     sinks = [v for v in range(g.n) if not g.out_adj[v]]
     sets = []
@@ -280,8 +280,8 @@ def test_wide_passes_match_simulate_with_sources_and_sinks_as_members(seed):
 
 def test_release_list_is_built_once_per_graph_and_only_for_wide_passes(monkeypatch):
     built = []
-    real = propagation._last_reads
-    monkeypatch.setattr(propagation, "_last_reads", lambda g: built.append(g) or real(g))
+    real = path_stats._last_reads
+    monkeypatch.setattr(path_stats, "_last_reads", lambda g: built.append(g) or real(g))
     shallow = g_fanin()  # phi(empty) = 10: 6-bit lanes
     objective_f(shallow, {shallow.index("z2")})
     assert list(gains(shallow, [[v] for v in range(7)] * 2)) == [0, 0, 0, 0, 1, 0, 0] * 2

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import statistics
+import sys
 
 import pytest
 
@@ -60,11 +61,20 @@ def test_layered_config_validation():
         LayeredConfig(5, 0, 1.0, 4.0, 0)
     with pytest.raises(ValueError):
         LayeredConfig(5, 10, 0.0, 4.0, 0)
-    for bad in (float("nan"), float("inf"), -1.0, 10**400):
+    for bad in (float("nan"), float("inf"), -1.0, 0.0, 10**400):
         with pytest.raises(ValueError):
             LayeredConfig(5, 10, bad, 4.0, 0)
         with pytest.raises(ValueError):
             LayeredConfig(5, 10, 1.0, bad, 0)
+
+
+def test_layered_config_takes_the_largest_float_for_x_and_y():
+    # p = 1 at every gap for that x, and p = 1 / y, then 0 (y**2
+    # overflows), for that y, as for the tiny and huge y below
+    top = sys.float_info.max
+    for x, y, same_y in ((top, 4.0, 1e-300), (1.0, top, 1e200)):
+        g = layered_graph(LayeredConfig(3, 2, x, y, 0))
+        assert set(g.edges) == set(layered_graph(LayeredConfig(3, 2, 1.0, same_y, 0)).edges)
 
 
 def test_layered_graph_outputs_pinned():
